@@ -36,22 +36,45 @@ type Base struct {
 	// Filter is the ADS candidate test; nil admits all.
 	Filter FilterFunc
 
-	// KStats aggregates intersection-kernel counters across all candidate
-	// enumerations of this engine. Typed atomics: the escalated parallel
-	// phase calls Expand concurrently from pool workers.
-	KStats graph.KernelStats
+	// kstats holds the intersection-kernel counters, one single-writer
+	// block per searcher slot (csm.State.Slot): the escalated parallel
+	// phase calls Expand concurrently from pool workers, and no worker
+	// writes a cache line another one writes.
+	kstats []graph.KernelStats
 
 	infos []orderInfo // indexed by csm.EncodeOrder
 }
 
-// KernelCounters snapshots the shared intersection-kernel counters (schema 3
-// of the benchjson report).
-func (b *Base) KernelCounters() graph.KernelCounters { return b.KStats.Counters() }
+// SetSearchers sizes the counter stripes for states carrying slots
+// 0..n-1. core.Engine calls it before Build with its searcher count; an
+// algorithm driven only by the sequential csm.Engine keeps the single
+// stripe Init provides. Stripes never shrink, so counts survive a re-Init.
+func (b *Base) SetSearchers(n int) {
+	for len(b.kstats) < n {
+		b.kstats = append(b.kstats, graph.KernelStats{})
+	}
+}
+
+// Kernel returns the counter block of the searcher exploring s.
+func (b *Base) Kernel(s *csm.State) *graph.KernelStats { return &b.kstats[s.Slot] }
+
+// KernelCounters sums the stripes. The blocks are plain single-writer
+// counters, so it may be called only while no search is in flight on the
+// engine — between ProcessUpdate/Run calls, which is when every caller
+// (bench harnesses, tests) reads it.
+func (b *Base) KernelCounters() graph.KernelCounters {
+	var kc graph.KernelCounters
+	for i := range b.kstats {
+		kc.Add(b.kstats[i].KernelCounters)
+	}
+	return kc
+}
 
 // Init prepares the base for (g, q): it precomputes one matching order per
 // query-edge orientation. Algorithms call it from Build.
 func (b *Base) Init(g *graph.Graph, q *query.Graph) {
 	b.G, b.Q = g, q
+	b.SetSearchers(1)
 	ne := q.NumEdges()
 	b.infos = make([]orderInfo, 2*ne)
 	for i := 0; i < ne; i++ {
@@ -170,7 +193,8 @@ func (b *Base) ForEachCandidate(s *csm.State, u query.VertexID, back []query.Bac
 		}
 	}
 	cand := b.G.NeighborsWithLabel(anchor, lu)
-	b.KStats.AddCandidateLookup(len(cand) < b.G.Degree(anchor))
+	ks := b.Kernel(s)
+	ks.AddCandidateLookup(len(cand) < b.G.Degree(anchor))
 	if len(cand) == 0 {
 		return
 	}
@@ -223,7 +247,7 @@ zip:
 		yield(v)
 	}
 	if k > 0 {
-		b.KStats.AddIntersection(probes, galloped)
+		ks.AddIntersection(probes, galloped)
 	}
 }
 

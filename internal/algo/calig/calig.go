@@ -215,12 +215,13 @@ func (a *CaLiG) countShells(s *csm.State) uint64 {
 func (a *CaLiG) shellCandidates(s *csm.State, ord []query.VertexID, u query.VertexID, back []query.BackEdge) []graph.VertexID {
 	lu := a.Q.Label(u)
 	du := a.Q.Degree(u)
+	ks := a.Kernel(s)
 	var runs [query.MaxVertices][]graph.Neighbor
 	k := 0
 	for _, be := range back {
 		w := s.Map[ord[be.Pos]]
 		runs[k] = a.G.NeighborsWithLabel(w, lu)
-		a.KStats.AddCandidateLookup(len(runs[k]) < a.G.Degree(w))
+		ks.AddCandidateLookup(len(runs[k]) < a.G.Degree(w))
 		k++
 	}
 	if k == 0 {
@@ -237,7 +238,7 @@ func (a *CaLiG) shellCandidates(s *csm.State, ord []query.VertexID, u query.Vert
 		out = append(out, runs[0][i].ID)
 	}
 	for i := 1; i < k && len(out) > 0; i++ {
-		out = graph.IntersectIDsNeighbors(out[:0], out, runs[i], &a.KStats)
+		out = graph.IntersectIDsNeighbors(out[:0], out, runs[i], ks)
 	}
 	w := 0
 	for _, v := range out {

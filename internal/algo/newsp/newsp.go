@@ -144,7 +144,7 @@ zip:
 		break
 	}
 	if k > 0 {
-		a.KStats.AddIntersection(probes, galloped)
+		a.Kernel(s).AddIntersection(probes, galloped)
 	}
 	return found
 }

@@ -12,30 +12,35 @@ import (
 // on a sync.Cond instead of spinning, so an idle pool costs nothing and
 // never steals cycles from the workers that still hold tasks.
 //
-// One epoch = one Submit call: the caller hands over a frontier of tasks
-// plus the function that executes them, and Submit blocks until the epoch
-// drains. Task functions may grow the epoch by calling Push (adaptive
-// re-splitting); Starved is the lock-free signal that re-splitting would
-// pay. Epoch termination is the classic two-phase check, evaluated under
-// the pool mutex so no wakeup can be lost: the epoch is complete exactly
-// when the queue is empty AND no worker is executing a task (a running
-// task may still Push, so an empty queue alone proves nothing).
+// One epoch = one Submit or SubmitSpans call: the caller hands over a
+// frontier of tasks plus the function that executes them, and the call
+// blocks until the epoch drains. Submit runs the function once per task;
+// SubmitSpans hands each worker a contiguous span of the queue per trip
+// through the pool mutex, for frontiers of many cheap tasks. Task
+// functions may grow the epoch by calling PushAll (adaptive re-splitting);
+// Starved is the lock-free signal that re-splitting would pay. Epoch
+// termination is the classic two-phase check, evaluated under the pool
+// mutex so no wakeup can be lost: the epoch is complete exactly when the
+// queue is empty AND no worker is executing a task (a running task may
+// still push, so an empty queue alone proves nothing).
 //
-// Submit and Close serialize against each other; task functions run
-// concurrently and must synchronize any shared state themselves. Close
-// joins all workers; a closed pool panics on Submit.
+// Submit, SubmitSpans and Close serialize against each other; task
+// functions run concurrently and must synchronize any shared state
+// themselves. Close joins all workers; a closed pool panics on Submit.
 type Pool[T any] struct {
 	size int
 
 	mu   sync.Mutex
-	work sync.Cond // workers park here; signaled by Push/Submit/Close
+	work sync.Cond // workers park here; signaled by PushAll/Submit/Close
 	done sync.Cond // the submitter parks here; signaled at epoch completion
 
-	tasks  []T                      // guarded by mu
-	head   int                      // guarded by mu
-	active int                      // guarded by mu
-	run    func(worker int, task T) // guarded by mu
-	closed bool                     // guarded by mu
+	tasks  []T  // guarded by mu
+	head   int  // guarded by mu
+	active int  // guarded by mu
+	closed bool // guarded by mu
+	// Exactly one of run/runSpan is set during an epoch.
+	run     func(worker int, task T)   // guarded by mu
+	runSpan func(worker int, span []T) // guarded by mu
 
 	// Lock-free mirrors for the hot-path Starved check. Both are only
 	// mutated inside mu's critical sections; concurrent readers may
@@ -52,6 +57,12 @@ type Pool[T any] struct {
 	epochMu sync.Mutex
 	wg      sync.WaitGroup // joins workers; Add serialized by construction (all Adds happen in NewPool, before the pool escapes)
 }
+
+// maxSpan bounds the spans SubmitSpans hands out. At 64 cheap tasks a trip
+// through the mutex is already amortized a hundredfold; a longer span only
+// grows what its taker holds privately, out of reach of idle workers until
+// the taker donates it back.
+const maxSpan = 64
 
 // NewPool starts size persistent workers (size < 1 is clamped to 1). The
 // workers park immediately; call Close to join them.
@@ -89,17 +100,32 @@ func (p *Pool[T]) worker(w int) {
 			p.mu.Unlock()
 			return
 		}
-		var zero T
-		task := p.tasks[p.head]
-		p.tasks[p.head] = zero // release for GC
-		p.head++
-		p.qlen.Add(-1)
 		p.active++
-		run := p.run
-		p.mu.Unlock()
-
-		run(w, task)
-
+		if run := p.run; run != nil {
+			var zero T
+			task := p.tasks[p.head]
+			p.tasks[p.head] = zero // release for GC
+			p.head++
+			p.qlen.Add(-1)
+			p.mu.Unlock()
+			run(w, task)
+		} else {
+			// Guided self-scheduling: a 1/(2·size) share of what is queued,
+			// so a long frontier costs few trips through mu and the tail is
+			// still handed out finely enough to balance — but never more
+			// than maxSpan, so that the taker's private copy stays small
+			// and the rest stays where idle workers can reach it.
+			n := (len(p.tasks) - p.head + 2*p.size - 1) / (2 * p.size)
+			if n > maxSpan {
+				n = maxSpan
+			}
+			span := p.tasks[p.head : p.head+n : p.head+n]
+			p.head += n
+			p.qlen.Add(-int64(n))
+			run := p.runSpan
+			p.mu.Unlock()
+			run(w, span)
+		}
 		p.mu.Lock()
 		p.active--
 		if p.active == 0 && p.head >= len(p.tasks) {
@@ -111,9 +137,23 @@ func (p *Pool[T]) worker(w int) {
 // Submit runs one epoch: frontier is queued, parked workers are woken, and
 // the call blocks until the queue is empty and every task function has
 // returned. run is invoked once per task with the executing worker's index
-// (0..Size-1); it may call Push to add tasks to the same epoch. Submit
+// (0..Size-1); it may call PushAll to add tasks to the same epoch. Submit
 // must not be called concurrently with itself and panics on a closed pool.
 func (p *Pool[T]) Submit(frontier []T, run func(worker int, task T)) {
+	p.epoch(frontier, run, nil)
+}
+
+// SubmitSpans is Submit for frontiers of many cheap tasks: run receives a
+// contiguous span of queued tasks, in queue order, instead of one. The
+// span aliases the queue and is valid only until run returns — copy what
+// must outlive the call. (The queue is not scrubbed behind spans, so a T
+// holding pointers keeps them reachable until a later epoch overwrites
+// the slot.)
+func (p *Pool[T]) SubmitSpans(frontier []T, run func(worker int, span []T)) {
+	p.epoch(frontier, nil, run)
+}
+
+func (p *Pool[T]) epoch(frontier []T, run func(int, T), runSpan func(int, []T)) {
 	p.epochMu.Lock()
 	defer p.epochMu.Unlock()
 
@@ -122,14 +162,14 @@ func (p *Pool[T]) Submit(frontier []T, run func(worker int, task T)) {
 		p.mu.Unlock()
 		panic("concurrent: Submit on closed Pool")
 	}
-	p.run = run
+	p.run, p.runSpan = run, runSpan
 	p.tasks = append(p.tasks, frontier...)
 	p.qlen.Add(int64(len(frontier)))
 	p.work.Broadcast()
 	for p.head < len(p.tasks) || p.active > 0 {
 		p.done.Wait()
 	}
-	p.run = nil
+	p.run, p.runSpan = nil, nil
 	// Reuse the ring across epochs, but let an explosion's backlog go
 	// back to the allocator instead of pinning its high-water mark.
 	if cap(p.tasks) > 4096 {
@@ -141,13 +181,24 @@ func (p *Pool[T]) Submit(frontier []T, run func(worker int, task T)) {
 	p.mu.Unlock()
 }
 
-// Push appends one task to the current epoch and wakes a parked worker.
-// Only task functions of the in-flight epoch may call it.
-func (p *Pool[T]) Push(v T) {
+// PushAll appends a batch of tasks to the current epoch under one lock
+// acquisition and wakes parked workers once: one for a single task, all
+// of them otherwise. Only task functions of the in-flight epoch may call
+// it; batch is copied, the caller keeps ownership.
+//
+//paracosm:noalloc
+func (p *Pool[T]) PushAll(batch []T) {
+	if len(batch) == 0 {
+		return
+	}
 	p.mu.Lock()
-	p.tasks = append(p.tasks, v)
-	p.qlen.Add(1)
-	p.work.Signal()
+	p.tasks = append(p.tasks, batch...)
+	p.qlen.Add(int64(len(batch)))
+	if len(batch) == 1 {
+		p.work.Signal()
+	} else {
+		p.work.Broadcast()
+	}
 	p.mu.Unlock()
 }
 
@@ -155,6 +206,8 @@ func (p *Pool[T]) Push(v T) {
 // empty — the adaptive re-splitting trigger of Algorithm 2 (idle > 0 &&
 // queue empty). Lock-free and advisory: a stale answer only delays or
 // wastes one split, never breaks correctness.
+//
+//paracosm:noalloc
 func (p *Pool[T]) Starved() bool {
 	return p.idle.Load() > 0 && p.qlen.Load() == 0
 }

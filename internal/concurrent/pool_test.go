@@ -37,7 +37,7 @@ func TestPoolEpochsAreIndependent(t *testing.T) {
 	}
 }
 
-// TestPoolRecursivePush: tasks growing the epoch via Push must all run
+// TestPoolRecursivePush: tasks growing the epoch via PushAll must all run
 // before Submit returns (the two-phase termination check: an empty queue
 // with a task in flight is not completion).
 func TestPoolRecursivePush(t *testing.T) {
@@ -50,8 +50,7 @@ func TestPoolRecursivePush(t *testing.T) {
 	p.Submit([]int{4}, func(w, depth int) {
 		n.Add(1)
 		if depth > 0 {
-			p.Push(depth - 1)
-			p.Push(depth - 1)
+			p.PushAll([]int{depth - 1, depth - 1})
 		}
 	})
 	if got := n.Load(); got != 31 {
@@ -145,7 +144,7 @@ func TestPoolSizeClamped(t *testing.T) {
 	})
 }
 
-// TestPoolStress exercises concurrent Push from many tasks under -race.
+// TestPoolStress exercises concurrent PushAll from many tasks under -race.
 func TestPoolStress(t *testing.T) {
 	p := NewPool[int](8)
 	defer p.Close()
@@ -159,13 +158,90 @@ func TestPoolStress(t *testing.T) {
 		p.Submit(seeds, func(w, depth int) {
 			n.Add(1)
 			if depth > 0 {
-				p.Push(depth - 1)
-				p.Push(depth - 1)
+				p.PushAll([]int{depth - 1})
+				p.PushAll([]int{depth - 1})
 			}
 		})
 		// 16 seeds, each a full binary tree of depth 6: 16*(2^7-1).
 		if got := n.Load(); got != 16*127 {
 			t.Fatalf("round %d: ran %d tasks, want %d", round, got, 16*127)
 		}
+	}
+}
+
+// TestPoolSpansCoverFrontier: SubmitSpans hands out every task exactly
+// once, in contiguous queue-order spans, whatever the pool size.
+func TestPoolSpansCoverFrontier(t *testing.T) {
+	for _, size := range []int{1, 2, 3, 8} {
+		p := NewPool[int](size)
+		frontier := make([]int, 1000)
+		for i := range frontier {
+			frontier[i] = i
+		}
+		seen := make([]atomic.Int32, len(frontier))
+		var spans atomic.Int64
+		p.SubmitSpans(frontier, func(w int, span []int) {
+			spans.Add(1)
+			for i, v := range span {
+				if v != span[0]+i {
+					t.Errorf("size %d: span not contiguous: %v", size, span)
+				}
+				seen[v].Add(1)
+			}
+		})
+		p.Close()
+		for v := range seen {
+			if n := seen[v].Load(); n != 1 {
+				t.Fatalf("size %d: task %d ran %d times", size, v, n)
+			}
+		}
+		if n := spans.Load(); n >= int64(len(frontier)) {
+			t.Fatalf("size %d: %d spans for %d tasks: no batching", size, n, len(frontier))
+		}
+	}
+}
+
+// TestPoolPushAllByLastActiveWorker: the epoch must not end while a batch
+// pushed by the only running task is still queued — the pusher has gone
+// idle with the queue non-empty, its siblings are parked, and the two-phase
+// check (queue empty AND nobody active) is all that keeps Submit waiting.
+func TestPoolPushAllByLastActiveWorker(t *testing.T) {
+	for _, size := range []int{1, 2, 4} {
+		p := NewPool[int](size)
+		for round := 0; round < 200; round++ {
+			var ran atomic.Int64
+			p.SubmitSpans([]int{3}, func(w int, span []int) {
+				for _, depth := range span {
+					ran.Add(1)
+					if depth > 0 {
+						// Every level is pushed by whichever task runs last.
+						p.PushAll([]int{depth - 1, depth - 1, depth - 1})
+					}
+				}
+			})
+			// 1 + 3 + 9 + 27 tasks.
+			if got := ran.Load(); got != 40 {
+				t.Fatalf("size %d round %d: ran %d tasks, want 40", size, round, got)
+			}
+		}
+		p.Close()
+	}
+}
+
+// TestPoolPushAllEmptyAndSingle: an empty batch is a no-op and a single
+// task still reaches a worker.
+func TestPoolPushAllEmptyAndSingle(t *testing.T) {
+	p := NewPool[int](2)
+	defer p.Close()
+	var ran atomic.Int64
+	p.Submit([]int{1}, func(w, v int) {
+		ran.Add(1)
+		p.PushAll(nil)
+		if v == 1 {
+			p.PushAll([]int{0})
+		}
+	})
+	if got := ran.Load(); got != 2 {
+		t.Fatalf("ran %d tasks, want 2", got)
 	}
 }

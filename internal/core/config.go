@@ -155,6 +155,10 @@ func Window(n int) Option { return func(c *Config) { c.Window = n } }
 // FootprintCap bounds the per-update conflict-footprint size.
 func FootprintCap(n int) Option { return func(c *Config) { c.FootprintCap = n } }
 
+// maxThreads bounds the real worker pool: a searcher's slot (caller 0,
+// worker 1+w) must fit csm.State.Slot. Simulated workers have no slot.
+const maxThreads = 255
+
 func defaultConfig() Config {
 	return Config{
 		Threads:     runtime.GOMAXPROCS(0),
@@ -166,6 +170,9 @@ func defaultConfig() Config {
 func (c *Config) normalize() {
 	if c.Threads < 1 {
 		c.Threads = 1
+	}
+	if c.Threads > maxThreads && !c.Simulate {
+		c.Threads = maxThreads
 	}
 	if c.BatchSize < 1 {
 		c.BatchSize = 4 * c.Threads

@@ -29,15 +29,19 @@ type Engine struct {
 	statsMu sync.Mutex
 	matchMu sync.Mutex
 
-	// rootBuf is reused across updates for the sequential DFS stack. The
-	// sequential phase pops into seqState and pushes through pushSeq: the
-	// scratch node lives in the (already heap-resident) engine and the
-	// callback is allocated once in New, so interface calls into
-	// Roots/Terminal/Expand force no per-node escapes — the non-escalated
-	// hot path performs zero allocations per update.
-	rootBuf  []csm.State
-	seqState csm.State
-	pushSeq  func(csm.State)
+	// searchers is the private scratch of every goroutine that searches
+	// for this engine (see inner.go): slot 0 is the caller — root
+	// collection and the sequential phase of every update — and slot 1+w
+	// is pool worker w; the windowed executor's wave members borrow the
+	// low slots while no epoch runs. The worker slots are added by the
+	// first parallel phase (ensureWorkers), so an engine that never runs
+	// one — most of a MultiEngine's thousands — carries the caller's only.
+	searchers []*searcher
+	// phase is the find phase in flight, shared by its searchers.
+	phase searchPhase
+	// spanTask is runSpan bound once, so handing it to the pool on every
+	// escalation allocates no method value.
+	spanTask func(int, []csm.State)
 
 	// splitDepth is the effective SPLIT_DEPTH (auto-tuned from the query
 	// size when Config.SplitDepth is 0).
@@ -46,6 +50,10 @@ type Engine struct {
 	// simBudget is the simulated-time budget of the current Run (simulate
 	// mode only; 0 when processing updates outside Run).
 	simBudget time.Duration
+
+	// verdicts is runBatch's classification scratch, one entry per update
+	// of the round, reused across rounds.
+	verdicts []classification
 
 	// pool is the persistent worker pool of the inner-update executor,
 	// started lazily on the first escalated update (see ensurePool) and
@@ -90,8 +98,14 @@ func New(algo csm.Algorithm, opts ...Option) *Engine {
 		o(&cfg)
 	}
 	cfg.normalize()
+	return newEngine(algo, cfg)
+}
+
+// newEngine builds an engine from a normalized configuration.
+func newEngine(algo csm.Algorithm, cfg Config) *Engine {
 	e := &Engine{cfg: cfg, algo: algo}
-	e.pushSeq = func(s csm.State) { e.rootBuf = append(e.rootBuf, s) }
+	e.searchers = []*searcher{newSearcher(e, 0)}
+	e.spanTask = e.runSpan
 	return e
 }
 
@@ -466,7 +480,10 @@ func (e *Engine) runBatch(ctx context.Context, s stream.Stream) (int, error) {
 	batch := s[:k]
 
 	// Stage A: parallel classification (read-only against g and ADS).
-	verdicts := make([]classification, k)
+	for len(e.verdicts) < k {
+		e.verdicts = append(e.verdicts, classUnsafe)
+	}
+	verdicts := e.verdicts[:k]
 	classifyCost := e.classifyStageA(batch, verdicts)
 	if e.cfg.Simulate && e.cfg.Threads > 1 {
 		// Under schedule simulation classification runs sequentially but

@@ -3,6 +3,7 @@ package core
 import (
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"paracosm/internal/concurrent"
 	"paracosm/internal/csm"
@@ -26,161 +27,259 @@ type innerResult struct {
 	resplits  uint64
 }
 
+// pollEvery is how many search nodes a searcher explores between two
+// looks at the clock and the abort flag: a deadline stops every searcher
+// within this many nodes of expiring.
+const pollEvery = 1024
+
+// searchPhase is what the searchers of one find phase share. The driving
+// goroutine writes it in beginPhase before any searcher starts; while they
+// run it is read-only except for the abort flag.
+type searchPhase struct {
+	deadline    time.Time
+	hasDeadline bool
+	positive    bool
+	// aborted is set by the first searcher to see the deadline pass, and
+	// tells the rest — at their next poll, or before they start another
+	// span — to stop.
+	aborted atomic.Bool
+}
+
+// stop reports whether the phase is over its deadline, raising the abort
+// flag when it finds out first.
+//
+//paracosm:noalloc
+func (p *searchPhase) stop() bool {
+	if p.aborted.Load() {
+		return true
+	}
+	if p.hasDeadline && time.Now().After(p.deadline) {
+		p.aborted.Store(true)
+		return true
+	}
+	return false
+}
+
+// searcherState is the private scratch of one searching goroutine. Nothing
+// in it is written by any other goroutine while a search runs: the stack
+// and the node being expanded are its own, the counters are plain adds,
+// and the push callback handed to Roots/Expand is built once (in New) and
+// captures only this block — so interface calls into the algorithm force
+// no per-node escape and a search allocates nothing once the stack has
+// grown. The driving goroutine reads the counters after the search, with
+// the pool's mutex (or a WaitGroup) ordering the accesses.
+type searcherState struct {
+	e     *Engine
+	push  func(csm.State)
+	stack []csm.State
+	cur   csm.State
+	slot  uint8  // stamped on every popped node, see csm.State.Slot
+	poll  uint32 // nodes left until the next searchPhase.stop
+	// Totals since reset: a whole sequential phase, or all the spans one
+	// pool worker ran in one epoch.
+	nodes    uint64
+	matches  uint64
+	resplits uint64
+	busy     time.Duration
+}
+
+// searcher pads searcherState to whole cache lines, so that two searchers
+// the allocator places back to back never share one: every searcher bumps
+// its node counter per node.
+type searcher struct {
+	searcherState
+	_ [64 - unsafe.Sizeof(searcherState{})%64]byte
+}
+
+func newSearcher(e *Engine, slot int) *searcher {
+	sr := &searcher{}
+	sr.e, sr.slot = e, uint8(slot)
+	sr.push = func(s csm.State) { sr.stack = append(sr.stack, s) }
+	return sr
+}
+
+// reset readies the searcher for a new phase (or, for a pool worker, a new
+// epoch), keeping the stack's capacity.
+//
+//paracosm:noalloc
+func (sr *searcher) reset() {
+	sr.stack = sr.stack[:0]
+	sr.poll = pollEvery
+	sr.nodes, sr.matches, sr.resplits, sr.busy = 0, 0, 0, 0
+}
+
+// drainStop says why drain returned.
+type drainStop uint8
+
+const (
+	stopDrained drainStop = iota // the stack is empty: the subtree is done
+	stopBudget                   // node budget spent; the unexplored frontier is on the stack
+	stopAborted                  // deadline passed (here or on another searcher)
+)
+
+// drain is the one depth-first loop of the engine: it explores the
+// searcher's stack until it is empty, the searcher has counted budget
+// nodes, or the phase is aborted. The caller's sequential phase, the
+// window members and every pool worker run it — they differ only in what
+// they put on the stack first and in the two arguments. With share set (a
+// pool worker under LoadBalance) a searcher that sees starved siblings
+// donates the shallow end of its stack to the pool.
+//
+//paracosm:noalloc
+func (sr *searcher) drain(budget uint64, share bool) drainStop {
+	e := sr.e
+	for len(sr.stack) > 0 {
+		if sr.nodes >= budget {
+			return stopBudget
+		}
+		if sr.poll--; sr.poll == 0 {
+			sr.poll = pollEvery
+			if e.phase.stop() {
+				return stopAborted
+			}
+		}
+		top := len(sr.stack) - 1
+		sr.cur = sr.stack[top]
+		sr.stack = sr.stack[:top]
+		sr.cur.Slot = sr.slot
+		sr.nodes++
+		if c, done := e.algo.Terminal(&sr.cur); done {
+			sr.matches += c
+			if e.OnMatch != nil {
+				e.emitMatch(&sr.cur, c, e.phase.positive)
+			}
+			continue
+		}
+		e.algo.Expand(&sr.cur, sr.push)
+		// A DFS stack is sorted by depth, shallowest at the bottom, so the
+		// bottom entry alone says whether anything is shallow enough to
+		// give away.
+		if share && len(sr.stack) > 1 && int(sr.stack[0].Depth) <= e.splitDepth && e.pool.Starved() {
+			sr.donate()
+		}
+	}
+	return stopDrained
+}
+
+// donate moves the shallow end of the stack — up to half of it, and only
+// nodes no deeper than SPLIT_DEPTH, whose subtrees are worth a hand-over —
+// into the epoch's queue with one locked append and one wakeup.
+//
+//paracosm:noalloc
+func (sr *searcher) donate() {
+	k := len(sr.stack) / 2
+	for int(sr.stack[k-1].Depth) > sr.e.splitDepth {
+		k--
+	}
+	sr.e.pool.PushAll(sr.stack[:k])
+	sr.stack = append(sr.stack[:0], sr.stack[k:]...)
+	sr.resplits++
+}
+
+// beginPhase publishes a find phase's parameters to its searchers.
+//
+//paracosm:noalloc
+func (e *Engine) beginPhase(deadline time.Time, hasDeadline, positive bool) {
+	e.phase.deadline, e.phase.hasDeadline, e.phase.positive = deadline, hasDeadline, positive
+	if e.phase.aborted.Load() { // a store is a full fence; every update passes here
+		e.phase.aborted.Store(false)
+	}
+}
+
 // findMatchesParallel is the inner-update executor (Algorithm 2) with an
 // adaptive escalation front end. Real update streams are extremely
 // heavy-tailed: most updates produce search trees of a handful of nodes
 // (where any parallel coordination would dominate the work), while a rare
 // update explodes into millions of nodes. The executor therefore starts
-// every update sequentially under a node budget and escalates to the
-// parallel phase — BFS decomposition into the persistent worker pool's
-// task queue, drained with adaptive re-splitting — only once the budget is
-// exceeded, i.e. exactly for the updates where parallelism pays.
+// every update sequentially on the caller's searcher under a node budget
+// and escalates to the parallel phase — the rest of the caller's stack
+// handed to the persistent worker pool, drained with adaptive re-splitting
+// — only once the budget is exceeded, i.e. exactly for the updates where
+// parallelism pays.
+//
+//paracosm:noalloc
 func (e *Engine) findMatchesParallel(deadline time.Time, hasDeadline bool, upd stream.Update, positive bool) innerResult {
 	var res innerResult
 	tSeq := time.Now()
+	e.beginPhase(deadline, hasDeadline, positive)
+	sr := e.searchers[0]
+	sr.reset()
+	e.algo.Roots(upd, sr.push)
 
-	// Initialization: collect the first layer of the search tree. The
-	// stack is the engine's reusable rootBuf, pushed through the
-	// long-lived pushSeq callback and popped into the engine-resident
-	// seqState scratch node — see the field docs in engine.go for why
-	// this keeps the non-escalated path allocation-free.
-	e.rootBuf = e.rootBuf[:0]
-	e.algo.Roots(upd, e.pushSeq)
-	if len(e.rootBuf) == 0 {
-		res.seqBusy = time.Since(tSeq)
-		return res
-	}
-
-	threads := e.cfg.Threads
 	budget := uint64(e.cfg.EscalateNodes)
-	if threads <= 1 {
+	if e.cfg.Threads <= 1 {
 		budget = ^uint64(0) // never escalate
 	}
-
-	// Sequential phase: explicit-stack DFS under the node budget.
-	checkCounter := uint64(0)
-	for len(e.rootBuf) > 0 {
-		if res.nodes >= budget {
-			break
-		}
-		e.seqState = e.rootBuf[len(e.rootBuf)-1]
-		e.rootBuf = e.rootBuf[:len(e.rootBuf)-1]
-		res.nodes++
-		checkCounter++
-		if hasDeadline && checkCounter%1024 == 0 && time.Now().After(deadline) {
-			res.timeout = true
-			res.seqBusy = time.Since(tSeq)
-			return res
-		}
-		if c, done := e.algo.Terminal(&e.seqState); done {
-			res.matches += c
-			e.emitMatch(&e.seqState, c, positive)
-			continue
-		}
-		e.algo.Expand(&e.seqState, e.pushSeq)
-	}
+	stop := sr.drain(budget, false)
+	res.matches, res.nodes = sr.matches, sr.nodes
+	res.timeout = stop == stopAborted
 	res.seqBusy = time.Since(tSeq)
-	if len(e.rootBuf) == 0 {
-		return res
+	if stop == stopBudget {
+		par := e.runEpoch(sr.stack)
+		res.matches += par.matches
+		res.nodes += par.nodes
+		res.timeout = par.timeout
+		res.escalated = true
+		res.resplits = par.resplits
 	}
-
-	// Escalation: hand the remaining frontier to the worker pool. Submit
-	// blocks until the epoch drains, so reusing rootBuf afterwards (next
-	// update) cannot race with workers reading the frontier.
-	par := e.runWorkers(e.rootBuf, deadline, hasDeadline, positive)
-	res.matches += par.matches
-	res.nodes += par.nodes
-	res.timeout = par.timeout
-	res.escalated = true
-	res.resplits = par.resplits
 	return res
 }
 
-// runWorkers is the parallel execution phase of Algorithm 2: one pool
-// epoch. The engine's persistent workers (started lazily here, released by
-// Engine.Close) drain the frontier; a task that detects starved siblings
-// re-splits its shallow subtrees back into the epoch's queue.
+// runEpoch is the parallel execution phase of Algorithm 2: one pool epoch
+// over frontier, the unexplored stack of a searcher that ran out of budget
+// in the phase beginPhase opened. The engine's persistent workers (started
+// lazily here, released by Engine.Close) take it over in contiguous spans;
+// SubmitSpans copies it and blocks until the epoch drains, so the caller
+// may reuse the stack afterwards. Workers count into their own searchers;
+// the totals are folded here, once, after the epoch.
 //
-// Escalation is off the zero-alloc contract by design: the per-epoch
-// closures and scratch slices below are amortized over the heavy updates
-// that reach this point (see TestProcessUpdateAllocations, which measures
-// the light-update path only).
+// In steady state an epoch allocates nothing: the task function is bound
+// once, the workers' stacks and the pool's queue keep their capacity.
 //
-//paracosm:allocs escalated epochs allocate per-epoch closures and scratch
-func (e *Engine) runWorkers(frontier []csm.State, deadline time.Time, hasDeadline bool, positive bool) innerResult {
-	threads := e.cfg.Threads
+//paracosm:noalloc
+func (e *Engine) runEpoch(frontier []csm.State) innerResult {
 	pool := e.ensurePool()
-
-	var (
-		matches  atomic.Uint64
-		nodes    atomic.Uint64
-		aborted  atomic.Bool
-		resplits atomic.Uint64
-	)
-	// busy[w] and checkCtr[w] are touched only by pool worker w during the
-	// epoch and read by this goroutine after Submit returns; the pool's
-	// internal mutex orders those accesses (task end happens-before Submit
-	// returning), so plain slices suffice.
-	busy := make([]time.Duration, threads)
-	checkCtr := make([]uint64, threads)
-
-	run := func(w int, root csm.State) {
-		if aborted.Load() {
-			return
-		}
-		t0 := time.Now()
-		var localNodes, localMatches uint64
-
-		var dfs func(s *csm.State)
-		dfs = func(s *csm.State) {
-			if aborted.Load() {
-				return
-			}
-			localNodes++
-			checkCtr[w]++
-			if hasDeadline && checkCtr[w]%1024 == 0 && time.Now().After(deadline) {
-				aborted.Store(true)
-				return
-			}
-			if c, done := e.algo.Terminal(s); done {
-				localMatches += c
-				e.emitMatch(s, c, positive)
-				return
-			}
-			// Adaptive task sharing: re-split shallow subtrees into
-			// queue tasks when other workers are starved.
-			if e.cfg.LoadBalance && int(s.Depth) < e.splitDepth && pool.Starved() {
-				e.algo.Expand(s, func(child csm.State) { pool.Push(child) })
-				resplits.Add(1)
-				return
-			}
-			e.algo.Expand(s, func(child csm.State) { dfs(&child) })
-		}
-		dfs(&root)
-
-		busy[w] += time.Since(t0)
-		nodes.Add(localNodes)
-		matches.Add(localMatches)
+	workers := e.searchers[1:]
+	for _, sr := range workers {
+		sr.reset()
 	}
 
 	parks0, wakeups0 := pool.Counters()
-	pool.Submit(frontier, run)
+	pool.SubmitSpans(frontier, e.spanTask)
 	parks1, wakeups1 := pool.Counters()
 
+	par := innerResult{timeout: e.phase.aborted.Load(), escalated: true}
 	e.statsMu.Lock()
-	e.stats.Escalations++
-	e.stats.Resplits += resplits.Load()
-	e.stats.Parks += parks1 - parks0
-	e.stats.Wakeups += wakeups1 - wakeups0
-	for len(e.stats.ThreadBusy) < threads+1 {
+	for len(e.stats.ThreadBusy) < len(e.searchers) {
 		e.stats.ThreadBusy = append(e.stats.ThreadBusy, 0)
 	}
-	for w, b := range busy {
-		e.stats.ThreadBusy[w+1] += b
+	for w, sr := range workers {
+		par.matches += sr.matches
+		par.nodes += sr.nodes
+		par.resplits += sr.resplits
+		e.stats.ThreadBusy[w+1] += sr.busy
 	}
+	e.stats.Escalations++
+	e.stats.Resplits += par.resplits
+	e.stats.Parks += parks1 - parks0
+	e.stats.Wakeups += wakeups1 - wakeups0
 	e.statsMu.Unlock()
+	return par
+}
 
-	return innerResult{matches: matches.Load(), nodes: nodes.Load(), timeout: aborted.Load(), escalated: true, resplits: resplits.Load()}
+// runSpan is the pool's task function: worker w copies a span of the
+// epoch's queue onto its own stack and drains it.
+//
+//paracosm:noalloc
+func (e *Engine) runSpan(w int, span []csm.State) {
+	if e.phase.aborted.Load() {
+		return
+	}
+	sr := e.searchers[1+w]
+	t0 := time.Now()
+	sr.stack = append(sr.stack[:0], span...)
+	sr.drain(^uint64(0), e.cfg.LoadBalance)
+	sr.busy += time.Since(t0)
 }
 
 // ensurePool lazily starts the persistent worker pool: engines that never
@@ -190,16 +289,34 @@ func (e *Engine) runWorkers(frontier []csm.State, deadline time.Time, hasDeadlin
 //paracosm:allocs one-time pool spin-up on first escalation
 func (e *Engine) ensurePool() *concurrent.Pool[csm.State] {
 	if e.pool == nil {
+		e.ensureWorkers()
 		e.pool = concurrent.NewPool[csm.State](e.cfg.Threads)
 	}
 	return e.pool
 }
 
-// emitMatch serializes OnMatch callbacks across workers.
-func (e *Engine) emitMatch(s *csm.State, count uint64, positive bool) {
-	if e.OnMatch == nil {
+// ensureWorkers adds the searchers of slots 1..Threads, and has the
+// algorithm size whatever it keeps per slot (the kernel counter stripes of
+// algobase.Base). Only the driving goroutine calls it, between searches.
+//
+//paracosm:allocs one-time growth on the first parallel phase
+func (e *Engine) ensureWorkers() {
+	n := 1 + e.cfg.Threads
+	if len(e.searchers) >= n {
 		return
 	}
+	if st, ok := e.algo.(interface{ SetSearchers(n int) }); ok {
+		st.SetSearchers(n)
+	}
+	for len(e.searchers) < n {
+		e.searchers = append(e.searchers, newSearcher(e, len(e.searchers)))
+	}
+}
+
+// emitMatch serializes OnMatch callbacks across workers. Callers check
+// OnMatch != nil first: leaves are most of a search tree, and the check
+// is cheaper than the call.
+func (e *Engine) emitMatch(s *csm.State, count uint64, positive bool) {
 	e.matchMu.Lock()
 	e.OnMatch(s, count, positive)
 	e.matchMu.Unlock()

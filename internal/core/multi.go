@@ -164,19 +164,19 @@ func (m *MultiEngine) Init(g *graph.Graph) error {
 
 // initQueryLocked builds mq's engine and index over the shared graph.
 func (m *MultiEngine) initQueryLocked(mq *multiQuery) error {
-	mq.eng = New(mq.algo)
-	mq.eng.cfg = m.cfg
-	if m.cfg.TrackQueries {
-		mq.eng.lat = obs.NewHistogram()
-	}
+	cfg := m.cfg
 	if m.OnDelta != nil {
 		// One closure per query, built once at registration: tags the
 		// query name onto the engine-level callback. The driver serializes
 		// the shared phases per query, so per-query calls are serialized.
 		name := mq.name
-		mq.eng.cfg.OnDelta = func(upd stream.Update, d csm.Delta, timeout bool) {
+		cfg.OnDelta = func(upd stream.Update, d csm.Delta, timeout bool) {
 			m.OnDelta(name, upd, d, timeout)
 		}
+	}
+	mq.eng = newEngine(mq.algo, cfg)
+	if m.cfg.TrackQueries {
+		mq.eng.lat = obs.NewHistogram()
 	}
 	if err := mq.eng.Init(m.g, mq.q); err != nil {
 		return fmt.Errorf("query %q: %w", mq.name, err)

@@ -246,47 +246,55 @@ func (a *allocProbeAlgo) Roots(_ stream.Update, emit func(csm.State)) {
 func (a *allocProbeAlgo) Expand(*csm.State, func(csm.State)) {}
 func (a *allocProbeAlgo) Terminal(*csm.State) (uint64, bool) { return 1, true }
 
+// allocCycle is the insert/delete pair the allocation tests cycle through.
+var allocCycle = stream.Stream{
+	{Op: stream.AddEdge, U: 0, V: 1},
+	{Op: stream.DeleteEdge, U: 0, V: 1},
+}
+
 func allocsPerUpdate(t *testing.T, opts ...Option) float64 {
 	t.Helper()
-	g := graph.New(0)
-	for i := 0; i < 4; i++ {
-		g.AddVertex(0)
-	}
-	opts = append([]Option{Threads(1), InterUpdate(false)}, opts...)
-	eng := New(&allocProbeAlgo{roots: 4}, opts...)
+	eng, _ := treeEngine(t, &allocProbeAlgo{roots: 4}, append([]Option{Threads(1), InterUpdate(false)}, opts...)...)
 	defer eng.Close()
-	q, err := query.New([]graph.Label{0, 0, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := q.AddEdge(0, 1, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := q.AddEdge(1, 2, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := q.Finalize(); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Init(g, q); err != nil {
-		t.Fatal(err)
-	}
 	ctx := context.Background()
-	add := stream.Update{Op: stream.AddEdge, U: 0, V: 1}
-	del := stream.Update{Op: stream.DeleteEdge, U: 0, V: 1}
 	cycle := func() {
-		if _, err := eng.ProcessUpdate(ctx, add); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := eng.ProcessUpdate(ctx, del); err != nil {
-			t.Fatal(err)
+		for _, upd := range allocCycle {
+			if _, err := eng.ProcessUpdate(ctx, upd); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	// Warm up: first cycle grows adjacency slices, ThreadBusy, rootBuf.
+	// Warm up: first cycle grows adjacency slices, ThreadBusy, the stack.
 	for i := 0; i < 16; i++ {
 		cycle()
 	}
 	return testing.AllocsPerRun(200, cycle) / 2 // two updates per cycle
+}
+
+// allocsPerRun measures one Engine.Run over a 64-update stream through the
+// inter-update executor (every update is unsafe for allocProbeAlgo, so that
+// is 64 classification rounds).
+func allocsPerRun(t *testing.T) float64 {
+	t.Helper()
+	eng, _ := treeEngine(t, &allocProbeAlgo{roots: 4}, Threads(1), InterUpdate(true))
+	defer eng.Close()
+	var s stream.Stream
+	for i := 0; i < 32; i++ {
+		s = append(s, allocCycle...)
+	}
+	ctx := context.Background()
+	run := func() {
+		if _, err := eng.Run(ctx, s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		run()
+	}
+	if st := eng.Stats(); st.Batches < len(s) || st.UnsafeUpdates < len(s) {
+		t.Fatalf("%d rounds, %d unsafe updates over %d updates; the batch executor went untested", st.Batches, st.UnsafeUpdates, len(s))
+	}
+	return testing.AllocsPerRun(50, run)
 }
 
 // TestProcessUpdateAllocations is the hot-path guarantee of the
@@ -296,7 +304,9 @@ func allocsPerUpdate(t *testing.T, opts ...Option) float64 {
 // fixed). The nil-callback cases also lock in the match-delta hook's
 // contract: an unset OnDelta costs one branch and no allocations, and
 // even a set callback (stack-passed value args, closure built once)
-// stays allocation-free.
+// stays allocation-free. The same holds through Run with the inter-update
+// executor on: its rounds reuse engine-resident scratch, so a whole Run
+// allocates only the Stats snapshot it returns.
 func TestProcessUpdateAllocations(t *testing.T) {
 	nilAllocs := allocsPerUpdate(t)
 	tracedAllocs := allocsPerUpdate(t, WithTracer(obs.NewTracer(64)))
@@ -315,5 +325,8 @@ func TestProcessUpdateAllocations(t *testing.T) {
 	}
 	if deltaUpdates == 0 {
 		t.Error("OnDelta callback never fired")
+	}
+	if n := allocsPerRun(t); n > 1 {
+		t.Errorf("Run with InterUpdate allocates %.0f times per call, want at most 1 (the returned Stats)", n)
 	}
 }

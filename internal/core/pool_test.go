@@ -51,9 +51,9 @@ func (a *treeAlgo) Terminal(s *csm.State) (uint64, bool) {
 	return 0, false
 }
 
-// treeEngine builds an engine around a treeAlgo over a trivial 4-vertex
-// graph/query pair.
-func treeEngine(t *testing.T, a *treeAlgo, opts ...Option) (*Engine, *graph.Graph) {
+// treeEngine builds an engine around a synthetic algorithm (treeAlgo,
+// allocProbeAlgo) over a trivial 4-vertex graph/query pair.
+func treeEngine(t *testing.T, a csm.Algorithm, opts ...Option) (*Engine, *graph.Graph) {
 	t.Helper()
 	g := graph.New(4)
 	for i := 0; i < 4; i++ {
@@ -216,6 +216,89 @@ func TestTimeoutContract(t *testing.T) {
 	// processes the next update normally.
 	if _, err := eng.ProcessUpdate(context.Background(), stream.Update{Op: stream.AddEdge, U: 2, V: 3}); err != nil {
 		t.Fatalf("engine unusable after timeout: %v", err)
+	}
+}
+
+// TestTimeoutAbortsEveryWorker: a deadline that has passed stops the whole
+// parallel phase within one poll interval per searcher — the caller hands
+// over after its one budgeted node, every worker looks at the clock once
+// it has explored pollEvery nodes, and the abort flag keeps the rest of the
+// queue from being started — with the update applied and a partial delta,
+// as the timeout contract says.
+func TestTimeoutAbortsEveryWorker(t *testing.T) {
+	const threads = 4
+	a := &treeAlgo{width: 50, depth: 4000} // ~200k nodes if left to finish
+	eng, g := treeEngine(t, a, Threads(threads), InterUpdate(false), EscalateNodes(1), SplitDepth(100))
+	defer eng.Close()
+
+	expired, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Hour))
+	defer cancel()
+	d, err := eng.ProcessUpdate(expired, stream.Update{Op: stream.AddEdge, U: 0, V: 1})
+	if err != csm.ErrDeadline {
+		t.Fatalf("err = %v, want ErrDeadline", err)
+	}
+	if !g.HasEdge(0, 1) {
+		t.Fatal("timeout rolled back the mutation; contract says applied")
+	}
+	if limit := uint64(1 + threads*pollEvery); d.Nodes > limit {
+		t.Fatalf("explored %d nodes after the deadline, want at most %d (one poll interval per worker)", d.Nodes, limit)
+	}
+	if st := eng.Stats(); st.Escalations != 1 {
+		t.Fatalf("escalations = %d, want 1: the abort must come from the workers", st.Escalations)
+	}
+
+	// The engine is intact: without a deadline the inverse update explores
+	// the whole tree.
+	d, err = eng.ProcessUpdate(context.Background(), stream.Update{Op: stream.DeleteEdge, U: 0, V: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := uint64(50*4000 + 4000 + 2); d.Nodes != want {
+		t.Fatalf("post-timeout update explored %d nodes, want %d", d.Nodes, want)
+	}
+}
+
+// TestEscalatedUpdateAllocations pins the parallel phase's allocation
+// contract: once the pool runs and the stacks have grown, an escalated
+// ProcessUpdate — sequential phase, span hand-over, pool epoch, donation,
+// fold — allocates nothing, however large the search tree.
+func TestEscalatedUpdateAllocations(t *testing.T) {
+	allocs := func(depth int) (float64, uint64) {
+		a := &treeAlgo{width: 4, depth: depth}
+		eng, _ := treeEngine(t, a, Threads(2), InterUpdate(false), EscalateNodes(4), SplitDepth(1<<16))
+		defer eng.Close()
+		ctx := context.Background()
+		add := stream.Update{Op: stream.AddEdge, U: 0, V: 1}
+		del := stream.Update{Op: stream.DeleteEdge, U: 0, V: 1}
+		var nodes uint64
+		cycle := func() {
+			d, err := eng.ProcessUpdate(ctx, add)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nodes = d.Nodes
+			if _, err := eng.ProcessUpdate(ctx, del); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 16; i++ { // pool spin-up, stacks, queue, ThreadBusy
+			cycle()
+		}
+		before := eng.Stats().Escalations
+		n := testing.AllocsPerRun(100, cycle)
+		if got := eng.Stats().Escalations - before; got != 2*101 { // AllocsPerRun warms up once
+			t.Fatalf("%d of %d measured updates escalated", got, 2*101)
+		}
+		return n, nodes
+	}
+	small, smallNodes := allocs(20)
+	large, largeNodes := allocs(400)
+	if largeNodes < 10*smallNodes {
+		t.Fatalf("trees of %d and %d nodes are less than 10x apart", smallNodes, largeNodes)
+	}
+	if small != 0 || large != 0 {
+		t.Fatalf("escalated update allocates %.0f times on a %d-node tree, %.0f on a %d-node tree; want 0 on both",
+			small, smallNodes, large, largeNodes)
 	}
 }
 

@@ -113,7 +113,9 @@ func (e *Engine) findMatchesSimulated(deadline time.Time, hasDeadline bool, upd 
 		}
 		if c, done := e.algo.Terminal(s); done {
 			res.matches += c
-			e.emitMatch(s, c, positive)
+			if e.OnMatch != nil {
+				e.emitMatch(s, c, positive)
+			}
 			return 1
 		}
 		sub := uint64(1)

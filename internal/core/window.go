@@ -531,7 +531,7 @@ func (e *Engine) runWinWave(ctx context.Context, batch stream.Stream, members []
 	}
 
 	e.waveFindAll(w.neg, batch, deadline, hasDeadline, false, budget)
-	e.waveEscalate(w.neg, deadline, hasDeadline, false)
+	e.waveEscalate(w.neg)
 
 	for _, j := range members {
 		res := &w.results[j]
@@ -553,7 +553,7 @@ func (e *Engine) runWinWave(ctx context.Context, batch stream.Stream, members []
 	}
 
 	e.waveFindAll(w.pos, batch, deadline, hasDeadline, true, budget)
-	e.waveEscalate(w.pos, deadline, hasDeadline, true)
+	e.waveEscalate(w.pos)
 
 	for _, j := range members {
 		res := &w.results[j]
@@ -583,92 +583,67 @@ func (e *Engine) runWinWave(ctx context.Context, batch stream.Stream, members []
 // waveFindAll runs the find phase of the listed wave members
 // concurrently on up to Threads goroutines (atomic work-stealing, the
 // caller runs one worker itself), skipping members that already failed.
+// No pool epoch is in flight, so goroutine x searches on the engine's
+// searcher x.
 //
-//paracosm:allocs wave fan-out allocates goroutines and per-member stacks, amortized over the wave
+//paracosm:allocs wave fan-out allocates goroutines, amortized over the wave
 func (e *Engine) waveFindAll(work []int32, batch stream.Stream, deadline time.Time, hasDeadline bool, positive bool, budget uint64) {
 	if len(work) == 0 {
 		return
 	}
+	e.beginPhase(deadline, hasDeadline, positive)
 	w := e.win
-	run := func(j int32) {
-		res := &w.results[j]
-		if res.err != nil {
-			return
+	var next atomic.Int64
+	run := func(sr *searcher) {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= len(work) {
+				return
+			}
+			if res := &w.results[work[i]]; res.err == nil {
+				e.findLocal(sr, res, batch[work[i]], budget)
+			}
 		}
-		e.findLocal(res, deadline, hasDeadline, batch[j], positive, budget)
 	}
 	workers := e.cfg.Threads
 	if workers > len(work) {
 		workers = len(work)
 	}
-	if workers <= 1 {
-		for _, j := range work {
-			run(j)
-		}
-		return
+	if workers > 1 {
+		e.ensureWorkers()
 	}
-	var next atomic.Int64
 	var wg sync.WaitGroup
 	for x := 1; x < workers; x++ {
 		wg.Add(1)
-		go func() {
+		go func(sr *searcher) {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(work) {
-					return
-				}
-				run(work[i])
-			}
-		}()
+			run(sr)
+		}(e.searchers[x])
 	}
-	for {
-		i := int(next.Add(1)) - 1
-		if i >= len(work) {
-			break
-		}
-		run(work[i])
-	}
+	run(e.searchers[0])
 	wg.Wait()
 }
 
-// findLocal is one wave member's sequential find phase: the same
-// explicit-stack DFS as findMatchesParallel, but over the member's own
-// stack (res.frontier) so members run concurrently — the engine-resident
-// rootBuf/seqState scratch belongs to the serial paths. On budget
-// exhaustion the unexplored frontier stays in res.frontier and
+// findLocal is one wave member's sequential find phase on searcher sr: the
+// drain loop of findMatchesParallel under the same node budget. On budget
+// exhaustion the unexplored frontier moves to res.frontier and
 // res.escalate is set for waveEscalate to finish on the worker pool; no
 // node is re-explored and no match double-reported.
 //
-//paracosm:allocs per-member stacks and closures, amortized over multi-update waves
-func (e *Engine) findLocal(res *winResult, deadline time.Time, hasDeadline bool, upd stream.Update, positive bool, budget uint64) {
+//paracosm:noalloc
+func (e *Engine) findLocal(sr *searcher, res *winResult, upd stream.Update, budget uint64) {
 	t0 := time.Now()
-	stack := res.frontier[:0]
-	push := func(s csm.State) { stack = append(stack, s) }
-	e.algo.Roots(upd, push)
-	var cur csm.State
-	check := uint64(0)
-	for len(stack) > 0 {
-		if res.r.nodes >= budget {
-			res.escalate = true
-			break
-		}
-		cur = stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		res.r.nodes++
-		check++
-		if hasDeadline && check%1024 == 0 && time.Now().After(deadline) {
-			res.r.timeout = true
-			break
-		}
-		if c, done := e.algo.Terminal(&cur); done {
-			res.r.matches += c
-			e.emitMatch(&cur, c, positive)
-			continue
-		}
-		e.algo.Expand(&cur, push)
+	sr.reset()
+	e.algo.Roots(upd, sr.push)
+	switch sr.drain(budget, false) {
+	case stopBudget:
+		res.escalate = true
+		res.frontier, sr.stack = sr.stack, res.frontier[:0]
+	case stopAborted:
+		res.r.timeout = true
 	}
-	res.frontier = stack
+	res.r.nodes += sr.nodes
+	res.r.matches += sr.matches
 	dt := time.Since(t0)
 	res.r.seqBusy += dt
 	res.d.TFind += dt
@@ -677,10 +652,9 @@ func (e *Engine) findLocal(res *winResult, deadline time.Time, hasDeadline bool,
 
 // waveEscalate finishes over-budget member searches on the persistent
 // worker pool, one member at a time (pool epochs cannot overlap),
-// continuing each frontier exactly where findLocal stopped.
-//
-//paracosm:allocs pool epochs allocate per-epoch scratch (see runWorkers)
-func (e *Engine) waveEscalate(work []int32, deadline time.Time, hasDeadline bool, positive bool) {
+// continuing each frontier exactly where findLocal stopped, in the phase
+// waveFindAll opened.
+func (e *Engine) waveEscalate(work []int32) {
 	w := e.win
 	for _, j := range work {
 		res := &w.results[j]
@@ -689,7 +663,7 @@ func (e *Engine) waveEscalate(work []int32, deadline time.Time, hasDeadline bool
 		}
 		res.escalate = false
 		t0 := time.Now()
-		par := e.runWorkers(res.frontier, deadline, hasDeadline, positive)
+		par := e.runEpoch(res.frontier)
 		res.frontier = res.frontier[:0]
 		res.r.matches += par.matches
 		res.r.nodes += par.nodes

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 
 	"paracosm/internal/algo/algotest"
@@ -232,7 +233,10 @@ func TestMultiWindowedOracle(t *testing.T) {
 	got := map[string][]winDeltaRec{}
 	m := NewMulti(opts...)
 	defer m.Close()
+	var gotMu sync.Mutex // the driver emits different queries' deltas concurrently
 	m.OnDelta = func(name string, upd stream.Update, d csm.Delta, timeout bool) {
+		gotMu.Lock()
+		defer gotMu.Unlock()
 		got[name] = append(got[name], winDeltaRec{upd.Op, upd.U, upd.V, d.Positive, d.Negative, timeout})
 	}
 	m.Register("A", fGF.New(), qA)
@@ -332,7 +336,10 @@ func TestMultiWindowedDisjointComponents(t *testing.T) {
 	got := map[string][]winDeltaRec{}
 	m := NewMulti(Threads(2), BatchSize(4), Window(k))
 	defer m.Close()
+	var gotMu sync.Mutex // the driver emits different queries' deltas concurrently
 	m.OnDelta = func(name string, upd stream.Update, d csm.Delta, timeout bool) {
+		gotMu.Lock()
+		defer gotMu.Unlock()
 		got[name] = append(got[name], winDeltaRec{upd.Op, upd.U, upd.V, d.Positive, d.Negative, timeout})
 	}
 	m.Register("A", fGF.New(), q)

@@ -80,7 +80,8 @@ type Rebuilder interface {
 //     each other's ADS maintenance.
 //  2. Reentrancy: Roots/Expand/Terminal may run concurrently for
 //     distinct footprint-disjoint updates (per-call state lives in
-//     csm.State or on the stack; shared counters are atomic).
+//     csm.State or on the stack; counters are striped by State.Slot, and
+//     Roots touches none).
 //
 // Algorithms that buffer global deltas in their ADS — SJ-Tree drains a
 // window-order-dependent ΔM⁺ queue in Roots — must NOT implement it;

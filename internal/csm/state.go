@@ -29,6 +29,13 @@ type State struct {
 	Order uint16
 	// Depth is the number of query vertices matched so far.
 	Depth uint8
+	// Slot names the searcher — the goroutine — exploring this node: 0 is
+	// the engine's caller, 1+w pool worker w. The executor stamps it on
+	// every node it pops and children inherit it by copy, so an algorithm
+	// can keep per-searcher single-writer scratch (the intersection-kernel
+	// counter stripes of algobase.Base) indexed by it. It occupies the
+	// struct's one padding byte and carries no matching semantics.
+	Slot uint8
 }
 
 // NewState returns an empty state (no vertices matched) for the given

@@ -18,12 +18,10 @@
 //     galloping adaptively by size ratio (GallopRatio) and append into a
 //     caller-provided buffer so the caller controls allocation.
 //
-// All kernels are allocation-free; KernelStats aggregates counters with
-// typed atomics so concurrent escalated workers can share one stats block.
-// See DESIGN.md §11 for the selection heuristic and measured crossover.
+// All kernels are allocation-free; KernelStats is a single-writer counter
+// block, one per concurrently searching goroutine. See DESIGN.md §11 for
+// the selection heuristic and measured crossover.
 package graph
-
-import "sync/atomic"
 
 const (
 	// gallopLinear is the number of entries AdvanceNeighbors/AdvanceIDs
@@ -351,72 +349,61 @@ func IntersectIDs(dst, a, b []VertexID, st *KernelStats) []VertexID {
 	return dst
 }
 
-// KernelStats aggregates intersection-kernel counters. All fields are typed
-// atomics: the escalated parallel phase runs Expand concurrently on pool
-// workers, so one stats block is shared by every worker of an engine.
-// Counters are monotonically increasing over an engine's lifetime; snapshot
-// with Counters.
-type KernelStats struct {
+// KernelCounters are the intersection-kernel counters, monotonically
+// increasing over an engine's lifetime.
+type KernelCounters struct {
 	// Intersections counts kernel invocations: one per materializing
 	// pairwise call and one per k-way zipper enumeration (k >= 1 cursored
 	// runs beyond the anchor).
-	Intersections atomic.Uint64
+	Intersections uint64
 	// Probes counts cursor advances (AdvanceNeighbors/AdvanceIDs calls)
 	// performed inside kernels; Galloped counts the subset that entered
-	// the doubling phase. Galloped/Probes is the galloped fraction
-	// reported by benchjson.
-	Probes   atomic.Uint64
-	Galloped atomic.Uint64
+	// the doubling phase.
+	Probes   uint64
+	Galloped uint64
 	// CandLookups counts NeighborsWithLabel candidate-run fetches on the
 	// enumeration path; CandHits counts those where the run was strictly
 	// smaller than the vertex's full adjacency — i.e. where the label
 	// partition actually pruned the scan.
-	CandLookups atomic.Uint64
-	CandHits    atomic.Uint64
+	CandLookups uint64
+	CandHits    uint64
+}
+
+// KernelStats is one single-writer block of kernel counters: plain adds,
+// no atomics. Every goroutine that searches concurrently owns its own
+// block (algobase.Base keeps one per searcher slot and sums them), and the
+// padding rounds the block up to a cache line so neighbouring blocks of a
+// slice never share one. A block may be read only while its writer is
+// quiescent. The zero value is ready to use.
+type KernelStats struct {
+	KernelCounters
+	_ [64 - 5*8]byte
 }
 
 // AddIntersection records one kernel invocation with its probe counts.
+//
+//paracosm:noalloc
 func (s *KernelStats) AddIntersection(probes, galloped uint64) {
-	s.Intersections.Add(1)
-	if probes != 0 {
-		s.Probes.Add(probes)
-		if galloped != 0 {
-			s.Galloped.Add(galloped)
-		}
-	}
+	s.Intersections++
+	s.Probes += probes
+	s.Galloped += galloped
 }
 
 // AddCandidateLookup records one candidate-run fetch and whether the label
 // slice was strictly smaller than the full adjacency.
+//
+//paracosm:noalloc
 func (s *KernelStats) AddCandidateLookup(hit bool) {
-	s.CandLookups.Add(1)
+	s.CandLookups++
 	if hit {
-		s.CandHits.Add(1)
+		s.CandHits++
 	}
 }
 
-// KernelCounters is a plain (non-atomic) snapshot of KernelStats.
-type KernelCounters struct {
-	Intersections uint64
-	Probes        uint64
-	Galloped      uint64
-	CandLookups   uint64
-	CandHits      uint64
-}
+// Counters snapshots the block (see KernelStats for when that is safe).
+func (s *KernelStats) Counters() KernelCounters { return s.KernelCounters }
 
-// Counters snapshots the current counter values.
-func (s *KernelStats) Counters() KernelCounters {
-	return KernelCounters{
-		Intersections: s.Intersections.Load(),
-		Probes:        s.Probes.Load(),
-		Galloped:      s.Galloped.Load(),
-		CandLookups:   s.CandLookups.Load(),
-		CandHits:      s.CandHits.Load(),
-	}
-}
-
-// Add accumulates another snapshot into c (used by the bench harness to
-// aggregate across queries).
+// Add accumulates another snapshot into c.
 func (c *KernelCounters) Add(o KernelCounters) {
 	c.Intersections += o.Intersections
 	c.Probes += o.Probes

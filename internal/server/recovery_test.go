@@ -156,7 +156,14 @@ func TestServerRecoveryCrashReplay(t *testing.T) {
 	full := insertOnlyStream(rng, g, 200, 1)
 	wantPos, wantNeg := oracleTotals(t, g, q, full)
 
-	crashCfg := Config{WALDir: dir, Fsync: wal.SyncOff, SnapshotEvery: 64, noFinalSnapshot: true}
+	// The snapshot cadence is checked once per ingestion batch, so where the
+	// log tail starts depends on the batch boundaries. The test owns them:
+	// BatchMax 1 makes every batch one update and the gate releases them
+	// one at a time, so periodic snapshots fall after updates 64, 128 and
+	// 192 exactly and the tail that outlives the last one is 8 records.
+	const every = 64
+	gate := make(chan struct{})
+	crashCfg := Config{WALDir: dir, Fsync: wal.SyncOff, SnapshotEvery: every, BatchMax: 1, ingestGate: gate, noFinalSnapshot: true}
 	srv := startTestServer(t, g, crashCfg)
 	if err := srv.WaitReady(context.Background()); err != nil {
 		t.Fatal(err)
@@ -168,23 +175,26 @@ func TestServerRecoveryCrashReplay(t *testing.T) {
 	if err := cl.Register("q", "GraphFlow", q); err != nil {
 		t.Fatal(err)
 	}
-	// Small chunks: the snapshot cadence is checked per ingestion batch, so
-	// one giant batch would snapshot right at the end and leave no tail.
-	for off := 0; off < len(full); off += 10 {
-		end := off + 10
-		if end > len(full) {
-			end = len(full)
-		}
-		if _, err := cl.Send(full[off:end]); err != nil {
-			t.Fatal(err)
+	if n, err := cl.Send(full); err != nil || n != len(full) {
+		t.Fatalf("send: accepted %d of %d, %v", n, len(full), err)
+	}
+	for i := range full {
+		// The loop takes a token only once batch i-1 — and the snapshot it
+		// may have triggered — is done, so after this send exactly i updates
+		// are applied.
+		gate <- struct{}{}
+		if i%every == 0 {
+			if got, want := srv.walSnaps.Load(), uint64(1+i/every); got != want { // initial + periodic
+				t.Fatalf("after %d updates: %d snapshots, want %d", i, got, want)
+			}
 		}
 	}
 	if err := cl.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	cl.Close()
-	if n := srv.walSnaps.Load(); n < 2 { // initial + at least one periodic
-		t.Fatalf("periodic snapshots = %d, want >= 2", n)
+	if got, want := srv.walSnaps.Load(), uint64(1+len(full)/every); got != want {
+		t.Fatalf("after %d updates: %d snapshots, want %d", len(full), got, want)
 	}
 	if err := srv.Close(); err != nil { // crash-equivalent: no final snapshot
 		t.Fatal(err)
@@ -194,8 +204,8 @@ func TestServerRecoveryCrashReplay(t *testing.T) {
 	if n := srv2.NumQueries(); n != 1 {
 		t.Fatalf("queries after crash restart = %d, want 1", n)
 	}
-	if n := srv2.walReplayed.Load(); n == 0 {
-		t.Fatal("crash restart replayed nothing; the log tail was lost")
+	if got, want := srv2.walReplayed.Load(), uint64(len(full)%every); got != want {
+		t.Fatalf("crash restart replayed %d records, want the %d logged after the last snapshot", got, want)
 	}
 	st := srv2.multi.Stats()["q"]
 	if st.Positive != wantPos || st.Negative != wantNeg {

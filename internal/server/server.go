@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -195,6 +196,12 @@ type Server struct {
 	finiOnce  sync.Once
 	sinceSnap int // ingestion-loop only — applied updates since the last snapshot
 
+	// unsettled is raised by whatever leaves set-up garbage behind —
+	// loading the data graph, recovery replay, every index build of a
+	// registration — and lowered by the ingestion loop, which returns that
+	// garbage to the OS before the next batch (see settle).
+	unsettled atomic.Bool
+
 	mu      sync.Mutex
 	conns   map[*conn]struct{} // guarded by mu
 	subs    map[string][]*conn // guarded by mu — query name → subscribers
@@ -335,6 +342,7 @@ func Start(g *graph.Graph, cfg Config) (*Server, error) {
 	}
 	s.ln = ln
 	s.ctx, s.cancel = context.WithCancel(context.Background())
+	s.unsettled.Store(true) // the loaded graph, a restored snapshot, the replay to come
 	if s.wal != nil {
 		s.wg.Add(3)
 		go s.recoverLoop(replayFrom)
@@ -621,6 +629,7 @@ func (s *Server) handle(cn *conn, f *Frame) bool {
 			s.mu.Unlock()
 		}
 		cn.queries[f.Query] = struct{}{}
+		s.unsettled.Store(true)
 		s.trace(obs.SrvRegister, 1)
 		return s.replyOK(cn, f.ID, 0)
 
@@ -831,6 +840,7 @@ func (s *Server) flushBatch(batch *pendingBatch) {
 	if s.cfg.ingestGate != nil {
 		<-s.cfg.ingestGate
 	}
+	s.settle()
 	var bt *core.BatchTimes
 	if s.tracer != nil {
 		batch.bt.Flushed = time.Now()
@@ -857,6 +867,19 @@ func (s *Server) flushBatch(batch *pendingBatch) {
 			s.sinceSnap = 0
 			s.snapshot()
 		}
+	}
+}
+
+// settle collects and returns to the OS what set-up left behind, once per
+// burst of set-up work, before the first batch that follows it. Steady-state
+// ingestion allocates next to nothing, so without this the collector's next
+// cycle — the only thing that shrinks the heap goal — is minutes away, and
+// the process sits at up to twice its set-up peak (index builds over the
+// whole graph) for all that time. The cost is one forced collection (tens
+// of milliseconds) on the first batch after a registration burst.
+func (s *Server) settle() {
+	if s.unsettled.CompareAndSwap(true, false) {
+		debug.FreeOSMemory()
 	}
 }
 

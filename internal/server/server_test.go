@@ -811,3 +811,43 @@ func TestOfferDeltaDropAndCount(t *testing.T) {
 		t.Fatalf("closed-connection offer counted as drop: %d", cn.dropped)
 	}
 }
+
+// TestServerSettlesAfterSetup: set-up work (start, every registration)
+// marks the heap unsettled, and the first ingested batch after it settles
+// it — once, not per batch.
+func TestServerSettlesAfterSetup(t *testing.T) {
+	g := uniformGraph(20)
+	srv := startTestServer(t, g, Config{})
+	if !srv.unsettled.Load() {
+		t.Fatal("a freshly started server is not marked unsettled")
+	}
+	cl, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	updates := insertOnlyStream(rand.New(rand.NewSource(3)), g, 4, 1)
+	send := func(s stream.Stream) {
+		t.Helper()
+		if _, err := cl.Send(s); err != nil {
+			t.Fatal(err)
+		}
+		if err := cl.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	send(updates[:1])
+	if srv.unsettled.Load() {
+		t.Fatal("first batch did not settle the start-up heap")
+	}
+	if err := cl.Register("q", "GraphFlow", singleEdgeQuery(t)); err != nil {
+		t.Fatal(err)
+	}
+	if !srv.unsettled.Load() {
+		t.Fatal("a registration did not mark the heap unsettled")
+	}
+	send(updates[1:])
+	if srv.unsettled.Load() {
+		t.Fatal("first batch after the registration did not settle it")
+	}
+}
