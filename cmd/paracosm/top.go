@@ -73,15 +73,15 @@ func fetchQueryRows(endpoint string) ([]server.QueryRow, error) {
 
 // renderQueryRows prints the rows as an aligned table.
 func renderQueryRows(w io.Writer, rows []server.QueryRow) {
-	fmt.Fprintf(w, "%-24s %10s %8s %8s %6s %10s %12s %9s %9s\n",
-		"QUERY", "UPDATES", "SAFE", "ESCAL", "ESC%", "MATCHES", "NODES", "P50", "P99")
+	fmt.Fprintf(w, "%-24s %10s %10s %8s %8s %6s %10s %12s %9s %9s\n",
+		"QUERY", "UPDATES", "VISITED", "SAFE", "ESCAL", "ESC%", "MATCHES", "NODES", "P50", "P99")
 	for _, r := range rows {
 		name := r.Name
 		if len(name) > 24 {
 			name = name[:21] + "..."
 		}
-		fmt.Fprintf(w, "%-24s %10d %8d %8d %5.1f%% %10d %12d %9s %9s\n",
-			name, r.Updates, r.Safe, r.Escalations, 100*r.EscalationRate,
+		fmt.Fprintf(w, "%-24s %10d %10d %8d %8d %5.1f%% %10d %12d %9s %9s\n",
+			name, r.Updates, r.Visited, r.Safe, r.Escalations, 100*r.EscalationRate,
 			r.Matches, r.Nodes,
 			(time.Duration(r.P50Micros) * time.Microsecond).String(),
 			(time.Duration(r.P99Micros) * time.Microsecond).String())

@@ -33,7 +33,8 @@ type Base struct {
 	// IgnoreELabels disables edge-label matching (CaLiG semantics).
 	IgnoreELabels bool
 
-	// Filter is the ADS candidate test; nil admits all.
+	// Filter is the ADS candidate test; nil admits all and declares the
+	// algorithm ADS-free (see DispatchLabels).
 	Filter FilterFunc
 
 	// kstats holds the intersection-kernel counters, one single-writer
@@ -291,6 +292,16 @@ func (b *Base) Relevant(upd stream.Update) bool {
 		}
 	}
 	return false
+}
+
+// DispatchLabels implements csm.LabelDispatch. The label stage of
+// RelevantStages passes exactly the endpoint-label pairs of the query's
+// edges. An algorithm that installed a Filter keeps an ADS whose entries
+// read endpoint degrees (dpindex's static test, CaLiG's lighting), so a
+// label-safe update at a vertex carrying a query-vertex label can still
+// flip them; without a Filter there is no ADS and UpdateADS is empty.
+func (b *Base) DispatchLabels() ([][2]graph.Label, bool) {
+	return b.Q.EdgeLabelPairs(), b.Filter != nil
 }
 
 // RelevantStages reports the outcome of the label filter and the degree

@@ -231,3 +231,25 @@ func TestDeletionRootsUseActualEdgeLabel(t *testing.T) {
 		t.Fatalf("deletion roots = %d, want 1", len(roots))
 	}
 }
+
+// TestDispatchLabels: the base reports the query's edge label pairs, and an
+// installed Filter — the mark of an ADS — as the reason label-safe updates
+// at query-labelled vertices must still reach UpdateADS.
+func TestDispatchLabels(t *testing.T) {
+	b, _, _ := fixture(t)
+	pairs, ads := b.DispatchLabels()
+	want := map[[2]graph.Label]bool{{0, 1}: true, {1, 2}: true, {0, 2}: true}
+	if len(pairs) != len(want) || ads {
+		t.Fatalf("DispatchLabels = %v, %v; want the three triangle pairs, no ADS", pairs, ads)
+	}
+	for _, p := range pairs {
+		if !want[p] {
+			t.Fatalf("unexpected pair %v in %v", p, pairs)
+		}
+	}
+	b.Filter = func(query.VertexID, graph.VertexID) bool { return true }
+	if _, ads := b.DispatchLabels(); !ads {
+		t.Fatal("a Filter is installed, yet DispatchLabels reports no ADS")
+	}
+	var _ csm.LabelDispatch = b
+}

@@ -355,6 +355,80 @@ func (e *Engine) account(d *csm.Delta, seqBusy, elapsed time.Duration) {
 	}
 }
 
+// commitSafe finishes an update the classifier proved safe (verdict v) once
+// its mutation is applied; every executor's safe branch ends here. The ΔM
+// is empty by construction, so enumeration is skipped entirely, but label-
+// and degree-safe updates must still maintain the ADS: the degree change at
+// the endpoints can flip candidacy of other query vertices even though this
+// edge matches none. Only stage-3 safety (AffectsADS == false) proves the
+// ADS untouched, so only then is maintenance skipped (the γ·T_ADS term of
+// the speedup model, Eq. 1). The update's latency is prior — time already
+// spent on it that t0 does not cover — plus the time since t0. With emit
+// the OnDelta callback fires (empty ΔM: subscribers observe stream
+// progress); callers that defer emission pass false and use the returned
+// delta and latency.
+//
+// Eq. 1 models safe updates as M-way-parallel ADS maintenance (γ·T_ADS/M).
+// The paper's C++ system updates the index concurrently under fine-grained
+// locks; this Go port keeps index mutation single-writer for memory-safety,
+// so the M-way discount is applied in simulate mode only and the limitation
+// is documented in DESIGN.md.
+//
+//paracosm:noalloc
+func (e *Engine) commitSafe(upd stream.Update, v classification, t0 time.Time, prior time.Duration, emit bool) (csm.Delta, time.Duration) {
+	var tads time.Duration
+	if v != classSafeADS {
+		tA := time.Now()
+		e.algo.UpdateADS(upd)
+		tads = time.Since(tA)
+	}
+	div := time.Duration(1)
+	if e.cfg.Simulate && e.cfg.Threads > 1 {
+		div = time.Duration(e.cfg.Threads)
+	}
+	tads /= div
+	total := (prior + time.Since(t0)) / div
+	e.accountSafe(v, 1, tads, total)
+	d := csm.Delta{TADS: tads}
+	if e.cfg.Tracer != nil {
+		// Safe updates skip the search, so the event carries no
+		// nodes/matches — the interesting fields are the class (which
+		// stage proved safety) and the tiny latency.
+		var r innerResult
+		e.traceUpdate(upd, v, false, &d, &r, total, false)
+	}
+	if emit && e.cfg.OnDelta != nil {
+		e.cfg.OnDelta(upd, d, false)
+	}
+	return d, total
+}
+
+// accountSafe books n safe updates of class v, each with ADS time tads and
+// latency total, into Stats and the per-query latency histogram: the one
+// place that knows what a safe update adds to them. commitSafe books one
+// update at a time; MultiEngine's fold books, in one call and with zero
+// durations, every label-safe update its dispatch index kept away from
+// this engine.
+func (e *Engine) accountSafe(v classification, n int, tads, total time.Duration) {
+	e.statsMu.Lock()
+	e.stats.Updates += n
+	e.stats.SafeUpdates += n
+	switch v {
+	case classSafeLabel:
+		e.stats.SafeByLabel += n
+	case classSafeDegree:
+		e.stats.SafeByDegree += n
+	case classSafeADS:
+		e.stats.SafeByADS += n
+	}
+	e.stats.TADS += tads * time.Duration(n)
+	e.stats.TTotal += total * time.Duration(n)
+	e.statsMu.Unlock()
+	if e.lat != nil {
+		e.lat.ObserveN(total, uint64(n))
+	}
+}
+
 // Run processes the whole stream. With InterUpdate enabled, updates flow
 // through the batch executor; otherwise each goes through ProcessUpdate.
 // In simulate mode the context deadline is interpreted against simulated
@@ -445,15 +519,20 @@ func (c classification) traceClass() string {
 	return obs.ClassDirect
 }
 
+// stagedClassifier is implemented by algorithms that report the label and
+// degree stages of the classifier separately (algobase.Base); for the
+// others only stage 3, AffectsADS, is consulted.
+type stagedClassifier interface {
+	RelevantStages(stream.Update) (passLabel, passDegree bool)
+}
+
 // classify runs the three-stage filter of §4.2 for one update against the
 // current graph/ADS state. It never mutates anything.
 func (e *Engine) classify(upd stream.Update) classification {
 	if !upd.IsEdge() {
 		return classVertexOp
 	}
-	if sc, ok := e.algo.(interface {
-		RelevantStages(stream.Update) (bool, bool)
-	}); ok {
+	if sc, ok := e.algo.(stagedClassifier); ok {
 		passLabel, passDegree := sc.RelevantStages(upd)
 		if !passLabel {
 			return classSafeLabel
@@ -541,62 +620,7 @@ func (e *Engine) runBatch(ctx context.Context, s stream.Stream) (int, error) {
 			if err := upd.Apply(e.g); err != nil {
 				return consumed + 1, err
 			}
-			// Safe updates skip enumeration entirely (their ΔM is empty),
-			// but label/degree-safe ones must still maintain the ADS: the
-			// degree change at the endpoints can flip candidacy of other
-			// query vertices even though this edge matches none. Only
-			// stage-3 safety (AffectsADS == false) proves the ADS is
-			// untouched, so only then is maintenance skipped (this is the
-			// γ·T_ADS term of the speedup model, Eq. 1).
-			var tads time.Duration
-			if v != classSafeADS {
-				tA := time.Now()
-				e.algo.UpdateADS(upd)
-				tads = time.Since(tA)
-			}
-			// Eq. 1 models safe updates as M-way-parallel ADS maintenance
-			// (γ·T_ADS/M). The paper's C++ system updates the index
-			// concurrently under fine-grained locks; this Go port keeps
-			// index mutation single-writer for memory-safety, so the
-			// M-way discount is applied in simulate mode only and the
-			// limitation is documented in DESIGN.md.
-			div := time.Duration(1)
-			if e.cfg.Simulate && e.cfg.Threads > 1 {
-				div = time.Duration(e.cfg.Threads)
-			}
-			tads /= div
-			total := time.Since(t0) / div
-			e.statsMu.Lock()
-			e.stats.Updates++
-			e.stats.SafeUpdates++
-			e.stats.TADS += tads
-			switch v {
-			case classSafeLabel:
-				e.stats.SafeByLabel++
-			case classSafeDegree:
-				e.stats.SafeByDegree++
-			case classSafeADS:
-				e.stats.SafeByADS++
-			}
-			e.stats.TTotal += total
-			e.statsMu.Unlock()
-			if e.lat != nil {
-				e.lat.Observe(total)
-			}
-			if e.cfg.Tracer != nil {
-				// Safe updates skip the search, so the event carries no
-				// nodes/matches — the interesting fields are the class
-				// (which stage proved safety) and the tiny latency.
-				d := csm.Delta{TADS: tads}
-				var r innerResult
-				e.traceUpdate(upd, v, false, &d, &r, total, false)
-			}
-			if e.cfg.OnDelta != nil {
-				// Safe updates carry an empty ΔM by construction; the
-				// callback still fires so subscribers observe stream
-				// progress (e.g. the serving layer's flush barrier).
-				e.cfg.OnDelta(upd, csm.Delta{TADS: tads}, false)
-			}
+			e.commitSafe(upd, v, t0, 0, true)
 			consumed++
 
 		case classUnsafe:

@@ -51,12 +51,15 @@ import (
 type MultiEngine struct {
 	cfg Config
 
-	// OnDelta, if non-nil, observes every processed update's incremental
-	// result for every registered query — the fan-in point the serving
-	// layer subscribes to. Set it before Init (or before the RegisterLive
-	// that should observe it); per-query invocations are serialized, but
-	// different queries invoke it concurrently during Run/ProcessBatch,
-	// so the callback must be safe for concurrent use.
+	// OnDelta, if non-nil, observes the incremental result of every
+	// (query, update) pair the driver visits, and so of every nonzero ΔM —
+	// the fan-in point the serving layer subscribes to. A pair the dispatch
+	// index skips (dispatch.go) has a provably empty ΔM and fires nothing,
+	// so the callback is not a per-update heartbeat. Set it before Init (or
+	// before the RegisterLive that should observe it); per-query
+	// invocations are serialized, but different queries invoke it
+	// concurrently during Run/ProcessBatch, so the callback must be safe
+	// for concurrent use.
 	OnDelta func(query string, upd stream.Update, d csm.Delta, timeout bool)
 
 	mu      sync.Mutex
@@ -78,9 +81,14 @@ type MultiEngine struct {
 	valid    stream.Stream // guarded by mu
 	validIdx []int         // guarded by mu
 
-	// active is runSharedLocked's reusable fan-out scratch (the live
-	// queries of the current lockstep pass), for the same reason.
+	// active is the windowed driver's reusable fan-out scratch (the live
+	// queries of the current pass), for the same reason; the per-update
+	// driver also uses it once a query has failed mid-call.
 	active []*multiQuery // guarded by mu
+
+	// dispatch routes each edge update to the queries it can touch and
+	// keeps the bulk accounting of the rest (see dispatch.go).
+	dispatch dispatchIndex // guarded by mu
 
 	// fanCur is the current lockstep task, read by the persistent fan-out
 	// closures below. The driver writes it under mu before each fanOut
@@ -118,6 +126,15 @@ type multiQuery struct {
 	q    *query.Graph
 	eng  *Engine
 	err  error
+
+	// Bulk accounting against dispatch.counters.Updates (see foldLocked):
+	// squared is how many of those updates the query is square with — they
+	// came before it went live or while it sat out a call after failing,
+	// it was visited for them, or they are among the folded ones already
+	// booked in eng's Stats as skipped.
+	squared, folded int
+
+	seq uint64 // registration ordinal: the order of rows and visit lists
 }
 
 // NewMulti creates an empty multi-query engine; opts configure every
@@ -128,7 +145,7 @@ func NewMulti(opts ...Option) *MultiEngine {
 		o(&cfg)
 	}
 	cfg.normalize()
-	return &MultiEngine{cfg: cfg}
+	return &MultiEngine{cfg: cfg, dispatch: newDispatchIndex()}
 }
 
 // Register adds a continuous query under a display name. Must be called
@@ -162,7 +179,8 @@ func (m *MultiEngine) Init(g *graph.Graph) error {
 	return nil
 }
 
-// initQueryLocked builds mq's engine and index over the shared graph.
+// initQueryLocked builds mq's engine and index over the shared graph and
+// enters the query in the dispatch index.
 func (m *MultiEngine) initQueryLocked(mq *multiQuery) error {
 	cfg := m.cfg
 	if m.OnDelta != nil {
@@ -181,6 +199,7 @@ func (m *MultiEngine) initQueryLocked(mq *multiQuery) error {
 	if err := mq.eng.Init(m.g, mq.q); err != nil {
 		return fmt.Errorf("query %q: %w", mq.name, err)
 	}
+	m.dispatch.add(mq)
 	return nil
 }
 
@@ -190,20 +209,7 @@ func (m *MultiEngine) initQueryLocked(mq *multiQuery) error {
 // The cost is one index build — no graph copy. Names must be unique among
 // live queries.
 func (m *MultiEngine) RegisterLive(name string, algo csm.Algorithm, q *query.Graph) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.g == nil {
-		return fmt.Errorf("core: RegisterLive before Init")
-	}
-	if m.findLocked(name) != nil {
-		return fmt.Errorf("core: query %q already registered", name)
-	}
-	mq := &multiQuery{name: name, algo: algo, q: q}
-	if err := m.initQueryLocked(mq); err != nil {
-		return err
-	}
-	m.queries = append(m.queries, mq)
-	return nil
+	return m.RegisterLiveLogged(name, algo, q, nil)
 }
 
 // RegisterLiveLogged is RegisterLive with a durability hook: persist is
@@ -228,6 +234,7 @@ func (m *MultiEngine) RegisterLiveLogged(name string, algo csm.Algorithm, q *que
 	}
 	if persist != nil {
 		if err := persist(); err != nil {
+			m.dispatch.remove(mq)
 			mq.eng.Close()
 			return fmt.Errorf("core: persist registration: %w", err)
 		}
@@ -245,15 +252,16 @@ func (m *MultiEngine) RegisterLiveLogged(name string, algo csm.Algorithm, q *que
 // nothing. The remaining queries are untouched and processing continues
 // normally.
 func (m *MultiEngine) Deregister(name string) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.deregisterLocked(name)
+	ok, _ := m.DeregisterLogged(name, nil)
+	return ok
 }
 
 func (m *MultiEngine) deregisterLocked(name string) bool {
 	for i, mq := range m.queries {
 		if mq.name == name {
 			if mq.eng != nil {
+				m.foldLocked(mq)
+				m.dispatch.remove(mq)
 				m.closed.Add(mq.eng.Stats())
 				m.closedN++
 				if mq.eng.lat != nil {
@@ -315,8 +323,10 @@ func (m *MultiEngine) Run(ctx context.Context, s stream.Stream) error {
 	if m.g == nil {
 		return fmt.Errorf("core: Run before Init")
 	}
-	m.runSharedLocked(ctx, s, nil, nil)
-	return m.collectErrsLocked()
+	if m.runSharedLocked(ctx, s, nil, nil) {
+		return m.collectErrsLocked()
+	}
+	return nil
 }
 
 // BatchTimes carries the serving layer's queue timestamps for one batch
@@ -458,18 +468,23 @@ func (m *MultiEngine) ProcessBatchLogged(ctx context.Context, batch stream.Strea
 		return len(m.valid), nil
 	}
 	m.undo.Rollback(m.g)
-	m.runSharedLocked(ctx, m.valid, bt, m.validIdx)
-	return len(m.valid), m.collectErrsLocked()
+	if m.runSharedLocked(ctx, m.valid, bt, m.validIdx) {
+		err = m.collectErrsLocked()
+	}
+	return len(m.valid), err
 }
 
-// runSharedLocked drives s through every registered query in lockstep:
-// per update, fan out the read-only pre-apply phase, apply the update to
-// the shared graph exactly once, then fan out the post-apply phase. All
+// runSharedLocked drives s through the registered queries in lockstep: per
+// update, fan out the read-only pre-apply phase, apply the update to the
+// shared graph exactly once, then fan out the post-apply phase. All
 // queries therefore observe the identical graph state around every
-// update — the apply-once/fan-out contract of DESIGN.md §13. A query
-// whose engine reports an error is skipped for the remainder of the call
-// (its index no longer tracks the shared graph); the error is left in
-// mq.err for collectErrsLocked.
+// update — the apply-once/fan-out contract of DESIGN.md §13. With the
+// classifier on, an edge update fans out only over the queries the
+// dispatch index lists for its endpoint labels (none: no barrier at all);
+// the others are accounted in bulk as the safe:label updates they are
+// (dispatch.go). A query whose engine reports an error is skipped for the
+// remainder of the call (its index no longer tracks the shared graph);
+// the error is left in mq.err for collectErrsLocked.
 //
 // With a Tracer configured, the driver observes each fully-applied
 // update's pipeline stages (ingest wait and assembly dwell from bt/idx,
@@ -478,20 +493,16 @@ func (m *MultiEngine) ProcessBatchLogged(ctx context.Context, batch stream.Strea
 // fan-out, so their sample counts are identical by construction — an
 // update aborted mid-loop (trusted-stream apply error) observes nothing.
 // bt may be nil (waits observe as zero); idx maps s's positions to
-// original batch indices for bt lookup (nil means identity).
-func (m *MultiEngine) runSharedLocked(ctx context.Context, s stream.Stream, bt *BatchTimes, idx []int) {
-	active := m.active[:0]
-	for _, mq := range m.queries {
-		if mq.err == nil {
-			active = append(active, mq)
-		}
-	}
-	m.active = active
-	if m.cfg.Window > 1 && !m.cfg.Simulate && len(active) > 0 {
+// original batch indices for bt lookup (nil means identity). It reports
+// whether a query may have recorded an error, i.e. whether the caller has
+// anything to collect.
+func (m *MultiEngine) runSharedLocked(ctx context.Context, s stream.Stream, bt *BatchTimes, idx []int) (failed bool) {
+	if m.cfg.Window > 1 && !m.cfg.Simulate && len(m.queries) > 0 {
 		// Batch-dynamic mode: coalesce windows and commit independent
 		// sets per barrier pair instead of one update at a time.
+		m.active = append(m.active[:0], m.queries...)
 		m.runSharedWindowedLocked(ctx, s, bt, idx)
-		return
+		return true
 	}
 	if m.fanPrepare == nil {
 		// Built once per MultiEngine: the closures read the current task
@@ -513,36 +524,46 @@ func (m *MultiEngine) runSharedLocked(ctx context.Context, s stream.Stream, bt *
 	var simBudget time.Duration
 	if dl, ok := ctx.Deadline(); ok && m.cfg.Simulate {
 		simBudget = time.Until(dl)
-		for _, mq := range active {
+		for _, mq := range m.queries {
 			mq.eng.simBudget = simBudget
 		}
 		defer func() {
 			for _, mq := range m.queries {
-				if mq.eng != nil {
-					mq.eng.simBudget = 0
-				}
+				mq.eng.simBudget = 0
 			}
 		}()
 	}
+	// Every recorded error was cleared when the last call reported it, so
+	// the call starts with every registered query live. all is the list an
+	// update visits when the index does not decide: m.queries itself until
+	// a query fails, its compacted copy after.
+	dispatching := m.cfg.InterUpdate && !m.cfg.Simulate
+	dc := &m.dispatch.counters
+	all, live := m.queries, len(m.queries)
 	tr := m.cfg.Tracer
 	var clk obs.StageClock
+	yielded := time.Now()
 	for i, upd := range s {
 		m.fanCur.ctx, m.fanCur.upd, m.fanCur.i, m.fanCur.simBudget = ctx, upd, i, simBudget
-		if len(active) == 0 && len(m.queries) > 0 {
+		if live == 0 && len(m.queries) > 0 {
 			// Every query failed; stop early — the remaining updates would
 			// only advance a graph nobody observes, and the serving layer
 			// discards the MultiEngine on error anyway.
-			return
+			break
 		}
 		if tr != nil {
 			clk.Start()
 		}
+		visit, routed := all, dispatching && upd.IsEdge()
+		if routed {
+			visit = m.visitLocked(upd)
+		}
 		if upd.IsEdge() {
 			// Vertex ops have a trivial pre-apply phase (classVertexOp,
 			// no enumeration); skip the fan-out barrier for them.
-			fanOut(active, m.fanPrepare)
+			fanOut(visit, m.fanPrepare)
 		} else {
-			for _, mq := range active {
+			for _, mq := range visit {
 				mq.eng.shared = sharedPending{verdict: classVertexOp}
 			}
 		}
@@ -551,16 +572,29 @@ func (m *MultiEngine) runSharedLocked(ctx context.Context, s stream.Stream, bt *
 			preApply = clk.Lap()
 		}
 		if err := upd.Apply(m.g); err != nil {
-			for _, mq := range active {
+			for _, mq := range all {
+				m.foldLocked(mq)
 				mq.err = fmt.Errorf("update %d (%v): %w", i, upd, err)
 			}
-			return
+			failed = true
+			break
 		}
 		var commit time.Duration
 		if tr != nil {
 			commit = clk.Lap()
 		}
-		fanOut(active, m.fanCommit)
+		fanOut(visit, m.fanCommit)
+		if routed {
+			// One count per update stands for every query not visited; a
+			// query's own share is worked out when somebody reads it.
+			skipped := uint64(live - len(visit))
+			dc.Updates++
+			dc.Visited += uint64(len(visit))
+			dc.Skipped += skipped
+			if tr != nil && skipped > 0 {
+				tr.SafeN(skipped)
+			}
+		}
 		if tr != nil {
 			postApply := clk.Lap()
 			orig := i
@@ -581,16 +615,58 @@ func (m *MultiEngine) runSharedLocked(ctx context.Context, s stream.Stream, bt *
 				Total: wait + assemble + preApply + commit + postApply,
 			})
 		}
-		// Compact out queries that just failed.
-		n := active[:0]
-		for _, mq := range active {
-			if mq.err == nil {
-				n = append(n, mq)
+		if len(visit) > 0 && m.OnDelta != nil {
+			// The barriers of a visit-everything driver were also where the
+			// goroutines an OnDelta wakes (the serving layer's connection
+			// writers) got a processor. Most updates now run no barrier, and
+			// a woken goroutine could sit behind this loop until the
+			// scheduler's 10 ms preemption tick; so step aside at a bounded
+			// rate, after an update that did work.
+			if now := time.Now(); now.Sub(yielded) >= yieldEvery {
+				yielded = now
+				runtime.Gosched()
 			}
 		}
-		active = n
+		was := live
+		for _, mq := range visit {
+			if routed {
+				mq.squared++
+			}
+			if mq.err != nil {
+				// It sits out the rest of the call: settle what it was
+				// spared so far, the rest is written off below.
+				m.foldLocked(mq)
+				live--
+			}
+		}
+		if live < was {
+			// Compact out queries that just failed.
+			m.active = m.active[:0]
+			for _, mq := range all {
+				if mq.err == nil {
+					m.active = append(m.active, mq)
+				}
+			}
+			all = m.active
+		}
 	}
+	if failed = failed || live < len(m.queries); failed {
+		// The updates a failed query sat out are neither visited nor
+		// skipped for it.
+		for _, mq := range m.queries {
+			if mq.err != nil {
+				mq.squared = dc.Updates
+			}
+		}
+	}
+	return failed
 }
+
+// yieldEvery bounds how long runSharedLocked keeps its processor without
+// offering it to other goroutines: long enough that a batch of cheap updates
+// runs through undisturbed and its deltas leave in one write, short against
+// the milliseconds a heavy update's search takes.
+const yieldEvery = time.Millisecond
 
 // fanOut runs fn over every query from min(GOMAXPROCS, len(qs)) worker
 // goroutines (work-stealing by atomic index, since per-query cost is
@@ -669,6 +745,7 @@ func (m *MultiEngine) Stats() map[string]Stats {
 	out := make(map[string]Stats, len(m.queries))
 	for _, mq := range m.queries {
 		if mq.eng != nil {
+			m.foldLocked(mq)
 			out[mq.name] = mq.eng.Stats()
 		}
 	}
@@ -695,10 +772,15 @@ func (m *MultiEngine) ClosedStats() (Stats, int) {
 type QuerySnapshot struct {
 	Name  string
 	Stats Stats
-	P50   time.Duration
-	P90   time.Duration
-	P99   time.Duration
-	Max   time.Duration
+	// Visited is how many of Stats.Updates ran through the query's engine;
+	// the rest were label-safe updates the dispatch index accounted in
+	// bulk (counted since this process started: a baseline restored with
+	// SeedStats reads as visited).
+	Visited int
+	P50     time.Duration
+	P90     time.Duration
+	P99     time.Duration
+	Max     time.Duration
 }
 
 // QuerySnapshots returns a snapshot per live query, in registration
@@ -712,7 +794,9 @@ func (m *MultiEngine) QuerySnapshots() []QuerySnapshot {
 		if mq.eng == nil {
 			continue
 		}
+		m.foldLocked(mq)
 		qs := QuerySnapshot{Name: mq.name, Stats: mq.eng.Stats()}
+		qs.Visited = qs.Stats.Updates - mq.folded
 		if h := mq.eng.lat; h != nil && h.Count() > 0 {
 			qs.P50 = h.Quantile(0.50)
 			qs.P90 = h.Quantile(0.90)
@@ -747,6 +831,7 @@ func (m *MultiEngine) TotalStats() Stats {
 	total.ThreadBusy = append([]time.Duration(nil), m.closed.ThreadBusy...)
 	for _, mq := range m.queries {
 		if mq.eng != nil {
+			m.foldLocked(mq)
 			total.Add(mq.eng.Stats())
 		}
 	}
@@ -766,11 +851,17 @@ func (m *MultiEngine) QueryNames() []string {
 
 // Engine returns the per-query engine (e.g. to attach an OnMatch
 // callback), or nil if the name is unknown. Must be called after Init.
-// The pointer is invalidated by Deregister of the same name.
+// The pointer is invalidated by Deregister of the same name. The engine's
+// own Stats are current as of this call only: updates the dispatch index
+// accounts in bulk reach them when a MultiEngine accessor folds them in,
+// so read per-query totals from Stats or QuerySnapshots.
 func (m *MultiEngine) Engine(name string) *Engine {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if mq := m.findLocked(name); mq != nil {
+		if mq.eng != nil {
+			m.foldLocked(mq)
+		}
 		return mq.eng
 	}
 	return nil
@@ -799,6 +890,7 @@ func (m *MultiEngine) ExportState(fn func(g *graph.Graph, queries []QueryExport)
 	qs := make([]QueryExport, 0, len(m.queries))
 	for _, mq := range m.queries {
 		if mq.eng != nil {
+			m.foldLocked(mq)
 			qs = append(qs, QueryExport{Name: mq.name, Stats: mq.eng.Stats()})
 		}
 	}

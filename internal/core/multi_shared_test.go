@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"strings"
 	"sync"
@@ -12,12 +13,14 @@ import (
 	"paracosm/internal/algo/algotest"
 	"paracosm/internal/csm"
 	"paracosm/internal/graph"
+	"paracosm/internal/obs"
 	"paracosm/internal/query"
 	"paracosm/internal/stream"
 )
 
 // deltaRec is one observed OnDelta invocation, for sequence comparison.
 type deltaRec struct {
+	upd      stream.Update
 	pos, neg uint64
 }
 
@@ -30,22 +33,24 @@ type deltaLog struct {
 
 func newDeltaLog() *deltaLog { return &deltaLog{seqs: make(map[string][]deltaRec)} }
 
-func (l *deltaLog) add(name string, d csm.Delta) {
+func (l *deltaLog) add(name string, upd stream.Update, d csm.Delta) {
 	l.mu.Lock()
-	l.seqs[name] = append(l.seqs[name], deltaRec{d.Positive, d.Negative})
+	l.seqs[name] = append(l.seqs[name], deltaRec{upd, d.Positive, d.Negative})
 	l.mu.Unlock()
 }
 
 // privateReplay runs q alone over a private clone of base through s —
 // the pre-shared-graph execution model — returning its Stats and OnDelta
-// sequence. This is the oracle the shared-graph MultiEngine must match.
-func privateReplay(t *testing.T, algo csm.Algorithm, base *graph.Graph, q *query.Graph, s stream.Stream, opts ...Option) (Stats, []deltaRec) {
+// sequence (one record per update). This is the oracle the shared-graph
+// MultiEngine must match. BatchSize(1) makes the batch executor classify
+// every update against the current state, as the lockstep driver does, so
+// the per-stage safe counters are comparable and not only the totals.
+func privateReplay(t *testing.T, algo csm.Algorithm, base *graph.Graph, q *query.Graph, s stream.Stream) (Stats, []deltaRec) {
 	t.Helper()
 	var seq []deltaRec
-	opts = append(append([]Option(nil), opts...), WithOnDelta(func(upd stream.Update, d csm.Delta, timeout bool) {
-		seq = append(seq, deltaRec{d.Positive, d.Negative})
+	eng := New(algo, Threads(2), BatchSize(1), WithOnDelta(func(upd stream.Update, d csm.Delta, timeout bool) {
+		seq = append(seq, deltaRec{upd, d.Positive, d.Negative})
 	}))
-	eng := New(algo, opts...)
 	defer eng.Close()
 	if err := eng.Init(base.Clone(), q); err != nil {
 		t.Fatal(err)
@@ -57,137 +62,400 @@ func privateReplay(t *testing.T, algo csm.Algorithm, base *graph.Graph, q *query
 	return st, seq
 }
 
-// TestMultiEngineSharedOracle is the equivalence proof for the shared-graph
-// driver: queries joining and leaving mid-stream through ONE shared graph
-// must observe exactly the per-update deltas and final totals they would
-// have produced running alone over private clones. Run under -race this
-// also exercises the fan-out phases' concurrent reads of the shared graph.
-func TestMultiEngineSharedOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	g := algotest.RandomGraph(rng, 28, 60, 2, 1)
-	qA := algotest.RandomQuery(rng, g, 3)
-	qB := algotest.RandomQuery(rng, g, 4)
-	qC := algotest.RandomQuery(rng, g, 3)
-	qD := algotest.RandomQuery(rng, g, 4)
-	if qA == nil || qB == nil || qC == nil || qD == nil {
-		t.Skip("no queries")
+// statsCounts is the slice of Stats every driver must agree on exactly:
+// everything that counts updates, matches and search nodes, nothing timed.
+type statsCounts struct {
+	Updates, Safe, ByLabel, ByDegree, ByADS, Unsafe, Vertex int
+	Positive, Negative, Nodes                               uint64
+}
+
+func countsOf(st Stats) statsCounts {
+	return statsCounts{
+		st.Updates, st.SafeUpdates, st.SafeByLabel, st.SafeByDegree, st.SafeByADS,
+		st.UnsafeUpdates, st.VertexUpdates, st.Positive, st.Negative, st.Nodes,
 	}
-	s := algotest.RandomStream(rng, g, 60, 0.7, 1)
-	seg0, seg1, seg2 := s[:20], s[20:40], s[40:]
+}
 
-	fGF := algotest.Factories()[2] // GraphFlow
-	fSY := algotest.Factories()[4] // Symbi
-	opts := []Option{Threads(2), BatchSize(4)}
+func (a *statsCounts) add(b statsCounts) {
+	a.Updates += b.Updates
+	a.Safe += b.Safe
+	a.ByLabel += b.ByLabel
+	a.ByDegree += b.ByDegree
+	a.ByADS += b.ByADS
+	a.Unsafe += b.Unsafe
+	a.Vertex += b.Vertex
+	a.Positive += b.Positive
+	a.Negative += b.Negative
+	a.Nodes += b.Nodes
+}
 
-	// Shared run: A and B from the start; after seg0, C joins and B
-	// leaves; after seg1, D joins.
+// skewedLabel draws a vertex label from a skewed distribution over six
+// labels: half the mass on label 0, labels 4 and 5 rare.
+func skewedLabel(rng *rand.Rand) graph.Label {
+	switch r := rng.Intn(20); {
+	case r < 10:
+		return 0
+	case r < 14:
+		return 1
+	case r < 17:
+		return 2
+	case r < 19:
+		return 3
+	default:
+		return graph.Label(4 + rng.Intn(2))
+	}
+}
+
+// skewedStream generates a well-formed stream of edge inserts (probability
+// insertP) and deletes over g plus vertex ops: an AddVertex is always
+// followed by an edge to the new vertex, so a batch boundary placed anywhere
+// leaves some batch using an ID it created itself, and isolated vertices get
+// deleted. Two edge labels.
+func skewedStream(rng *rand.Rand, g *graph.Graph, length int, insertP float64) stream.Stream {
+	sim := g.Clone()
+	var s stream.Stream
+	emit := func(u stream.Update) {
+		if err := u.Apply(sim); err != nil {
+			panic(err)
+		}
+		s = append(s, u)
+	}
+	liveVertex := func() graph.VertexID {
+		for {
+			if v := graph.VertexID(rng.Intn(sim.NumVertices())); sim.Alive(v) {
+				return v
+			}
+		}
+	}
+	for len(s) < length {
+		switch r := rng.Float64(); {
+		case r < 0.05:
+			peer := liveVertex()
+			emit(stream.Update{Op: stream.AddVertex, VLabel: skewedLabel(rng)})
+			nv := graph.VertexID(sim.NumVertices() - 1)
+			emit(stream.Update{Op: stream.AddEdge, U: nv, V: peer, ELabel: graph.Label(rng.Intn(2))})
+		case r < 0.10:
+			for v := 0; v < sim.NumVertices(); v++ {
+				if id := graph.VertexID(v); sim.Alive(id) && sim.Degree(id) == 0 {
+					emit(stream.Update{Op: stream.DeleteVertex, U: id})
+					break
+				}
+			}
+		case r < 0.10+0.90*insertP:
+			if u, v := liveVertex(), liveVertex(); u != v && !sim.HasEdge(u, v) {
+				emit(stream.Update{Op: stream.AddEdge, U: u, V: v, ELabel: graph.Label(rng.Intn(2))})
+			}
+		default:
+			if u := liveVertex(); sim.Degree(u) > 0 {
+				ns := sim.Neighbors(u)
+				emit(stream.Update{Op: stream.DeleteEdge, U: u, V: ns[rng.Intn(len(ns))].ID})
+			}
+		}
+	}
+	return s
+}
+
+// pathQuery builds the path query over the given vertex labels, every edge
+// labelled 0.
+func pathQuery(t *testing.T, labels ...graph.Label) *query.Graph {
+	t.Helper()
+	q := query.MustNew(labels)
+	for i := 1; i < len(labels); i++ {
+		q.MustAddEdge(query.VertexID(i-1), query.VertexID(i), 0)
+	}
+	if err := q.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	return q
+}
+
+// dispatchRule restates, independently of the index, which edge updates a
+// query must be visited for: by endpoint-label pair for the ADS-free
+// algorithms, by either endpoint label for those that keep a
+// degree-sensitive ADS, always for the rest.
+func dispatchRule(algoName string, q *query.Graph, lx, ly graph.Label) bool {
+	switch algoName {
+	case "GraphFlow", "NewSP":
+		for _, e := range q.Edges() {
+			a, b := q.Label(e.U), q.Label(e.V)
+			if (a == lx && b == ly) || (a == ly && b == lx) {
+				return true
+			}
+		}
+		return false
+	case "CaLiG", "CaLiG-counting", "Symbi", "TurboFlux":
+		for u := 0; u < q.NumVertices(); u++ {
+			if l := q.Label(query.VertexID(u)); l == lx || l == ly {
+				return true
+			}
+		}
+		return false
+	}
+	return true
+}
+
+// oracleQuery is one standing query of the shared-oracle fixture, live
+// while segments [from, to) are processed.
+type oracleQuery struct {
+	name     string
+	f        algotest.Factory
+	q        *query.Graph
+	from, to int
+}
+
+// TestMultiEngineSharedOracle is the equivalence proof for the shared-graph
+// driver and its dispatch index: for every bundled algorithm, queries
+// joining and leaving mid-stream through ONE shared graph must end with
+// exactly the counters they would have produced running alone over private
+// clones — although most (query, update) pairs never reach their engine and
+// are accounted in bulk — and must report the same nonzero deltas for the
+// same updates. It also pins the index to its own rule (it visits exactly
+// the pairs dispatchRule names) and the reconciliation identities of the
+// observability layer. Run under -race this also exercises the fan-out
+// phases' concurrent reads of the shared graph.
+func TestMultiEngineSharedOracle(t *testing.T) {
+	for _, tc := range []struct {
+		seed    int64
+		insertP float64
+	}{{31, 0.7}, {32, 0.45}, {33, 0.6}} {
+		t.Run(fmt.Sprintf("seed%d", tc.seed), func(t *testing.T) { sharedOracle(t, tc.seed, tc.insertP) })
+	}
+}
+
+func sharedOracle(t *testing.T, seed int64, insertP float64) {
+	rng := rand.New(rand.NewSource(seed))
+	g := graph.New(40)
+	for i := 0; i < 40; i++ {
+		g.AddVertex(skewedLabel(rng))
+	}
+	for i := 0; i < 90; i++ {
+		g.AddEdge(graph.VertexID(rng.Intn(40)), graph.VertexID(rng.Intn(40)), graph.Label(rng.Intn(2)))
+	}
+	s := skewedStream(rng, g, 120, insertP)
+	segs := []stream.Stream{s[:40], s[40:80], s[80:]}
+	// bases[i] is the graph before segment i: a query joining there is
+	// replayed privately from it.
+	bases := []*graph.Graph{g}
+	for _, seg := range segs {
+		next := bases[len(bases)-1].Clone()
+		if err := seg.ApplyAll(next); err != nil {
+			t.Fatal(err)
+		}
+		bases = append(bases, next)
+	}
+
+	// A pool of patterns from common to rare labels; every algorithm gets
+	// four of them with the four lifetimes.
+	pool := []*query.Graph{
+		pathQuery(t, 0, 0, 1), pathQuery(t, 1, 0, 2), pathQuery(t, 0, 3), pathQuery(t, 4, 0, 5),
+		pathQuery(t, 2, 1, 3, 0), pathQuery(t, 5, 4),
+	}
+	for _, size := range []int{3, 4, 3} {
+		if q := algotest.RandomQuery(rng, g, size); q != nil {
+			pool = append(pool, q)
+		}
+	}
+	lifetimes := [][2]int{{0, 3}, {0, 1}, {1, 3}, {2, 3}}
+	var queries []*oracleQuery
+	for fi, f := range algotest.Factories() {
+		for li, lt := range lifetimes {
+			queries = append(queries, &oracleQuery{
+				name: fmt.Sprintf("%s/%d", f.Name, li), f: f,
+				q: pool[(fi*len(lifetimes)+li)%len(pool)], from: lt[0], to: lt[1],
+			})
+		}
+	}
+
+	tr := obs.NewTracer(1 << 12)
 	shared := newDeltaLog()
-	m := NewMulti(opts...)
+	m := NewMulti(Threads(2), TrackQueries(true), WithTracer(tr))
 	defer m.Close()
 	m.OnDelta = func(name string, upd stream.Update, d csm.Delta, timeout bool) {
-		shared.add(name, d)
+		shared.add(name, upd, d)
 	}
-	m.Register("A", fGF.New(), qA)
-	m.Register("B", fSY.New(), qB)
 	if err := m.Init(g); err != nil {
 		t.Fatal(err)
 	}
-	if n, err := m.ProcessBatch(context.Background(), seg0); err != nil || n != len(seg0) {
-		t.Fatalf("seg0: %d, %v", n, err)
-	}
-	if err := m.RegisterLive("C", fGF.New(), qC); err != nil {
-		t.Fatal(err)
-	}
-	bStats := m.Stats()["B"]
-	if !m.Deregister("B") {
-		t.Fatal("Deregister(B) = false")
-	}
-	if n, err := m.ProcessBatch(context.Background(), seg1); err != nil || n != len(seg1) {
-		t.Fatalf("seg1: %d, %v", n, err)
-	}
-	if err := m.RegisterLive("D", fSY.New(), qD); err != nil {
-		t.Fatal(err)
-	}
-	if n, err := m.ProcessBatch(context.Background(), seg2); err != nil || n != len(seg2) {
-		t.Fatalf("seg2: %d, %v", n, err)
-	}
-	st := m.Stats()
 
-	// Registration-point graphs for the private replays.
-	mid1 := g.Clone() // post-seg0: C's view
-	if err := seg0.ApplyAll(mid1); err != nil {
-		t.Fatal(err)
-	}
-	mid2 := mid1.Clone() // post-seg1: D's view
-	if err := seg1.ApplyAll(mid2); err != nil {
-		t.Fatal(err)
-	}
-	concat := func(segs ...stream.Stream) stream.Stream {
-		var out stream.Stream
-		for _, sg := range segs {
-			out = append(out, sg...)
+	// Drive the segments, registering and deregistering at the boundaries
+	// and restating the dispatch rule against a shadow graph as we go.
+	final := make(map[string]QuerySnapshot) // at deregistration, or at the end
+	wantVisited := make(map[string]int)
+	var wantDC DispatchCounters
+	var closedWant statsCounts
+	closedN := 0
+	shadow := g.Clone()
+	ctx := context.Background()
+	for si, seg := range segs {
+		for _, oq := range queries {
+			if oq.to == si {
+				before := countsOf(m.TotalStats())
+				for _, qs := range m.QuerySnapshots() {
+					if qs.Name == oq.name {
+						final[oq.name] = qs
+						closedWant.add(countsOf(qs.Stats))
+					}
+				}
+				if !m.Deregister(oq.name) {
+					t.Fatalf("Deregister(%s) = false", oq.name)
+				}
+				closedN++
+				if after := countsOf(m.TotalStats()); after != before {
+					t.Fatalf("TotalStats moved across Deregister(%s): %+v -> %+v", oq.name, before, after)
+				}
+			}
 		}
-		return out
+		for _, oq := range queries {
+			if oq.from == si {
+				if err := m.RegisterLive(oq.name, oq.f.New(), oq.q); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for _, upd := range seg {
+			live := 0
+			for _, oq := range queries {
+				if oq.from > si || oq.to <= si {
+					continue
+				}
+				live++
+				if !upd.IsEdge() {
+					wantVisited[oq.name]++
+				} else if dispatchRule(oq.f.Name, oq.q, shadow.Label(upd.U), shadow.Label(upd.V)) {
+					wantVisited[oq.name]++
+					wantDC.Visited++
+				}
+			}
+			if upd.IsEdge() {
+				wantDC.Updates++
+				wantDC.Skipped += uint64(live)
+			}
+			if err := upd.Apply(shadow); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Uneven batches, so vertex ops and the edges using them land both
+		// inside one batch and across a boundary.
+		for off, k := 0, 1; off < len(seg); off, k = off+k, k%7+3 {
+			end := off + k
+			if end > len(seg) {
+				end = len(seg)
+			}
+			if n, err := m.ProcessBatch(ctx, seg[off:end]); err != nil || n != end-off {
+				t.Fatalf("segment %d [%d:%d]: applied %d, %v", si, off, end, n, err)
+			}
+		}
 	}
-	refs := []struct {
-		name string
-		algo csm.Algorithm
-		base *graph.Graph
-		q    *query.Graph
-		s    stream.Stream
-	}{
-		{"A", fGF.New(), g, qA, concat(seg0, seg1, seg2)},
-		{"B", fSY.New(), g, qB, seg0},
-		{"C", fGF.New(), mid1, qC, concat(seg1, seg2)},
-		{"D", fSY.New(), mid2, qD, seg2},
+	wantDC.Skipped -= wantDC.Visited
+	if wantDC.Skipped == 0 || wantDC.Visited == 0 {
+		t.Fatalf("fixture lost its point: rule visits %d pairs and skips %d", wantDC.Visited, wantDC.Skipped)
 	}
-	for _, ref := range refs {
-		wantSt, wantSeq := privateReplay(t, ref.algo, ref.base, ref.q, ref.s, opts...)
-		gotSt, ok := st[ref.name]
+	if got := m.DispatchCounters(); got != wantDC {
+		t.Errorf("dispatch counters %+v, the rule says %+v", got, wantDC)
+	}
+	for _, qs := range m.QuerySnapshots() {
+		final[qs.Name] = qs
+	}
+
+	// Per query: counters, deltas and visit count against the private run.
+	for _, oq := range queries {
+		var own stream.Stream
+		for _, seg := range segs[oq.from:oq.to] {
+			own = append(own, seg...)
+		}
+		wantSt, wantSeq := privateReplay(t, oq.f.New(), bases[oq.from], oq.q, own)
+		got, ok := final[oq.name]
 		if !ok {
-			// B was deregistered: its totals were snapshotted beforehand.
-			gotSt = bStats
-		}
-		if gotSt.Positive != wantSt.Positive || gotSt.Negative != wantSt.Negative {
-			t.Errorf("%s: shared (+%d,-%d), private (+%d,-%d)",
-				ref.name, gotSt.Positive, gotSt.Negative, wantSt.Positive, wantSt.Negative)
-		}
-		if gotSt.Updates != wantSt.Updates {
-			t.Errorf("%s: shared saw %d updates, private %d", ref.name, gotSt.Updates, wantSt.Updates)
-		}
-		gotSeq := shared.seqs[ref.name]
-		if len(gotSeq) != len(wantSeq) {
-			t.Errorf("%s: shared fired %d deltas, private %d", ref.name, len(gotSeq), len(wantSeq))
+			t.Errorf("%s: no snapshot", oq.name)
 			continue
 		}
-		for i := range gotSeq {
-			if gotSeq[i] != wantSeq[i] {
-				t.Errorf("%s: delta %d: shared (+%d,-%d), private (+%d,-%d)",
-					ref.name, i, gotSeq[i].pos, gotSeq[i].neg, wantSeq[i].pos, wantSeq[i].neg)
+		if g, w := countsOf(got.Stats), countsOf(wantSt); g != w {
+			t.Errorf("%s: shared %+v\n\tprivate %+v", oq.name, g, w)
+		}
+		if got.Visited != wantVisited[oq.name] {
+			t.Errorf("%s: visited for %d of %d updates, the rule says %d", oq.name, got.Visited, got.Stats.Updates, wantVisited[oq.name])
+		}
+		// Every fired shared delta is the private delta of the same update,
+		// in order, and what the shared run left out is all empty.
+		p := 0
+		for i, rec := range shared.seqs[oq.name] {
+			for p < len(wantSeq) && wantSeq[p] != rec {
+				if wantSeq[p].pos != 0 || wantSeq[p].neg != 0 {
+					t.Errorf("%s: private delta %d %+v never fired in the shared run", oq.name, p, wantSeq[p])
+				}
+				p++
+			}
+			if p == len(wantSeq) {
+				t.Errorf("%s: shared delta %d %+v has no private counterpart", oq.name, i, rec)
 				break
+			}
+			p++
+		}
+		for ; p < len(wantSeq); p++ {
+			if wantSeq[p].pos != 0 || wantSeq[p].neg != 0 {
+				t.Errorf("%s: private delta %d %+v never fired in the shared run", oq.name, p, wantSeq[p])
 			}
 		}
 	}
 
-	// The deregistered query's work is retained, and the aggregate view is
-	// the sum of live and closed.
+	// Latency samples reconcile with update counts, bulk samples included.
+	for _, name := range m.QueryNames() {
+		if got, want := m.Engine(name).lat.Count(), uint64(final[name].Stats.Updates); got != want {
+			t.Errorf("%s: %d latency samples for %d updates", name, got, want)
+		}
+	}
 	closed, n := m.ClosedStats()
-	if n != 1 {
-		t.Fatalf("ClosedStats covers %d queries, want 1", n)
+	if n != closedN || countsOf(closed) != closedWant {
+		t.Errorf("ClosedStats covers %d queries %+v, want %d %+v", n, countsOf(closed), closedN, closedWant)
 	}
-	if closed.Positive != bStats.Positive || closed.Negative != bStats.Negative {
-		t.Fatalf("closed tally (+%d,-%d), B at deregistration (+%d,-%d)",
-			closed.Positive, closed.Negative, bStats.Positive, bStats.Negative)
+	if cl := m.ClosedLatency(); cl == nil || cl.Count() != uint64(closed.Updates) {
+		t.Errorf("closed latency samples do not reconcile with %d closed updates", closed.Updates)
 	}
+
+	// The shared tracer saw every pair, one way or the other.
 	total := m.TotalStats()
-	var wantTotal Stats
-	wantTotal.Add(closed)
-	for _, s := range st {
-		wantTotal.Add(s)
+	c := tr.Counters()
+	if c.Updates != c.Safe+c.Unsafe || c.Updates != uint64(total.Updates) || c.Safe != uint64(total.SafeUpdates) {
+		t.Errorf("tracer updates %d, safe %d, unsafe %d; TotalStats updates %d, safe %d",
+			c.Updates, c.Safe, c.Unsafe, total.Updates, total.SafeUpdates)
 	}
-	if total.Positive != wantTotal.Positive || total.Updates != wantTotal.Updates {
-		t.Fatalf("TotalStats (+%d, %d upd) != closed+live (+%d, %d upd)",
-			total.Positive, total.Updates, wantTotal.Positive, wantTotal.Updates)
+	for _, ph := range []obs.Phase{obs.PhaseTotal, obs.PhaseADS, obs.PhaseFind} {
+		if got := tr.Hist(ph).Count(); got != c.Updates {
+			t.Errorf("phase %v holds %d samples for %d updates", ph, got, c.Updates)
+		}
+	}
+
+	// ExportState hands out the folded totals, and seeding a fresh engine
+	// with them (what recovery does) reproduces them.
+	var exported []QueryExport
+	if err := m.ExportState(func(_ *graph.Graph, qs []QueryExport) error {
+		exported = append(exported, qs...)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	m2 := NewMulti(Threads(1))
+	defer m2.Close()
+	if err := m2.Init(bases[len(bases)-1]); err != nil {
+		t.Fatal(err)
+	}
+	for _, ex := range exported {
+		if countsOf(ex.Stats) != countsOf(final[ex.Name].Stats) {
+			t.Errorf("%s: exported %+v, snapshot %+v", ex.Name, countsOf(ex.Stats), countsOf(final[ex.Name].Stats))
+		}
+		for _, oq := range queries {
+			if oq.name == ex.Name {
+				if err := m2.RegisterLive(oq.name, oq.f.New(), oq.q); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		m2.Engine(ex.Name).SeedStats(ex.Stats)
+	}
+	for name, st := range m2.Stats() {
+		if countsOf(st) != countsOf(final[name].Stats) {
+			t.Errorf("%s: seeded %+v, exported %+v", name, countsOf(st), countsOf(final[name].Stats))
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -177,7 +178,10 @@ func TestMultiStageZeroQueryPath(t *testing.T) {
 // TestQuerySnapshotsAndClosedLatency covers the per-query tracer
 // lifecycle: TrackQueries engines expose latency quantiles through
 // QuerySnapshots, and a deregistered query's histogram survives into
-// ClosedLatency — as a defensive copy, not a live reference.
+// ClosedLatency — as a defensive copy, not a live reference. Updates the
+// dispatch index keeps away from a query are zero-duration samples, added
+// in bulk when the histogram is read: query "idle", whose labels the stream
+// never touches, holds nothing else.
 func TestQuerySnapshotsAndClosedLatency(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	g := algotest.RandomGraph(rng, 25, 50, 2, 1)
@@ -198,6 +202,9 @@ func TestQuerySnapshotsAndClosedLatency(t *testing.T) {
 	if err := m.RegisterLive("b", algotest.Factories()[4].New(), q); err != nil {
 		t.Fatal(err)
 	}
+	if err := m.RegisterLive("idle", algotest.Factories()[2].New(), pathQuery(t, 7, 8)); err != nil {
+		t.Fatal(err)
+	}
 	applied, err := m.ProcessBatch(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
@@ -207,12 +214,21 @@ func TestQuerySnapshotsAndClosedLatency(t *testing.T) {
 	}
 
 	snaps := m.QuerySnapshots()
-	if len(snaps) != 2 || snaps[0].Name != "a" || snaps[1].Name != "b" {
-		t.Fatalf("snapshots = %+v, want a,b in registration order", snaps)
+	if len(snaps) != 3 || snaps[0].Name != "a" || snaps[1].Name != "b" || snaps[2].Name != "idle" {
+		t.Fatalf("snapshots = %+v, want a,b,idle in registration order", snaps)
 	}
 	for _, qs := range snaps {
 		if qs.Stats.Updates != applied {
 			t.Errorf("query %q updates = %d, want %d", qs.Name, qs.Stats.Updates, applied)
+		}
+		if got := m.Engine(qs.Name).lat.Count(); got != uint64(applied) {
+			t.Errorf("query %q holds %d latency samples for %d updates", qs.Name, got, applied)
+		}
+		if qs.Name == "idle" {
+			if qs.Visited != 0 || qs.Stats.SafeByLabel != applied || qs.Max != 0 {
+				t.Errorf("idle: visited %d, %d label-safe, max %v; want 0, %d, 0", qs.Visited, qs.Stats.SafeByLabel, qs.Max, applied)
+			}
+			continue
 		}
 		if qs.Max <= 0 {
 			t.Errorf("query %q has no latency quantiles despite TrackQueries", qs.Name)
@@ -240,8 +256,15 @@ func TestQuerySnapshotsAndClosedLatency(t *testing.T) {
 	if again := m.ClosedLatency(); again.Count() != uint64(applied) {
 		t.Fatalf("ClosedLatency returned a live reference (count %d)", again.Count())
 	}
-	if got := len(m.QuerySnapshots()); got != 1 {
-		t.Fatalf("snapshots after deregister = %d, want 1", got)
+	if got := len(m.QuerySnapshots()); got != 2 {
+		t.Fatalf("snapshots after deregister = %d, want 2", got)
+	}
+	// A query that was never visited retires with its bulk samples.
+	if !m.Deregister("idle") {
+		t.Fatal("deregister failed")
+	}
+	if cl := m.ClosedLatency(); cl.Count() != 2*uint64(applied) {
+		t.Fatalf("closed latency count = %d after a never-visited query left, want %d", cl.Count(), 2*applied)
 	}
 }
 
@@ -293,12 +316,73 @@ func sharedAllocsPerUpdate(t *testing.T, bt *BatchTimes, opts ...Option) float64
 	return testing.AllocsPerRun(200, cycle) / float64(len(batch))
 }
 
+// dispatchedAllocsPerUpdate is sharedAllocsPerUpdate for the dispatch index:
+// 64 standing GraphFlow and NewSP queries over disjoint label pairs, with
+// the classifier on, and a batch two thirds of whose edges reach one query
+// and the rest none — so nearly every (query, update) pair is accounted in
+// bulk. (An update that reaches several queries pays fanOut's goroutines,
+// which are not the index's to save.)
+func dispatchedAllocsPerUpdate(t *testing.T, opts ...Option) float64 {
+	t.Helper()
+	const nq = 64
+	g := graph.New(0)
+	for l := 0; l < 2*nq; l++ {
+		g.AddVertex(graph.Label(l)) // vertex v carries label v
+	}
+	m := NewMulti(append([]Option{Threads(1), TrackQueries(true)}, opts...)...)
+	defer m.Close()
+	if err := m.Init(g); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < nq; i++ {
+		f := algotest.Factories()[2+i%2] // GraphFlow, NewSP
+		q := pathQuery(t, graph.Label(2*i), graph.Label(2*i+1))
+		if err := m.RegisterLive(fmt.Sprintf("q%d", i), f.New(), q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx := context.Background()
+	batch := stream.Stream{
+		{Op: stream.AddEdge, U: 4, V: 5},   // q2
+		{Op: stream.AddEdge, U: 9, V: 8},   // q4
+		{Op: stream.AddEdge, U: 10, V: 20}, // nobody
+		{Op: stream.DeleteEdge, U: 4, V: 5},
+		{Op: stream.DeleteEdge, U: 9, V: 8},
+		{Op: stream.DeleteEdge, U: 10, V: 20},
+	}
+	cycle := func() {
+		if _, err := m.ProcessBatch(ctx, batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 16; i++ {
+		cycle()
+	}
+	allocs := testing.AllocsPerRun(200, cycle) / float64(len(batch))
+	dc := m.DispatchCounters()
+	if want := uint64(dc.Updates) * nq; dc.Visited+dc.Skipped != want || 3*dc.Visited != 2*uint64(dc.Updates) {
+		t.Fatalf("dispatch counters %+v: want 2 pairs visited per 3 updates, of %d", dc, want)
+	}
+	if st := m.Stats()["q2"]; st.Updates != dc.Updates || st.Positive == 0 || st.Positive != st.Negative {
+		t.Fatalf("q2 after %d updates: %+v", dc.Updates, countsOf(st))
+	}
+	return allocs
+}
+
 // TestSharedPathAllocations pins the serving-path zero-allocation
 // guarantee end to end at the driver level: with no tracer the lockstep
 // ProcessBatch path performs zero allocations per update, and attaching
 // a tracer — stage clocks, stage histograms, ring events, queue
-// timestamps — adds none.
+// timestamps — adds none. Nor does the dispatch index: building an update's
+// visit list and accounting the 60-odd queries it leaves out allocate
+// nothing, traced or not.
 func TestSharedPathAllocations(t *testing.T) {
+	if n := dispatchedAllocsPerUpdate(t); n != 0 {
+		t.Errorf("dispatched shared path allocates %.2f per update, want 0", n)
+	}
+	if n := dispatchedAllocsPerUpdate(t, WithTracer(obs.NewTracer(64))); n != 0 {
+		t.Errorf("traced dispatched shared path allocates %.2f per update, want 0", n)
+	}
 	nilAllocs := sharedAllocsPerUpdate(t, nil)
 	tracedAllocs := sharedAllocsPerUpdate(t, nil, WithTracer(obs.NewTracer(64)))
 	now := time.Now()

@@ -148,48 +148,6 @@ func (e *Engine) sharedCommitFrom(ctx context.Context, upd stream.Update, p *sha
 	}
 
 	// Safe verdicts: the ΔM is provably empty, so enumeration is skipped.
-	// Label/degree-safe updates still maintain the ADS (the degree change
-	// can flip candidacy elsewhere); only stage-3 safety proves the ADS
-	// untouched. Mirrors the batch executor's safe path, including the
-	// simulate-mode M-way discount.
-	var tads time.Duration
-	if p.verdict != classSafeADS {
-		tA := time.Now()
-		e.algo.UpdateADS(upd)
-		tads = time.Since(tA)
-	}
-	div := time.Duration(1)
-	if simulate {
-		div = time.Duration(e.cfg.Threads)
-	}
-	tads /= div
-	total := (p.prepElapsed + time.Since(t0)) / div
-	e.statsMu.Lock()
-	e.stats.Updates++
-	e.stats.SafeUpdates++
-	e.stats.TADS += tads
-	switch p.verdict {
-	case classSafeLabel:
-		e.stats.SafeByLabel++
-	case classSafeDegree:
-		e.stats.SafeByDegree++
-	case classSafeADS:
-		e.stats.SafeByADS++
-	}
-	e.stats.TTotal += total
-	e.statsMu.Unlock()
-	if e.lat != nil {
-		e.lat.Observe(total)
-	}
-	p.d = csm.Delta{TADS: tads}
-	if e.cfg.Tracer != nil {
-		var r innerResult
-		e.traceUpdate(upd, p.verdict, false, &p.d, &r, total, false)
-	}
-	if emit && e.cfg.OnDelta != nil {
-		// Safe updates carry an empty ΔM by construction; the callback
-		// still fires so subscribers observe stream progress.
-		e.cfg.OnDelta(upd, p.d, false)
-	}
+	p.d, _ = e.commitSafe(upd, p.verdict, t0, p.prepElapsed, emit)
 	return p.d, nil
 }

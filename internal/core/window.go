@@ -448,36 +448,8 @@ func (e *Engine) applySafe(upd stream.Update, v classification, res *winResult) 
 		res.err = err
 		return
 	}
-	var tads time.Duration
-	if v != classSafeADS {
-		tA := time.Now()
-		e.algo.UpdateADS(upd)
-		tads = time.Since(tA)
-	}
-	total := time.Since(t0)
-	e.statsMu.Lock()
-	e.stats.Updates++
-	e.stats.SafeUpdates++
-	e.stats.TADS += tads
-	switch v {
-	case classSafeLabel:
-		e.stats.SafeByLabel++
-	case classSafeDegree:
-		e.stats.SafeByDegree++
-	case classSafeADS:
-		e.stats.SafeByADS++
-	}
-	e.stats.TTotal += total
-	e.statsMu.Unlock()
-	if e.lat != nil {
-		e.lat.Observe(total)
-	}
-	if e.cfg.Tracer != nil {
-		d := csm.Delta{TADS: tads}
-		var r innerResult
-		e.traceUpdate(upd, v, false, &d, &r, total, false)
-	}
-	res.d = csm.Delta{TADS: tads}
+	var total time.Duration
+	res.d, total = e.commitSafe(upd, v, t0, 0, false)
 	res.elapsed += total
 	res.emit = true
 }

@@ -70,6 +70,23 @@ type Rebuilder interface {
 	RebuildADS() (consistent bool)
 }
 
+// LabelDispatch is implemented by algorithms whose update classifier has a
+// label stage (a RelevantStages method, see algobase.Base): it states, once
+// per registered query, which edge updates that stage can let through, so a
+// driver serving many standing queries can leave this one out of an
+// update's fan-out altogether and account the update as label-safe
+// (core.MultiEngine's dispatch index, DESIGN.md §13).
+type LabelDispatch interface {
+	// DispatchLabels returns the unordered endpoint-label pairs ([lo, hi],
+	// lo <= hi) of the query's edges — for an edge update whose endpoint
+	// labels form any other pair the label stage fails and ΔM is empty,
+	// whatever the edge label — and whether such a label-safe update must
+	// still reach UpdateADS when either endpoint carries a query-vertex
+	// label, because the ADS reads endpoint degrees or adjacency. Valid
+	// after Build.
+	DispatchLabels() (pairs [][2]graph.Label, adsReadsDegrees bool)
+}
+
 // FootprintLocal marks algorithms eligible for the windowed executor's
 // parallel waves (DESIGN.md §15). Implementing it asserts two properties
 // the wave phases rely on:

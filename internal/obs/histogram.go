@@ -73,19 +73,27 @@ func NewHistogram() *Histogram {
 }
 
 // Observe records one duration. Negative durations are clamped to zero.
-func (h *Histogram) Observe(d time.Duration) {
+func (h *Histogram) Observe(d time.Duration) { h.ObserveN(d, 1) }
+
+// ObserveN records n observations of the same duration under one lock
+// acquisition — how a caller that accounts events in bulk keeps sample
+// counts reconciling with event counts.
+func (h *Histogram) ObserveN(d time.Duration, n uint64) {
+	if n == 0 {
+		return
+	}
 	v := uint64(0)
 	if d > 0 {
 		v = uint64(d)
 	}
 	i := bucketIndex(v)
 	h.mu.Lock()
-	h.buckets[i]++
-	h.count++
-	h.sum += v
-	if h.count == 1 || v < h.min {
+	h.buckets[i] += n
+	if h.count == 0 || v < h.min {
 		h.min = v
 	}
+	h.count += n
+	h.sum += v * n
 	if v > h.max {
 		h.max = v
 	}

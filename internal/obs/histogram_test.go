@@ -93,6 +93,35 @@ func TestHistogramBasics(t *testing.T) {
 	}
 }
 
+// TestHistogramObserveN: n observations in one call leave the histogram
+// exactly as n calls of Observe would.
+func TestHistogramObserveN(t *testing.T) {
+	bulk, single := NewHistogram(), NewHistogram()
+	for _, c := range []struct {
+		d time.Duration
+		n uint64
+	}{{0, 1000}, {3 * time.Millisecond, 7}, {-time.Second, 2}, {time.Hour, 0}} {
+		bulk.ObserveN(c.d, c.n)
+		for i := uint64(0); i < c.n; i++ {
+			single.Observe(c.d)
+		}
+	}
+	bb, bc, bs := bulk.Snapshot()
+	sb, sc, ss := single.Snapshot()
+	if bc != sc || bs != ss || len(bb) != len(sb) || bulk.Min() != single.Min() || bulk.Max() != single.Max() {
+		t.Fatalf("bulk count %d sum %v min %v max %v; single %d %v %v %v",
+			bc, bs, bulk.Min(), bulk.Max(), sc, ss, single.Min(), single.Max())
+	}
+	for i := range bb {
+		if bb[i] != sb[i] {
+			t.Fatalf("bucket %d: bulk %+v, single %+v", i, bb[i], sb[i])
+		}
+	}
+	if got := bulk.Quantile(0.5); got != 0 {
+		t.Fatalf("median of mostly-zero samples = %v", got)
+	}
+}
+
 func TestHistogramMerge(t *testing.T) {
 	a, b := NewHistogram(), NewHistogram()
 	for i := 1; i <= 100; i++ {

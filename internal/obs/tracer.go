@@ -222,6 +222,22 @@ func (t *Tracer) Update(ev Event) {
 	t.ring.Append(ev)
 }
 
+// SafeN records n updates that were proved label-safe without being looked
+// at one by one (the (query, update) pairs core.MultiEngine's dispatch index
+// skips): counters and phase histograms advance exactly as under n Update
+// calls of class ClassSafeLabel with zero durations, so updates == safe +
+// unsafe + direct and the phase sample counts keep reconciling, but no
+// event enters the ring.
+//
+//paracosm:noalloc
+func (t *Tracer) SafeN(n uint64) {
+	t.updates.Add(n)
+	t.safe.Add(n)
+	t.hists[PhaseTotal].ObserveN(0, n)
+	t.hists[PhaseADS].ObserveN(0, n)
+	t.hists[PhaseFind].ObserveN(0, n)
+}
+
 // Classify records one inter-update batch's stage-A classification time.
 func (t *Tracer) Classify(d time.Duration) {
 	t.batches.Add(1)

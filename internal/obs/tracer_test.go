@@ -39,6 +39,30 @@ func TestTracerUpdateAggregates(t *testing.T) {
 	}
 }
 
+// TestTracerSafeN: bulk-recorded label-safe updates move the counters and
+// phase histograms as the same number of Update calls would, and leave the
+// ring alone.
+func TestTracerSafeN(t *testing.T) {
+	tr := NewTracer(16)
+	tr.Update(Event{Op: "+e", Class: ClassUnsafe, Total: time.Millisecond})
+	tr.SafeN(127)
+	c := tr.Counters()
+	if c.Updates != 128 || c.Safe != 127 || c.Unsafe != 1 || c.Updates != c.Safe+c.Unsafe {
+		t.Fatalf("counters = %+v", c)
+	}
+	for _, p := range []Phase{PhaseTotal, PhaseADS, PhaseFind} {
+		if got := tr.Hist(p).Count(); got != c.Updates {
+			t.Fatalf("phase %v holds %d samples for %d updates", p, got, c.Updates)
+		}
+	}
+	if got := tr.Hist(PhaseTotal).Sum(); got != time.Millisecond {
+		t.Fatalf("bulk samples carry time: sum %v", got)
+	}
+	if evs := tr.Ring().Snapshot(); len(evs) != 1 {
+		t.Fatalf("ring has %d events, want the one Update", len(evs))
+	}
+}
+
 func TestTracerWritePrometheus(t *testing.T) {
 	tr := NewTracer(8)
 	tr.Update(Event{Op: "+e", Class: ClassUnsafe, Matches: 2, Find: time.Millisecond, Total: time.Millisecond})

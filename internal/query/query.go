@@ -39,6 +39,26 @@ type Graph struct {
 	// orders[e][k] is the matching order used when the updated data edge is
 	// mapped onto query edge edges[e]; see BuildOrders.
 	orders [][]VertexID
+
+	// match is the label-filter table behind MatchingEdges, built once by
+	// Finalize: one row per ordered endpoint-label pair some query edge
+	// carries. Queries have a handful of distinct pairs, so a row is found
+	// by linear scan.
+	match []matchRow
+}
+
+// matchRow lists the query-edge orientations a data edge with ordered
+// endpoint labels (lu, lv) maps onto, in edge-index order: all of them in
+// any, and the same split by edge label in byEL.
+type matchRow struct {
+	lu, lv graph.Label
+	any    []EdgeOrientation
+	byEL   []matchELRow
+}
+
+type matchELRow struct {
+	le  graph.Label
+	eos []EdgeOrientation
 }
 
 // Neighbor is one query adjacency entry.
@@ -99,8 +119,9 @@ func (q *Graph) MustAddEdge(u, v VertexID, l graph.Label) {
 }
 
 // Finalize validates connectivity, sorts adjacency lists and precomputes
-// the per-edge matching orders. It must be called once after all edges are
-// added and before the query is used for matching.
+// the per-edge matching orders and the label-filter table behind
+// MatchingEdges. It must be called once after all edges are added and
+// before the query is used for matching.
 func (q *Graph) Finalize() error {
 	if len(q.edges) == 0 && len(q.labels) > 1 {
 		return fmt.Errorf("query: %d vertices but no edges", len(q.labels))
@@ -119,7 +140,48 @@ func (q *Graph) Finalize() error {
 		return fmt.Errorf("query: graph is not connected")
 	}
 	q.BuildOrders()
+	q.buildMatchTable()
 	return nil
+}
+
+// buildMatchTable fills q.match from the sorted edge list.
+func (q *Graph) buildMatchTable() {
+	q.match = nil
+	for _, e := range q.edges {
+		q.addMatchRow(q.labels[e.U], q.labels[e.V])
+		q.addMatchRow(q.labels[e.V], q.labels[e.U])
+	}
+}
+
+func (q *Graph) addMatchRow(lu, lv graph.Label) {
+	for i := range q.match {
+		if q.match[i].lu == lu && q.match[i].lv == lv {
+			return
+		}
+	}
+	r := matchRow{lu: lu, lv: lv}
+	add := func(eo EdgeOrientation) {
+		r.any = append(r.any, eo)
+		le := q.edges[eo.Index].ELabel
+		for i := range r.byEL {
+			if r.byEL[i].le == le {
+				r.byEL[i].eos = append(r.byEL[i].eos, eo)
+				return
+			}
+		}
+		r.byEL = append(r.byEL, matchELRow{le: le, eos: []EdgeOrientation{eo}})
+	}
+	for i, e := range q.edges {
+		if q.labels[e.U] == lu && q.labels[e.V] == lv {
+			add(EdgeOrientation{Index: i, Flipped: false})
+		}
+		// lu == lv: both orientations map the same label pair; the search
+		// must try both assignments, so the flipped variant is listed too.
+		if q.labels[e.U] == lv && q.labels[e.V] == lu {
+			add(EdgeOrientation{Index: i, Flipped: true})
+		}
+	}
+	q.match = append(q.match, r)
 }
 
 func (q *Graph) connected() bool {
@@ -201,23 +263,37 @@ func (q *Graph) EdgeIndex(u, v VertexID) int {
 // the label-filter primitive shared by all algorithms and by ParaCOSM's
 // update classifier. Both orientations are considered; each returned
 // orientation is (edge index, flipped) where flipped means the data
-// endpoint carrying lu maps to edge.V.
+// endpoint carrying lu maps to edge.V. The result is a row of the table
+// Finalize built, in edge-index order: the call allocates nothing and the
+// caller must not modify it.
 func (q *Graph) MatchingEdges(lu, lv, le graph.Label, ignoreELabel bool) []EdgeOrientation {
-	var out []EdgeOrientation
-	for i, e := range q.edges {
-		if !ignoreELabel && e.ELabel != le {
+	for i := range q.match {
+		r := &q.match[i]
+		if r.lu != lu || r.lv != lv {
 			continue
 		}
-		if q.labels[e.U] == lu && q.labels[e.V] == lv {
-			out = append(out, EdgeOrientation{Index: i, Flipped: false})
+		if ignoreELabel {
+			return r.any
 		}
-		if q.labels[e.U] == lv && q.labels[e.V] == lu && (lu != lv) {
-			out = append(out, EdgeOrientation{Index: i, Flipped: true})
+		for j := range r.byEL {
+			if r.byEL[j].le == le {
+				return r.byEL[j].eos
+			}
 		}
-		// lu == lv: both orientations map the same label pair; the search
-		// must try both assignments, so emit the flipped variant too.
-		if lu == lv && q.labels[e.U] == lu && q.labels[e.V] == lu {
-			out = append(out, EdgeOrientation{Index: i, Flipped: true})
+		return nil
+	}
+	return nil
+}
+
+// EdgeLabelPairs returns the distinct unordered endpoint-label pairs of the
+// query's edges, each as [lo, hi] with lo <= hi: the keys under which the
+// label filter can pass. A data edge whose endpoint labels form any other
+// pair gets an empty MatchingEdges whatever its edge label.
+func (q *Graph) EdgeLabelPairs() [][2]graph.Label {
+	var out [][2]graph.Label
+	for i := range q.match {
+		if r := &q.match[i]; r.lu <= r.lv {
+			out = append(out, [2]graph.Label{r.lu, r.lv})
 		}
 	}
 	return out

@@ -131,6 +131,86 @@ func TestMatchingEdgesRespectsEdgeLabels(t *testing.T) {
 	}
 }
 
+// matchingEdgesByScan is the definition MatchingEdges' table must agree
+// with: a scan of the edge list.
+func matchingEdgesByScan(q *Graph, lu, lv, le graph.Label, ignoreELabel bool) []EdgeOrientation {
+	var out []EdgeOrientation
+	for i, e := range q.Edges() {
+		if !ignoreELabel && e.ELabel != le {
+			continue
+		}
+		if q.Label(e.U) == lu && q.Label(e.V) == lv {
+			out = append(out, EdgeOrientation{Index: i})
+		}
+		if q.Label(e.U) == lv && q.Label(e.V) == lu {
+			out = append(out, EdgeOrientation{Index: i, Flipped: true})
+		}
+	}
+	return out
+}
+
+// TestMatchingEdgesTable: the table Finalize builds answers every
+// (lu, lv, le) exactly as a scan of the edge list would, in the same order,
+// without allocating; EdgeLabelPairs lists exactly the unordered pairs with
+// a non-empty answer.
+func TestMatchingEdgesTable(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 50; trial++ {
+		n := 2 + rng.Intn(6)
+		labels := make([]graph.Label, n)
+		for i := range labels {
+			labels[i] = graph.Label(rng.Intn(3))
+		}
+		q := MustNew(labels)
+		for v := 1; v < n; v++ {
+			q.MustAddEdge(VertexID(rng.Intn(v)), VertexID(v), graph.Label(rng.Intn(2)))
+		}
+		for extra := 0; extra < n; extra++ {
+			if u, v := VertexID(rng.Intn(n)), VertexID(rng.Intn(n)); u != v && !q.HasEdge(u, v) {
+				q.MustAddEdge(u, v, graph.Label(rng.Intn(2)))
+			}
+		}
+		if err := q.Finalize(); err != nil {
+			t.Fatal(err)
+		}
+		pairs := map[[2]graph.Label]bool{}
+		for _, p := range q.EdgeLabelPairs() {
+			if p[0] > p[1] || pairs[p] {
+				t.Fatalf("EdgeLabelPairs = %v: unordered or repeated", q.EdgeLabelPairs())
+			}
+			pairs[p] = true
+		}
+		for lu := graph.Label(0); lu < 4; lu++ {
+			for lv := graph.Label(0); lv < 4; lv++ {
+				for le := graph.Label(0); le < 3; le++ {
+					for _, ignore := range []bool{false, true} {
+						got := q.MatchingEdges(lu, lv, le, ignore)
+						want := matchingEdgesByScan(q, lu, lv, le, ignore)
+						if len(got) != len(want) {
+							t.Fatalf("MatchingEdges(%d,%d,%d,%v) = %v, scan %v", lu, lv, le, ignore, got, want)
+						}
+						for i := range got {
+							if got[i] != want[i] {
+								t.Fatalf("MatchingEdges(%d,%d,%d,%v) = %v, scan %v", lu, lv, le, ignore, got, want)
+							}
+						}
+					}
+				}
+				lo, hi := lu, lv
+				if lo > hi {
+					lo, hi = hi, lo
+				}
+				if any := len(q.MatchingEdges(lu, lv, 0, true)) > 0; any != pairs[[2]graph.Label{lo, hi}] {
+					t.Fatalf("pair (%d,%d): matches %v, listed %v", lu, lv, any, pairs[[2]graph.Label{lo, hi}])
+				}
+			}
+		}
+		if a := testing.AllocsPerRun(20, func() { q.MatchingEdges(labels[0], labels[1], 0, false) }); a != 0 {
+			t.Fatalf("MatchingEdges allocates %.1f per call", a)
+		}
+	}
+}
+
 func TestOrdersAreConnectedPermutations(t *testing.T) {
 	q := triangleWithTail(t)
 	for i, e := range q.Edges() {

@@ -14,10 +14,13 @@ import (
 // the JSON shape `paracosm top` decodes). Latency quantiles come from the
 // per-query histogram (core.TrackQueries, always on in serving mode) and
 // are reported in integer microseconds to keep the rows jq/column
-// friendly.
+// friendly. Visited is how many of Updates ran through the query's engine;
+// the rest are label-safe updates the engine's dispatch index accounted in
+// bulk (core.QuerySnapshot.Visited).
 type QueryRow struct {
 	Name           string  `json:"name"`
 	Updates        int     `json:"updates"`
+	Visited        int     `json:"visited"`
 	Safe           int     `json:"safe_updates"`
 	Unsafe         int     `json:"unsafe_updates"`
 	Escalations    int     `json:"escalations"`
@@ -42,6 +45,7 @@ func (s *Server) QueryRows() []QueryRow {
 		rows = append(rows, QueryRow{
 			Name:           qs.Name,
 			Updates:        st.Updates,
+			Visited:        qs.Visited,
 			Safe:           st.SafeUpdates,
 			Unsafe:         st.UnsafeUpdates,
 			Escalations:    st.Escalations,

@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -117,8 +118,11 @@ func queriesJSON(t *testing.T, srv *Server, rawQuery string) []QueryRow {
 }
 
 // TestQueriesEndpoint covers the /queries debug endpoint: every live
-// query appears with its processed-update count, sort keys and ?n=
-// truncation work, unknown keys are a 400.
+// query appears with its processed-update count — whether its engine saw
+// the updates ("visited") or the dispatch index accounted them in bulk —
+// sort keys and ?n= truncation work, unknown keys are a 400. The two
+// paracosm_dispatch_* counters on /metrics are the same tally summed over
+// queries.
 func TestQueriesEndpoint(t *testing.T) {
 	g := uniformGraph(100)
 	q := singleEdgeQuery(t)
@@ -134,6 +138,14 @@ func TestQueriesEndpoint(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// The graph has label 0 only: no update ever reaches this one.
+	idle, err := BuildQuery([]uint32{1, 2}, [][3]uint32{{0, 1, 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Register("idle", "GraphFlow", idle); err != nil {
+		t.Fatal(err)
+	}
 	rng := rand.New(rand.NewSource(19))
 	updates := insertOnlyStream(rng, g, 40, 1)
 	if _, err := cl.Send(updates); err != nil {
@@ -146,12 +158,21 @@ func TestQueriesEndpoint(t *testing.T) {
 	// Default sort (updates desc, name asc tiebreak): both queries saw
 	// every update, so the tiebreak decides.
 	rows := queriesJSON(t, srv, "")
-	if len(rows) != 2 || rows[0].Name != "alpha" || rows[1].Name != "beta" {
-		t.Fatalf("default rows = %+v, want alpha,beta", rows)
+	if len(rows) != 3 || rows[0].Name != "alpha" || rows[1].Name != "beta" || rows[2].Name != "idle" {
+		t.Fatalf("default rows = %+v, want alpha,beta,idle", rows)
 	}
 	for _, r := range rows {
 		if r.Updates != len(updates) {
 			t.Errorf("query %q updates = %d, want %d", r.Name, r.Updates, len(updates))
+		}
+		if r.Name == "idle" {
+			if r.Visited != 0 || r.Safe != len(updates) || r.Matches != 0 {
+				t.Errorf("idle row = %+v, want every update bulk-accounted as safe", r)
+			}
+			continue
+		}
+		if r.Visited != len(updates) {
+			t.Errorf("query %q visited = %d, want %d", r.Name, r.Visited, len(updates))
 		}
 		if r.Matches == 0 {
 			t.Errorf("query %q reports no matches over an all-matching stream", r.Name)
@@ -165,6 +186,18 @@ func TestQueriesEndpoint(t *testing.T) {
 	}
 	if rows := queriesJSON(t, srv, "by=latency&n=1"); len(rows) != 1 {
 		t.Errorf("n=1 returned %d rows", len(rows))
+	}
+	var sb strings.Builder
+	if err := srv.WriteMetrics(&sb); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		fmt.Sprintf("paracosm_dispatch_visited_total %d\n", 2*len(updates)),
+		fmt.Sprintf("paracosm_dispatch_skipped_total %d\n", len(updates)),
+	} {
+		if !strings.Contains(sb.String(), want) {
+			t.Errorf("/metrics lacks %q", want)
+		}
 	}
 
 	for _, bad := range []string{"by=bogus", "n=x", "n=-2"} {

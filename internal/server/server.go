@@ -996,6 +996,12 @@ type MetricsSnapshot struct {
 	QueryNegative  uint64
 	QuerySafe      uint64
 	QueryNodesSeen uint64
+
+	// The dispatch index's (query, edge update) pairs: handed to the
+	// query's engine, and accounted in bulk as label-safe without touching
+	// it (core.DispatchCounters).
+	DispatchVisited uint64
+	DispatchSkipped uint64
 }
 
 // Metrics returns a snapshot of the serving-layer gauges and counters.
@@ -1009,6 +1015,7 @@ func (s *Server) Metrics() MetricsSnapshot {
 	s.mu.Unlock()
 	total := s.multi.TotalStats()
 	_, closedN := s.multi.ClosedStats()
+	dc := s.multi.DispatchCounters()
 	return MetricsSnapshot{
 		Connections:   conns,
 		Queries:       s.multi.NumQueries(),
@@ -1028,6 +1035,9 @@ func (s *Server) Metrics() MetricsSnapshot {
 		QueryNegative:  total.Negative,
 		QuerySafe:      uint64(total.SafeUpdates),
 		QueryNodesSeen: total.Nodes,
+
+		DispatchVisited: dc.Visited,
+		DispatchSkipped: dc.Skipped,
 	}
 }
 
@@ -1057,6 +1067,8 @@ func (s *Server) WriteMetrics(w io.Writer) error {
 		{"paracosm_query_matches_negative_total", "counter", "Negative match deltas summed over live and deregistered queries.", m.QueryNegative},
 		{"paracosm_query_safe_updates_total", "counter", "Updates classified safe summed over live and deregistered queries.", m.QuerySafe},
 		{"paracosm_query_nodes_total", "counter", "Search-tree nodes visited summed over live and deregistered queries.", m.QueryNodesSeen},
+		{"paracosm_dispatch_visited_total", "counter", "(query, edge update) pairs the dispatch index handed to the query's engine.", m.DispatchVisited},
+		{"paracosm_dispatch_skipped_total", "counter", "(query, edge update) pairs the dispatch index accounted in bulk as label-safe, engine untouched.", m.DispatchSkipped},
 	}
 	for _, sr := range series {
 		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %d\n",

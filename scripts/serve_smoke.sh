@@ -4,9 +4,11 @@
 # serve`, drive it with `paracosm client` (register + subscribe + stream
 # + flush), and require the streamed delta totals to equal the oracle.
 # Also checks the serving-layer /metrics gauges, the /queries debug
-# endpoint and `paracosm top` against the live standing query, and
-# graceful shutdown on SIGTERM. Exits non-zero on any failure; CI runs
-# this as a gating step.
+# endpoint and `paracosm top` against the live standing queries — the
+# streaming client's, and a second one over labels the stream never pairs,
+# which the dispatch index accounts in bulk: both must show every streamed
+# update — and graceful shutdown on SIGTERM. Exits non-zero on any failure;
+# CI runs this as a gating step.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -16,7 +18,7 @@ DBG_PORT="${SERVE_SMOKE_DEBUG_PORT:-18081}"
 ADDR="127.0.0.1:${PORT}"
 DBG="127.0.0.1:${DBG_PORT}"
 WORK="$(mktemp -d)"
-trap 'kill "${CLI_PID:-}" "${SRV_PID:-}" 2>/dev/null || true; rm -rf "$WORK"' EXIT
+trap 'kill "${CLI_PID:-}" "${IDLE_PID:-}" "${SRV_PID:-}" 2>/dev/null || true; rm -rf "$WORK"' EXIT
 
 echo "== gendata =="
 go run ./cmd/gendata -out "$WORK" -scale 0.001
@@ -56,6 +58,25 @@ if [ -z "$ok" ]; then
     cat "$WORK/serve.out" >&2
     exit 1
 fi
+
+echo "== idle client: a standing query no update can touch =="
+# Vertex labels the generated graph does not have, so no update's endpoint
+# labels pair up to its one edge. It streams nothing and lingers.
+printf 'v 0 4000001\nv 1 4000002\ne 0 1 0\n' >"$WORK/idle_query.txt"
+"$WORK/paracosm" client -addr "$ADDR" -name idle -algo GraphFlow \
+    -query "$WORK/idle_query.txt" -linger 60s >"$WORK/idle.out" &
+IDLE_PID=$!
+ok=""
+for _ in $(seq 1 120); do
+    grep -q '^accepted' "$WORK/idle.out" 2>/dev/null && ok=1 && break
+    if ! kill -0 "$IDLE_PID" 2>/dev/null; then
+        echo "idle client exited before registering:" >&2
+        cat "$WORK/idle.out" >&2
+        exit 1
+    fi
+    sleep 0.5
+done
+[ -n "$ok" ] || { echo "idle client never registered" >&2; exit 1; }
 
 echo "== client: register, subscribe, stream, flush =="
 # -linger keeps the connection (and therefore the registered standing
@@ -108,24 +129,49 @@ grep -q '^paracosm_query_updates{name="smoke"}' "$WORK/metrics.txt"
 # Pipeline stage histograms fed by the serving path.
 grep -q '^paracosm_stage_commit_seconds_count' "$WORK/metrics.txt"
 
-echo "== /queries lists the live standing query =="
-curl -s "http://$DBG/queries" | tee "$WORK/queries.json"
-grep -q '"name": "smoke"' "$WORK/queries.json"
-QUPD="$(sed -n 's/^ *"updates": \([0-9][0-9]*\),$/\1/p' "$WORK/queries.json" | head -1)"
-if [ "${QUPD:-0}" -le 0 ]; then
-    echo "query 'smoke' shows no processed updates in /queries" >&2
+grep -q '^paracosm_dispatch_visited_total' "$WORK/metrics.txt"
+grep -q '^paracosm_dispatch_skipped_total' "$WORK/metrics.txt"
+
+echo "== /queries accounts every streamed update to both standing queries =="
+curl -s "http://$DBG/queries?by=name" | tee "$WORK/queries.json"
+# field NAME KEY: the integer KEY of query NAME's row.
+field() {
+    awk -F': ' -v name="$1" -v key="$2" '
+        $1 ~ /"name"$/ { gsub(/[",]/, "", $2); cur = $2 }
+        cur == name && $1 ~ "\"" key "\"$" { gsub(/,/, "", $2); print $2; exit }
+    ' "$WORK/queries.json"
+}
+ACCEPTED="$(sed -n 's/^accepted *: \([0-9][0-9]*\)$/\1/p' "$WORK/client.out")"
+if [ "${ACCEPTED:-0}" -le 0 ]; then
+    echo "client streamed no updates" >&2
     exit 1
 fi
-echo "query 'smoke' processed $QUPD updates"
+for qname in smoke idle; do
+    QUPD="$(field "$qname" updates)"
+    QVIS="$(field "$qname" visited)"
+    if [ "${QUPD:-x}" != "$ACCEPTED" ]; then
+        echo "query '$qname' shows ${QUPD:-no} updates in /queries, the client streamed $ACCEPTED" >&2
+        exit 1
+    fi
+    echo "query '$qname' accounts all $QUPD updates, visited for ${QVIS:-?}"
+done
+# Visited and bulk-accounted together make up the total; the idle query was
+# spared (at least some of) the stream and matched nothing.
+if [ "$(field idle matches)" != "0" ] || [ "$(field idle visited)" -ge "$ACCEPTED" ]; then
+    echo "query 'idle': matches $(field idle matches), visited $(field idle visited) of $ACCEPTED" >&2
+    exit 1
+fi
 
 echo "== paracosm top (one shot) =="
 "$WORK/paracosm" top -addr "$DBG" -n 5 -once | tee "$WORK/top.out"
 grep -q 'QUERY' "$WORK/top.out"
+grep -q 'VISITED' "$WORK/top.out"
 grep -q 'smoke' "$WORK/top.out"
 
-kill "$CLI_PID" 2>/dev/null || true
-wait "$CLI_PID" 2>/dev/null || true
+kill "$CLI_PID" "$IDLE_PID" 2>/dev/null || true
+wait "$CLI_PID" "$IDLE_PID" 2>/dev/null || true
 CLI_PID=""
+IDLE_PID=""
 
 echo "== graceful shutdown (SIGTERM) =="
 kill -TERM "$SRV_PID"
