@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build lint lint-json test race bench bench-json bench-compare debug-smoke serve-smoke metrics-lint recover-smoke fuzz experiments examples clean
+.PHONY: all build lint lint-json test race bench debug-smoke serve-smoke metrics-lint recover-smoke fuzz experiments examples clean
 
 all: lint test
 
@@ -33,21 +33,6 @@ race:
 
 bench:
 	$(GO) test -bench . -benchmem ./...
-
-# Machine-readable perf baseline: the Fig 7 microbench against the real
-# (non-simulated) worker pool — updates/sec, escalation rate and
-# park/wakeup counters — plus the shared-graph multi-query rows
-# (registrations/sec, bytes/query vs a private clone, lockstep
-# updates/sec at 100/1k/10k standing queries). CI runs this as a
-# non-gating step.
-bench-json:
-	$(GO) run ./cmd/benchjson -out BENCH_pr9.json
-
-# Non-gating comparison of the current baseline against the previous PR's
-# committed one (updates/sec, p99, kernel counters, multi-query rows).
-# Always exits 0.
-bench-compare:
-	$(GO) run ./cmd/benchcmp -old BENCH_pr8.json -new BENCH_pr9.json
 
 # End-to-end smoke of the observability layer: run paracosm with
 # -debug-addr on a generated dataset and curl /healthz, /metrics and

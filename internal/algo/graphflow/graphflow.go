@@ -20,10 +20,7 @@ type GraphFlow struct {
 // New returns a GraphFlow instance.
 func New() *GraphFlow { return &GraphFlow{} }
 
-var (
-	_ csm.Algorithm      = (*GraphFlow)(nil)
-	_ csm.FootprintLocal = (*GraphFlow)(nil)
-)
+var _ csm.Algorithm = (*GraphFlow)(nil)
 
 // Name implements csm.Algorithm.
 func (a *GraphFlow) Name() string { return "GraphFlow" }
@@ -42,8 +39,3 @@ func (a *GraphFlow) UpdateADS(stream.Update) {}
 // update passing the label/degree stages must be treated as potentially
 // match-changing.
 func (a *GraphFlow) AffectsADS(upd stream.Update) bool { return a.Relevant(upd) }
-
-// FootprintLocalFind implements csm.FootprintLocal: GraphFlow has no ADS
-// and enumerates by direct backtracking from the updated edge, touching
-// only vertices within query distance of it.
-func (a *GraphFlow) FootprintLocalFind() {}

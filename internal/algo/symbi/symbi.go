@@ -26,9 +26,8 @@ type Symbi struct {
 func New() *Symbi { return &Symbi{} }
 
 var (
-	_ csm.Algorithm      = (*Symbi)(nil)
-	_ csm.Rebuilder      = (*Symbi)(nil)
-	_ csm.FootprintLocal = (*Symbi)(nil)
+	_ csm.Algorithm = (*Symbi)(nil)
+	_ csm.Rebuilder = (*Symbi)(nil)
 )
 
 // Name implements csm.Algorithm.
@@ -56,9 +55,3 @@ func (a *Symbi) RebuildADS() bool { return a.ix.ConsistentWithRebuild() }
 
 // Index exposes the DCS for white-box tests.
 func (a *Symbi) Index() *dpindex.Index { return a.ix }
-
-// FootprintLocalFind implements csm.FootprintLocal: the DCS stores
-// per-(query-vertex, data-vertex) states and ApplyUpdate propagates only
-// along graph edges within query distance of the update, so maintenance
-// and enumeration for footprint-disjoint updates touch disjoint entries.
-func (a *Symbi) FootprintLocalFind() {}

@@ -19,7 +19,6 @@ import (
 	"paracosm/internal/core"
 	"paracosm/internal/csm"
 	"paracosm/internal/dataset"
-	"paracosm/internal/graph"
 	"paracosm/internal/obs"
 	"paracosm/internal/query"
 	"paracosm/internal/stream"
@@ -161,15 +160,6 @@ type RunResult struct {
 	Elapsed time.Duration // incremental matching time (TTotal)
 	Stats   core.Stats
 	Success bool // finished within budget
-	// Kernels snapshots the engine's intersection-kernel counters when the
-	// algorithm exposes them (every algobase-derived backend does).
-	Kernels graph.KernelCounters
-}
-
-// kernelCounter is implemented by algorithms that share the intersection
-// kernels of internal/graph (algobase.Base promotes it).
-type kernelCounter interface {
-	KernelCounters() graph.KernelCounters
 }
 
 // runOne processes stream s for query q over a fresh clone of d.Graph
@@ -177,8 +167,8 @@ type kernelCounter interface {
 func (c Config) runOne(entry algo.Entry, d *dataset.Dataset, q *query.Graph, s stream.Stream, opts ...core.Option) RunResult {
 	g := d.Graph.Clone()
 	if c.Tracer != nil {
-		// Prepend so an explicit per-call WithTracer (e.g. benchjson's
-		// per-record tracer) wins over the harness-wide one.
+		// Prepend so an explicit per-call WithTracer wins over the
+		// harness-wide one.
 		opts = append([]core.Option{core.WithTracer(c.Tracer)}, opts...)
 	}
 	eng := core.New(entry.New(), opts...)
@@ -191,9 +181,6 @@ func (c Config) runOne(entry algo.Entry, d *dataset.Dataset, q *query.Graph, s s
 	defer cancel()
 	st, err := eng.Run(ctx, s)
 	res := RunResult{Elapsed: st.TTotal, Stats: st, Success: err == nil}
-	if kc, ok := eng.Algo().(kernelCounter); ok {
-		res.Kernels = kc.KernelCounters()
-	}
 	if err != nil && !errors.Is(err, csm.ErrDeadline) && !errors.Is(err, context.DeadlineExceeded) {
 		panic(fmt.Sprintf("bench: %s run: %v", entry.Name, err))
 	}

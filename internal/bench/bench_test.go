@@ -91,44 +91,3 @@ func TestStreamCapApplies(t *testing.T) {
 		t.Fatalf("stream length %d exceeds cap %d", len(s), cfg.StreamCap)
 	}
 }
-
-// TestRunWindowBench smoke-tests the schema-6 windowed-executor rows at
-// tiny scale: every workload must appear at both window sizes, baselines
-// must carry zero window counters, and windowed rows must record windows.
-func TestRunWindowBench(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	recs, err := tinyConfig().RunWindowBench()
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := map[string]bool{}
-	for _, r := range recs {
-		seen[r.Workload] = true
-		if r.Updates == 0 {
-			t.Errorf("%s/%s w=%d: no updates ran", r.Workload, r.Algo, r.Window)
-		}
-		if r.Window == 1 && r.Windows != 0 {
-			t.Errorf("%s/%s w=1 baseline recorded %d windows", r.Workload, r.Algo, r.Windows)
-		}
-		if r.Window > 1 && r.Windows == 0 {
-			t.Errorf("%s/%s w=%d recorded no windows", r.Workload, r.Algo, r.Window)
-		}
-		if r.Window > 1 && r.Groups > 0 && r.AvgGroup <= 0 {
-			t.Errorf("%s/%s w=%d: groups without avg_group", r.Workload, r.Algo, r.Window)
-		}
-	}
-	for _, wl := range []string{"uniform", "deletion_heavy", "bursty"} {
-		if !seen[wl] {
-			t.Errorf("workload %s missing from records", wl)
-		}
-	}
-	// Bursty streams are built from exact insert/delete bursts, so the
-	// coalescer must annihilate pairs there.
-	for _, r := range recs {
-		if r.Workload == "bursty" && r.Window > 1 && r.AnnihilatedPairs == 0 {
-			t.Errorf("bursty w=%d: no annihilated pairs (coalesced=%d)", r.Window, r.Coalesced)
-		}
-	}
-}

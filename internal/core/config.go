@@ -92,22 +92,16 @@ type Config struct {
 	// this off). Ignored by standalone engines.
 	TrackQueries bool
 
-	// Window enables the batch-dynamic executor v2 when > 1: updates are
-	// buffered into windows of up to Window updates, coalesced (exact
+	// Window enables update windows when > 1: the stream is cut into
+	// windows of up to Window updates, each window is coalesced (exact
 	// insert/delete pairs annihilate, repeated touches of one edge fold to
-	// their net effect), and unsafe updates with disjoint conflict
-	// footprints execute concurrently instead of serializing one at a
-	// time. 0 or 1 (the default) keeps the per-update v1 executor.
-	// Requires InterUpdate; ignored under Simulate (the simulator models
-	// the per-update schedule).
+	// their net effect) and the survivors run through the per-update
+	// executor in window order — so a windowed run equals a per-update run
+	// over each window coalesced, and only NET totals compare with the raw
+	// stream (DESIGN.md §15). 0 or 1 (the default) is the per-update
+	// executor alone. A standalone Engine also requires InterUpdate;
+	// ignored under Simulate (the simulator models the per-update schedule).
 	Window int
-
-	// FootprintCap bounds the conflict-footprint size (vertices visited by
-	// the query-relevant BFS) per update. An update whose footprint would
-	// exceed the cap is treated as conflicting with everything — it runs
-	// alone, exactly like the v1 serial path — so the cap trades grouping
-	// opportunity for bounded conflict-build cost. Defaults to 512.
-	FootprintCap int
 }
 
 // DeltaFunc observes one processed update's incremental result (see
@@ -149,11 +143,8 @@ func WithOnDelta(f DeltaFunc) Option { return func(c *Config) { c.OnDelta = f } 
 // TrackQueries toggles per-query latency histograms in a MultiEngine.
 func TrackQueries(on bool) Option { return func(c *Config) { c.TrackQueries = on } }
 
-// Window sets the batch-dynamic window size (0 or 1 disables windowing).
+// Window sets the coalescing window size (0 or 1 disables windowing).
 func Window(n int) Option { return func(c *Config) { c.Window = n } }
-
-// FootprintCap bounds the per-update conflict-footprint size.
-func FootprintCap(n int) Option { return func(c *Config) { c.FootprintCap = n } }
 
 // maxThreads bounds the real worker pool: a searcher's slot (caller 0,
 // worker 1+w) must fit csm.State.Slot. Simulated workers have no slot.
@@ -186,23 +177,24 @@ func (c *Config) normalize() {
 	if c.Window < 0 {
 		c.Window = 0
 	}
-	if c.FootprintCap < 1 {
-		c.FootprintCap = 512
-	}
 }
 
-// WindowCounters instruments the batch-dynamic (windowed) executor. A
-// standalone Engine accumulates them inside its Stats; a MultiEngine
-// counts at the shared driver level (once per update, not per query) and
-// exposes them through MultiEngine.WindowCounters.
+// WindowCounters instruments Window(n). A standalone Engine accumulates
+// them inside its Stats; a MultiEngine counts at the shared driver level
+// (once per update, not per query) and exposes them through
+// MultiEngine.WindowCounters.
+//
+// UnsafeParallel, FallbackSerial and MaxGroup are left from the deleted
+// wave scheduler only because benchmarks/harness reads them: every
+// survivor is committed alone, in window order. They leave, together
+// with internal/graph/footprint.go, in ROADMAP item 9's benchmark PR.
 type WindowCounters struct {
 	Windows        int // windows executed
 	Coalesced      int // updates removed by window coalescing
 	Annihilated    int // exact insert/delete pairs annihilated (2 updates each)
-	UnsafeParallel int // updates committed in multi-update independent groups
-	FallbackSerial int // conflict/overflow/barrier updates committed alone
-	Groups         int // independent groups committed (including singletons)
-	MaxGroup       int // largest independent group committed
+	UnsafeParallel int // always 0
+	FallbackSerial int // survivors committed
+	MaxGroup       int // 1 once a window had a survivor, else 0
 }
 
 // Add accumulates o into w (MaxGroup takes the max).
@@ -212,7 +204,6 @@ func (w *WindowCounters) Add(o WindowCounters) {
 	w.Annihilated += o.Annihilated
 	w.UnsafeParallel += o.UnsafeParallel
 	w.FallbackSerial += o.FallbackSerial
-	w.Groups += o.Groups
 	if o.MaxGroup > w.MaxGroup {
 		w.MaxGroup = o.MaxGroup
 	}
@@ -248,7 +239,7 @@ type Stats struct {
 	Parks       uint64 // pool worker park events during escalated epochs
 	Wakeups     uint64 // pool worker wakeups from park during epochs
 
-	// Batch-dynamic executor counters (Config.Window > 1).
+	// Window(n) counters (Config.Window > 1).
 	Window WindowCounters
 
 	// ThreadBusy holds cumulative per-thread busy times during

@@ -32,10 +32,9 @@ type Engine struct {
 	// searchers is the private scratch of every goroutine that searches
 	// for this engine (see inner.go): slot 0 is the caller — root
 	// collection and the sequential phase of every update — and slot 1+w
-	// is pool worker w; the windowed executor's wave members borrow the
-	// low slots while no epoch runs. The worker slots are added by the
-	// first parallel phase (ensureWorkers), so an engine that never runs
-	// one — most of a MultiEngine's thousands — carries the caller's only.
+	// is pool worker w. The worker slots are added by the first parallel
+	// phase (ensureWorkers), so an engine that never runs one — most of a
+	// MultiEngine's thousands — carries the caller's only.
 	searchers []*searcher
 	// phase is the find phase in flight, shared by its searchers.
 	phase searchPhase
@@ -51,8 +50,8 @@ type Engine struct {
 	// mode only; 0 when processing updates outside Run).
 	simBudget time.Duration
 
-	// verdicts is runBatch's classification scratch, one entry per update
-	// of the round, reused across rounds.
+	// verdicts is Stage A's classification scratch, one entry per update
+	// of the round (batch or window), reused across rounds.
 	verdicts []classification
 
 	// pool is the persistent worker pool of the inner-update executor,
@@ -66,21 +65,9 @@ type Engine struct {
 	// phases per engine, so no lock is needed.
 	shared sharedPending
 
-	// sharedBuf is the windowed driver's slot buffer: one sharedPending
-	// per coalesced window update, so a whole independent set can sit
-	// between its prepare and commit barriers (see multiwindow.go). Grown
-	// by the driver before each window; unused otherwise.
-	sharedBuf []sharedPending
-
-	// win is the batch-dynamic executor's reusable window scratch
-	// (Config.Window > 1; see window.go), built lazily on first use.
+	// win is Window(n)'s reusable coalescing scratch (Config.Window > 1;
+	// see window.go), built lazily on first use.
 	win *winScratch
-
-	// winDefer, when non-nil, redirects processUpdate's OnDelta emission
-	// into the pointed-to window result instead of firing the callback:
-	// the windowed executor emits deltas at window end, in window order.
-	// Only the serial window paths set it, so no lock is needed.
-	winDefer *winResult
 
 	// lat, if non-nil, observes every processed update's latency — the
 	// exact value accumulated into Stats.TTotal, at the same sites that
@@ -269,12 +256,7 @@ func (e *Engine) processUpdate(ctx context.Context, upd stream.Update, cl classi
 		}
 		e.traceUpdate(upd, cl, reclassified, &d, &r, total, err != nil)
 	}
-	if e.winDefer != nil {
-		// Windowed execution defers emission to window end (window order);
-		// the result records the delta instead of firing the callback.
-		e.winDefer.d = d
-		e.winDefer.emit = true
-	} else if e.cfg.OnDelta != nil {
+	if e.cfg.OnDelta != nil {
 		// Fires only after the update is fully applied: mutation errors
 		// returned above never reach here, timeouts do (partial ΔM).
 		e.cfg.OnDelta(upd, d, err != nil)
@@ -363,10 +345,8 @@ func (e *Engine) account(d *csm.Delta, seqBusy, elapsed time.Duration) {
 // edge matches none. Only stage-3 safety (AffectsADS == false) proves the
 // ADS untouched, so only then is maintenance skipped (the γ·T_ADS term of
 // the speedup model, Eq. 1). The update's latency is prior — time already
-// spent on it that t0 does not cover — plus the time since t0. With emit
-// the OnDelta callback fires (empty ΔM: subscribers observe stream
-// progress); callers that defer emission pass false and use the returned
-// delta and latency.
+// spent on it that t0 does not cover — plus the time since t0. The OnDelta
+// callback fires with the empty ΔM: subscribers observe stream progress.
 //
 // Eq. 1 models safe updates as M-way-parallel ADS maintenance (γ·T_ADS/M).
 // The paper's C++ system updates the index concurrently under fine-grained
@@ -375,7 +355,7 @@ func (e *Engine) account(d *csm.Delta, seqBusy, elapsed time.Duration) {
 // is documented in DESIGN.md.
 //
 //paracosm:noalloc
-func (e *Engine) commitSafe(upd stream.Update, v classification, t0 time.Time, prior time.Duration, emit bool) (csm.Delta, time.Duration) {
+func (e *Engine) commitSafe(upd stream.Update, v classification, t0 time.Time, prior time.Duration) {
 	var tads time.Duration
 	if v != classSafeADS {
 		tA := time.Now()
@@ -397,10 +377,9 @@ func (e *Engine) commitSafe(upd stream.Update, v classification, t0 time.Time, p
 		var r innerResult
 		e.traceUpdate(upd, v, false, &d, &r, total, false)
 	}
-	if emit && e.cfg.OnDelta != nil {
+	if e.cfg.OnDelta != nil {
 		e.cfg.OnDelta(upd, d, false)
 	}
-	return d, total
 }
 
 // accountSafe books n safe updates of class v, each with ADS time tads and
@@ -455,23 +434,16 @@ func (e *Engine) Run(ctx context.Context, s stream.Stream) (Stats, error) {
 		}
 		return e.Stats(), nil
 	}
-	if e.cfg.Window > 1 && !e.cfg.Simulate {
-		i := 0
-		for i < len(s) {
-			n, err := e.runWindow(ctx, s[i:])
-			i += n
-			if err != nil {
-				return e.Stats(), fmt.Errorf("window ending at update %d: %w", i-1, err)
-			}
-			if n == 0 {
-				return e.Stats(), fmt.Errorf("core: windowed executor made no progress")
-			}
-		}
-		return e.Stats(), nil
-	}
+	windowed := e.cfg.Window > 1 && !e.cfg.Simulate
 	i := 0
 	for i < len(s) {
-		n, err := e.runBatch(ctx, s[i:])
+		var n int
+		var err error
+		if windowed {
+			n, err = e.runWindow(ctx, s[i:])
+		} else {
+			n, err = e.runBatch(ctx, s[i:])
+		}
 		i += n
 		if err != nil {
 			return e.Stats(), fmt.Errorf("update %d: %w", i-1, err)
@@ -552,88 +524,111 @@ func (e *Engine) classify(upd stream.Update) classification {
 // prefix, full processing of the first unsafe update, deferral of the
 // rest. It returns how many updates of s were consumed.
 func (e *Engine) runBatch(ctx context.Context, s stream.Stream) (int, error) {
-	k := e.cfg.BatchSize
-	if k > len(s) {
-		k = len(s)
+	if len(s) > e.cfg.BatchSize {
+		s = s[:e.cfg.BatchSize]
 	}
-	batch := s[:k]
+	verdicts := e.stageA(s)
+	for j, upd := range s {
+		ranUnsafe, err := e.stageB(ctx, upd, verdicts[j])
+		if err != nil || ranUnsafe {
+			// Defer the remainder of the batch (Figure 6).
+			return j + 1, err
+		}
+	}
+	return len(s), nil
+}
 
-	// Stage A: parallel classification (read-only against g and ADS).
+// stageA is Stage A of the inter-update executor: classify batch in
+// parallel (read-only against the graph and ADS) into the engine's verdict
+// scratch and book the round. Shared by runBatch and runWindow.
+func (e *Engine) stageA(batch stream.Stream) []classification {
+	k := len(batch)
 	for len(e.verdicts) < k {
 		e.verdicts = append(e.verdicts, classUnsafe)
 	}
 	verdicts := e.verdicts[:k]
-	classifyCost := e.classifyStageA(batch, verdicts)
+	t := time.Now()
+	workers := e.cfg.Threads
+	if workers > k {
+		workers = k
+	}
+	if workers <= 1 {
+		for j, upd := range batch {
+			verdicts[j] = e.classify(upd)
+		}
+	} else {
+		var wg sync.WaitGroup
+		chunk := (k + workers - 1) / workers
+		for lo := 0; lo < k; lo += chunk {
+			hi := lo + chunk
+			if hi > k {
+				hi = k
+			}
+			wg.Add(1)
+			go func(lo, hi int) {
+				defer wg.Done()
+				for j := lo; j < hi; j++ {
+					verdicts[j] = e.classify(batch[j])
+				}
+			}(lo, hi)
+		}
+		wg.Wait()
+	}
+	cost := time.Since(t)
 	if e.cfg.Simulate && e.cfg.Threads > 1 {
 		// Under schedule simulation classification runs sequentially but
 		// is charged as k-way parallel work.
-		classifyCost /= time.Duration(e.cfg.Threads)
+		cost /= time.Duration(e.cfg.Threads)
 	}
 	e.statsMu.Lock()
 	e.stats.Batches++
-	e.stats.TTotal += classifyCost
+	e.stats.TTotal += cost
 	e.statsMu.Unlock()
 	if e.cfg.Tracer != nil {
-		e.cfg.Tracer.Classify(classifyCost)
+		e.cfg.Tracer.Classify(cost)
 	}
+	return verdicts
+}
 
-	// Stage B: ordered application. Safe updates are applied directly
-	// (no ADS maintenance, no enumeration — that is the whole point);
-	// the first unsafe update runs the full inner-parallel path and
-	// everything after it is deferred to the next batch. Because earlier
-	// updates in the batch may have changed endpoint degrees since
-	// classification, safe verdicts are cheaply re-validated before
-	// application.
-	consumed := 0
-	for j, upd := range batch {
-		v := verdicts[j]
-		reclassified := false
-		// Earlier updates in this batch may have changed endpoint degrees
-		// or the ADS since stage-A classification, so degree- and
-		// ADS-based safe verdicts are re-validated against the current
-		// state before application. Label-based verdicts are permanent
-		// (vertex labels never change) and skip re-validation.
-		if (v == classSafeDegree || v == classSafeADS) && upd.IsEdge() {
-			if rv := e.classify(upd); rv == classUnsafe {
-				v = classUnsafe
-				reclassified = true
-				e.statsMu.Lock()
-				e.stats.Reclassified++
-				e.statsMu.Unlock()
-			} else {
-				v = rv
-			}
-		}
-		switch v {
-		case classVertexOp:
-			if _, err := e.processUpdate(ctx, upd, classVertexOp, false); err != nil {
-				return consumed + 1, err
-			}
+// stageB is one step of Stage B, the ordered application, for an update
+// with Stage-A verdict v. Safe updates are applied directly (no
+// enumeration, and no ADS maintenance either at stage-3 safety — that is
+// the whole point); vertex ops and unsafe updates run the full
+// inner-parallel path. Earlier updates of the round may have changed
+// endpoint degrees or the ADS since classification, so degree- and
+// ADS-based safe verdicts are first re-validated against the current
+// state; label-based verdicts are permanent (vertex labels never change).
+// It reports whether upd ran as unsafe, behind which runBatch defers the
+// rest of its batch.
+func (e *Engine) stageB(ctx context.Context, upd stream.Update, v classification) (ranUnsafe bool, err error) {
+	reclassified := false
+	if (v == classSafeDegree || v == classSafeADS) && upd.IsEdge() {
+		if v = e.classify(upd); v == classUnsafe {
+			reclassified = true
 			e.statsMu.Lock()
-			e.stats.VertexUpdates++
-			e.stats.SafeUpdates++
+			e.stats.Reclassified++
 			e.statsMu.Unlock()
-			consumed++
-
-		case classSafeLabel, classSafeDegree, classSafeADS:
-			t0 := time.Now()
-			if err := upd.Apply(e.g); err != nil {
-				return consumed + 1, err
-			}
-			e.commitSafe(upd, v, t0, 0, true)
-			consumed++
-
-		case classUnsafe:
-			if _, err := e.processUpdate(ctx, upd, classUnsafe, reclassified); err != nil {
-				return consumed + 1, err
-			}
-			e.statsMu.Lock()
-			e.stats.UnsafeUpdates++
-			e.statsMu.Unlock()
-			consumed++
-			// Defer the remainder of the batch (Figure 6).
-			return consumed, nil
 		}
 	}
-	return consumed, nil
+	switch v {
+	case classSafeLabel, classSafeDegree, classSafeADS:
+		t0 := time.Now()
+		if err := upd.Apply(e.g); err != nil {
+			return false, err
+		}
+		e.commitSafe(upd, v, t0, 0)
+		return false, nil
+	}
+	if _, err := e.processUpdate(ctx, upd, v, reclassified); err != nil {
+		return false, err
+	}
+	e.statsMu.Lock()
+	if v == classVertexOp {
+		e.stats.VertexUpdates++
+		e.stats.SafeUpdates++
+	} else {
+		e.stats.UnsafeUpdates++
+	}
+	e.statsMu.Unlock()
+	return v == classUnsafe, nil
 }

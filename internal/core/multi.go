@@ -81,9 +81,8 @@ type MultiEngine struct {
 	valid    stream.Stream // guarded by mu
 	validIdx []int         // guarded by mu
 
-	// active is the windowed driver's reusable fan-out scratch (the live
-	// queries of the current pass), for the same reason; the per-update
-	// driver also uses it once a query has failed mid-call.
+	// active is the driver's reusable list of the queries still live in
+	// the current call, built once one has failed mid-call.
 	active []*multiQuery // guarded by mu
 
 	// dispatch routes each edge update to the queries it can touch and
@@ -109,15 +108,10 @@ type MultiEngine struct {
 	fanPrepare func(*multiQuery) // guarded by mu
 	fanCommit  func(*multiQuery) // guarded by mu
 
-	// Windowed-mode state (Config.Window > 1, see multiwindow.go): the
-	// driver scratch, the current-wave task read by the wave fan-out
-	// closures, and the driver-level window counter tally.
-	mwin          *winDriver        // guarded by mu
-	winCur        winCurTask        // guarded by mu (same discipline as fanCur)
-	winStats      WindowCounters    // guarded by mu
-	fanPrepareWin func(*multiQuery) // guarded by mu
-	fanCommitWin  func(*multiQuery) // guarded by mu
-	fanEmitWin    func(*multiQuery) // guarded by mu
+	// Window(n) state (see window.go): the coalescing scratch, nil unless
+	// Config.Window > 1, and the driver-level window counter tally.
+	win      *winScratch    // guarded by mu
+	winStats WindowCounters // guarded by mu
 }
 
 type multiQuery struct {
@@ -145,7 +139,11 @@ func NewMulti(opts ...Option) *MultiEngine {
 		o(&cfg)
 	}
 	cfg.normalize()
-	return &MultiEngine{cfg: cfg, dispatch: newDispatchIndex()}
+	var win *winScratch
+	if cfg.Window > 1 {
+		win = newWinScratch()
+	}
+	return &MultiEngine{cfg: cfg, dispatch: newDispatchIndex(), win: win}
 }
 
 // Register adds a continuous query under a display name. Must be called
@@ -436,17 +434,7 @@ func (m *MultiEngine) ProcessBatchLogged(ctx context.Context, batch stream.Strea
 			if stageHere {
 				commit := clk.Lap()
 				wait, assemble := bt.stageWaits(i)
-				st := tr.Stages()
-				st.Observe(obs.StageIngestWait, wait)
-				st.Observe(obs.StageAssemble, assemble)
-				st.Observe(obs.StagePreApply, 0)
-				st.Observe(obs.StageCommit, commit)
-				st.Observe(obs.StagePostApply, 0)
-				tr.Stage(obs.Event{
-					Op: upd.Op.String(), U: uint32(upd.U), V: uint32(upd.V),
-					IngestWait: wait, Assemble: assemble, Commit: commit,
-					Total: wait + assemble + commit,
-				})
+				observeUpdateStages(tr, upd, wait, assemble, 0, commit, 0)
 			}
 			m.valid = append(m.valid, upd)
 			m.validIdx = append(m.validIdx, i)
@@ -484,7 +472,9 @@ func (m *MultiEngine) ProcessBatchLogged(ctx context.Context, batch stream.Strea
 // the others are accounted in bulk as the safe:label updates they are
 // (dispatch.go). A query whose engine reports an error is skipped for the
 // remainder of the call (its index no longer tracks the shared graph);
-// the error is left in mq.err for collectErrsLocked.
+// the error is left in mq.err for collectErrsLocked. Under Window(n) the
+// loop runs the call's coalesced survivors (coalesceLocked) — same loop,
+// same index, fewer updates — and names them by their position in s.
 //
 // With a Tracer configured, the driver observes each fully-applied
 // update's pipeline stages (ingest wait and assembly dwell from bt/idx,
@@ -497,12 +487,9 @@ func (m *MultiEngine) ProcessBatchLogged(ctx context.Context, batch stream.Strea
 // whether a query may have recorded an error, i.e. whether the caller has
 // anything to collect.
 func (m *MultiEngine) runSharedLocked(ctx context.Context, s stream.Stream, bt *BatchTimes, idx []int) (failed bool) {
-	if m.cfg.Window > 1 && !m.cfg.Simulate && len(m.queries) > 0 {
-		// Batch-dynamic mode: coalesce windows and commit independent
-		// sets per barrier pair instead of one update at a time.
-		m.active = append(m.active[:0], m.queries...)
-		m.runSharedWindowedLocked(ctx, s, bt, idx)
-		return true
+	var pos []int // windowed: each survivor's position in the call's stream
+	if m.cfg.Window > 1 && !m.cfg.Simulate {
+		s, pos = m.coalesceLocked(s, bt, idx)
 	}
 	if m.fanPrepare == nil {
 		// Built once per MultiEngine: the closures read the current task
@@ -512,7 +499,7 @@ func (m *MultiEngine) runSharedLocked(ctx context.Context, s stream.Stream, bt *
 		}
 		m.fanCommit = func(mq *multiQuery) {
 			cur := &m.fanCur
-			if _, err := mq.eng.sharedCommit(cur.ctx, cur.upd); err != nil {
+			if err := mq.eng.sharedCommit(cur.ctx, cur.upd); err != nil {
 				mq.err = fmt.Errorf("update %d (%v): %w", cur.i, cur.upd, err)
 			} else if cur.simBudget > 0 && mq.eng.totalElapsed() > cur.simBudget {
 				mq.err = fmt.Errorf("update %d: %w", cur.i, csm.ErrDeadline)
@@ -544,6 +531,9 @@ func (m *MultiEngine) runSharedLocked(ctx context.Context, s stream.Stream, bt *
 	var clk obs.StageClock
 	yielded := time.Now()
 	for i, upd := range s {
+		if pos != nil {
+			i = pos[i]
+		}
 		m.fanCur.ctx, m.fanCur.upd, m.fanCur.i, m.fanCur.simBudget = ctx, upd, i, simBudget
 		if live == 0 && len(m.queries) > 0 {
 			// Every query failed; stop early — the remaining updates would
@@ -602,18 +592,7 @@ func (m *MultiEngine) runSharedLocked(ctx context.Context, s stream.Stream, bt *
 				orig = idx[i]
 			}
 			wait, assemble := bt.stageWaits(orig)
-			st := tr.Stages()
-			st.Observe(obs.StageIngestWait, wait)
-			st.Observe(obs.StageAssemble, assemble)
-			st.Observe(obs.StagePreApply, preApply)
-			st.Observe(obs.StageCommit, commit)
-			st.Observe(obs.StagePostApply, postApply)
-			tr.Stage(obs.Event{
-				Op: upd.Op.String(), U: uint32(upd.U), V: uint32(upd.V),
-				IngestWait: wait, Assemble: assemble, PreApply: preApply,
-				Commit: commit, PostApply: postApply,
-				Total: wait + assemble + preApply + commit + postApply,
-			})
+			observeUpdateStages(tr, upd, wait, assemble, preApply, commit, postApply)
 		}
 		if len(visit) > 0 && m.OnDelta != nil {
 			// The barriers of a visit-everything driver were also where the
@@ -667,6 +646,26 @@ func (m *MultiEngine) runSharedLocked(ctx context.Context, s stream.Stream, bt *
 // runs through undisturbed and its deltas leave in one write, short against
 // the milliseconds a heavy update's search takes.
 const yieldEvery = time.Millisecond
+
+// observeUpdateStages observes one applied update's five pipeline stages
+// and emits its ClassStage ring event — all together, so the per-update
+// stage sample counts are equal by construction.
+//
+//paracosm:noalloc
+func observeUpdateStages(tr *obs.Tracer, upd stream.Update, wait, assemble, preApply, commit, postApply time.Duration) {
+	st := tr.Stages()
+	st.Observe(obs.StageIngestWait, wait)
+	st.Observe(obs.StageAssemble, assemble)
+	st.Observe(obs.StagePreApply, preApply)
+	st.Observe(obs.StageCommit, commit)
+	st.Observe(obs.StagePostApply, postApply)
+	tr.Stage(obs.Event{
+		Op: upd.Op.String(), U: uint32(upd.U), V: uint32(upd.V),
+		IngestWait: wait, Assemble: assemble, PreApply: preApply,
+		Commit: commit, PostApply: postApply,
+		Total: wait + assemble + preApply + commit + postApply,
+	})
+}
 
 // fanOut runs fn over every query from min(GOMAXPROCS, len(qs)) worker
 // goroutines (work-stealing by atomic index, since per-query cost is

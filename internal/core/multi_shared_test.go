@@ -62,6 +62,33 @@ func privateReplay(t *testing.T, algo csm.Algorithm, base *graph.Graph, q *query
 	return st, seq
 }
 
+// checkSharedDeltas compares one query's OnDelta sequence from a shared run
+// with its private replay's: every fired shared delta is the private delta
+// of the same update, in order, and what the shared run left out — the
+// pairs its dispatch index skipped — is all empty.
+func checkSharedDeltas(t *testing.T, name string, shared, private []deltaRec) {
+	t.Helper()
+	p := 0
+	for i, rec := range shared {
+		for p < len(private) && private[p] != rec {
+			if private[p].pos != 0 || private[p].neg != 0 {
+				t.Errorf("%s: private delta %d %+v never fired in the shared run", name, p, private[p])
+			}
+			p++
+		}
+		if p == len(private) {
+			t.Errorf("%s: shared delta %d %+v has no private counterpart", name, i, rec)
+			return
+		}
+		p++
+	}
+	for ; p < len(private); p++ {
+		if private[p].pos != 0 || private[p].neg != 0 {
+			t.Errorf("%s: private delta %d %+v never fired in the shared run", name, p, private[p])
+		}
+	}
+}
+
 // statsCounts is the slice of Stats every driver must agree on exactly:
 // everything that counts updates, matches and search nodes, nothing timed.
 type statsCounts struct {
@@ -110,7 +137,9 @@ func skewedLabel(rng *rand.Rand) graph.Label {
 // insertP) and deletes over g plus vertex ops: an AddVertex is always
 // followed by an edge to the new vertex, so a batch boundary placed anywhere
 // leaves some batch using an ID it created itself, and isolated vertices get
-// deleted. Two edge labels.
+// deleted. One edge update in ten undoes the one before it, so a window
+// over the stream has pairs to annihilate and edges to retouch. Two edge
+// labels.
 func skewedStream(rng *rand.Rand, g *graph.Graph, length int, insertP float64) stream.Stream {
 	sim := g.Clone()
 	var s stream.Stream
@@ -141,6 +170,14 @@ func skewedStream(rng *rand.Rand, g *graph.Graph, length int, insertP float64) s
 					break
 				}
 			}
+		case r < 0.20 && len(s) > 0 && s[len(s)-1].IsEdge():
+			last := s[len(s)-1]
+			if last.Op == stream.AddEdge {
+				last.Op = stream.DeleteEdge
+			} else {
+				last.Op, last.ELabel = stream.AddEdge, graph.Label(rng.Intn(2))
+			}
+			emit(last)
 		case r < 0.10+0.90*insertP:
 			if u, v := liveVertex(), liveVertex(); u != v && !sim.HasEdge(u, v) {
 				emit(stream.Update{Op: stream.AddEdge, U: u, V: v, ELabel: graph.Label(rng.Intn(2))})
@@ -213,16 +250,21 @@ type oracleQuery struct {
 // the pairs dispatchRule names) and the reconciliation identities of the
 // observability layer. Run under -race this also exercises the fan-out
 // phases' concurrent reads of the shared graph.
+//
+// Under Window(8) the same must hold with each call's batch coalesced in
+// windows of 8 standing for the batch: the private engines replay the
+// survivors, and the dispatch index routes and counts exactly them.
 func TestMultiEngineSharedOracle(t *testing.T) {
 	for _, tc := range []struct {
 		seed    int64
 		insertP float64
 	}{{31, 0.7}, {32, 0.45}, {33, 0.6}} {
-		t.Run(fmt.Sprintf("seed%d", tc.seed), func(t *testing.T) { sharedOracle(t, tc.seed, tc.insertP) })
+		t.Run(fmt.Sprintf("seed%d", tc.seed), func(t *testing.T) { sharedOracle(t, tc.seed, tc.insertP, 0) })
+		t.Run(fmt.Sprintf("seed%d_window8", tc.seed), func(t *testing.T) { sharedOracle(t, tc.seed, tc.insertP, 8) })
 	}
 }
 
-func sharedOracle(t *testing.T, seed int64, insertP float64) {
+func sharedOracle(t *testing.T, seed int64, insertP float64, window int) {
 	rng := rand.New(rand.NewSource(seed))
 	g := graph.New(40)
 	for i := 0; i < 40; i++ {
@@ -268,7 +310,7 @@ func sharedOracle(t *testing.T, seed int64, insertP float64) {
 
 	tr := obs.NewTracer(1 << 12)
 	shared := newDeltaLog()
-	m := NewMulti(Threads(2), TrackQueries(true), WithTracer(tr))
+	m := NewMulti(Threads(2), TrackQueries(true), WithTracer(tr), Window(window))
 	defer m.Close()
 	m.OnDelta = func(name string, upd stream.Update, d csm.Delta, timeout bool) {
 		shared.add(name, upd, d)
@@ -279,6 +321,9 @@ func sharedOracle(t *testing.T, seed int64, insertP float64) {
 
 	// Drive the segments, registering and deregistering at the boundaries
 	// and restating the dispatch rule against a shadow graph as we go.
+	// committed[i] is what the driver commits of segment i: the segment
+	// itself, or under Window(n) each call's batch coalesced.
+	committed := make([]stream.Stream, len(segs))
 	final := make(map[string]QuerySnapshot) // at deregistration, or at the end
 	wantVisited := make(map[string]int)
 	var wantDC DispatchCounters
@@ -312,7 +357,23 @@ func sharedOracle(t *testing.T, seed int64, insertP float64) {
 				}
 			}
 		}
-		for _, upd := range seg {
+		// Uneven batches, so vertex ops and the edges using them land both
+		// inside one batch and across a boundary.
+		for off, k := 0, 1; off < len(seg); off, k = off+k, k%7+3 {
+			end := off + k
+			if end > len(seg) {
+				end = len(seg)
+			}
+			batch := seg[off:end]
+			if n, err := m.ProcessBatch(ctx, batch); err != nil || n != len(batch) {
+				t.Fatalf("segment %d [%d:%d]: applied %d, %v", si, off, end, n, err)
+			}
+			if window > 1 {
+				batch = coalesceChunks(batch, window)
+			}
+			committed[si] = append(committed[si], batch...)
+		}
+		for _, upd := range committed[si] {
 			live := 0
 			for _, oq := range queries {
 				if oq.from > si || oq.to <= si {
@@ -334,17 +395,11 @@ func sharedOracle(t *testing.T, seed int64, insertP float64) {
 				t.Fatal(err)
 			}
 		}
-		// Uneven batches, so vertex ops and the edges using them land both
-		// inside one batch and across a boundary.
-		for off, k := 0, 1; off < len(seg); off, k = off+k, k%7+3 {
-			end := off + k
-			if end > len(seg) {
-				end = len(seg)
-			}
-			if n, err := m.ProcessBatch(ctx, seg[off:end]); err != nil || n != end-off {
-				t.Fatalf("segment %d [%d:%d]: applied %d, %v", si, off, end, n, err)
-			}
-		}
+	}
+	if coalesced := len(s) - len(committed[0]) - len(committed[1]) - len(committed[2]); window > 1 && coalesced == 0 {
+		t.Fatal("fixture lost its point: no window coalesced anything")
+	} else if got := m.WindowCounters().Coalesced; got != coalesced {
+		t.Errorf("driver coalesced %d updates away, want %d", got, coalesced)
 	}
 	wantDC.Skipped -= wantDC.Visited
 	if wantDC.Skipped == 0 || wantDC.Visited == 0 {
@@ -360,7 +415,7 @@ func sharedOracle(t *testing.T, seed int64, insertP float64) {
 	// Per query: counters, deltas and visit count against the private run.
 	for _, oq := range queries {
 		var own stream.Stream
-		for _, seg := range segs[oq.from:oq.to] {
+		for _, seg := range committed[oq.from:oq.to] {
 			own = append(own, seg...)
 		}
 		wantSt, wantSeq := privateReplay(t, oq.f.New(), bases[oq.from], oq.q, own)
@@ -375,27 +430,7 @@ func sharedOracle(t *testing.T, seed int64, insertP float64) {
 		if got.Visited != wantVisited[oq.name] {
 			t.Errorf("%s: visited for %d of %d updates, the rule says %d", oq.name, got.Visited, got.Stats.Updates, wantVisited[oq.name])
 		}
-		// Every fired shared delta is the private delta of the same update,
-		// in order, and what the shared run left out is all empty.
-		p := 0
-		for i, rec := range shared.seqs[oq.name] {
-			for p < len(wantSeq) && wantSeq[p] != rec {
-				if wantSeq[p].pos != 0 || wantSeq[p].neg != 0 {
-					t.Errorf("%s: private delta %d %+v never fired in the shared run", oq.name, p, wantSeq[p])
-				}
-				p++
-			}
-			if p == len(wantSeq) {
-				t.Errorf("%s: shared delta %d %+v has no private counterpart", oq.name, i, rec)
-				break
-			}
-			p++
-		}
-		for ; p < len(wantSeq); p++ {
-			if wantSeq[p].pos != 0 || wantSeq[p].neg != 0 {
-				t.Errorf("%s: private delta %d %+v never fired in the shared run", oq.name, p, wantSeq[p])
-			}
-		}
+		checkSharedDeltas(t, oq.name, shared.seqs[oq.name], wantSeq)
 	}
 
 	// Latency samples reconcile with update counts, bulk samples included.

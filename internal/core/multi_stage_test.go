@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -20,8 +21,16 @@ import (
 // updates that the speculative apply filters out — every per-update
 // stage histogram holds EXACTLY one sample per applied update. Run under
 // -race this also exercises QuerySnapshots/TotalStats readers against
-// the lockstep driver.
+// the lockstep driver. Under Window(8) an applied update that coalescing
+// removes still counts in every per-update stage, the coalesce stage
+// holds one sample per window, and the engines see the survivors only.
 func TestMultiStageCountsReconcile(t *testing.T) {
+	for _, window := range []int{0, 8} {
+		t.Run(fmt.Sprintf("window%d", window), func(t *testing.T) { stageCountsReconcile(t, window) })
+	}
+}
+
+func stageCountsReconcile(t *testing.T, window int) {
 	rng := rand.New(rand.NewSource(23))
 	g := algotest.RandomGraph(rng, 30, 60, 2, 1)
 	qA := algotest.RandomQuery(rng, g, 3)
@@ -32,7 +41,7 @@ func TestMultiStageCountsReconcile(t *testing.T) {
 	s := algotest.RandomStream(rng, g, 120, 0.7, 1)
 
 	tr := obs.NewTracer(1 << 10)
-	m := NewMulti(Threads(2), WithTracer(tr))
+	m := NewMulti(Threads(2), WithTracer(tr), Window(window))
 	defer m.Close()
 	if err := m.Init(g); err != nil {
 		t.Fatal(err)
@@ -64,13 +73,19 @@ func TestMultiStageCountsReconcile(t *testing.T) {
 	}()
 
 	ctx := context.Background()
-	applied, submitted := 0, 0
+	applied, submitted, survivors, windows := 0, 0, 0, 0
 	for off := 0; off < len(s); off += 16 {
 		end := off + 16
 		if end > len(s) {
 			end = len(s)
 		}
 		chunk := append(stream.Stream(nil), s[off:end]...)
+		if off%32 == 0 {
+			// Churn for the coalescer: undo the chunk's last update, redo it.
+			last, undo := chunk[len(chunk)-1], chunk[len(chunk)-1]
+			undo.Op = stream.AddEdge + stream.DeleteEdge - last.Op
+			chunk = append(chunk, undo, last)
+		}
 		// A guaranteed-invalid update (self-loop delete that was never
 		// inserted): filtered by the speculative apply, so it must NOT
 		// contribute stage samples.
@@ -91,6 +106,13 @@ func TestMultiStageCountsReconcile(t *testing.T) {
 		}
 		applied += n
 		submitted += len(chunk)
+		if window > 1 {
+			// chunk's valid updates are all of it but the appended one.
+			survivors += len(coalesceChunks(chunk[:n], window))
+			windows += (n + window - 1) / window
+		} else {
+			survivors += n
+		}
 	}
 	close(stop)
 	wg.Wait()
@@ -112,10 +134,14 @@ func TestMultiStageCountsReconcile(t *testing.T) {
 	}
 
 	// The ring carries one ClassStage event per applied update, each
-	// internally consistent.
-	stageEvents := 0
+	// internally consistent, and one "win" event per window.
+	stageEvents, winEvents := 0, 0
 	for _, ev := range tr.Ring().Snapshot() {
 		if ev.Class != obs.ClassStage {
+			continue
+		}
+		if ev.Op == obs.OpWindow {
+			winEvents++
 			continue
 		}
 		stageEvents++
@@ -126,12 +152,28 @@ func TestMultiStageCountsReconcile(t *testing.T) {
 	if stageEvents != applied {
 		t.Errorf("ring stage events = %d, want applied %d", stageEvents, applied)
 	}
+	if got := st.Hist(obs.StageCoalesce).Count(); got != uint64(windows) || winEvents != windows {
+		t.Errorf("coalesce stage count = %d, ring window events = %d, want one per window: %d", got, winEvents, windows)
+	}
+	if window > 1 && survivors == applied {
+		t.Fatal("no applied update was coalesced away; the windowed case lost its point")
+	}
 
-	// Per-query engines each saw every applied update.
+	// Per-query engines each saw every committed update.
 	for _, qs := range m.QuerySnapshots() {
-		if qs.Stats.Updates != applied {
-			t.Errorf("query %q processed %d updates, want %d", qs.Name, qs.Stats.Updates, applied)
+		if qs.Stats.Updates != survivors {
+			t.Errorf("query %q processed %d updates, want %d", qs.Name, qs.Stats.Updates, survivors)
 		}
+	}
+
+	// An apply error names the update's position in the stream the caller
+	// passed, not among the survivors: four touches of one edge fold to two
+	// survivors or none, and the self-loop delete behind them cannot apply.
+	last, undo := s[len(s)-1], s[len(s)-1]
+	undo.Op = stream.AddEdge + stream.DeleteEdge - last.Op
+	err := m.Run(ctx, stream.Stream{undo, last, undo, last, {Op: stream.DeleteEdge, U: 0, V: 0}})
+	if err == nil || !strings.Contains(err.Error(), "update 4 ") {
+		t.Errorf("Run error = %v, want one naming update 4", err)
 	}
 }
 
@@ -268,14 +310,15 @@ func TestQuerySnapshotsAndClosedLatency(t *testing.T) {
 	}
 }
 
-// sharedAllocsPerUpdate measures steady-state allocations per update
-// through the full serving-mode path (ProcessBatchTimed over a
-// MultiEngine with one registered query), with the allocation-free probe
-// algorithm isolating the driver's own cost.
-func sharedAllocsPerUpdate(t *testing.T, bt *BatchTimes, opts ...Option) float64 {
+// sharedAllocsPerUpdate measures steady-state allocations per update of
+// batch — which must leave the 6-vertex graph as it found it — through the
+// full serving-mode path (ProcessBatchTimed over a MultiEngine with one
+// registered query), with the allocation-free probe algorithm isolating
+// the driver's own cost.
+func sharedAllocsPerUpdate(t *testing.T, batch stream.Stream, bt *BatchTimes, opts ...Option) float64 {
 	t.Helper()
 	g := graph.New(0)
-	for i := 0; i < 4; i++ {
+	for i := 0; i < 6; i++ {
 		g.AddVertex(0)
 	}
 	opts = append([]Option{Threads(1), InterUpdate(false)}, opts...)
@@ -301,10 +344,6 @@ func sharedAllocsPerUpdate(t *testing.T, bt *BatchTimes, opts ...Option) float64
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	batch := stream.Stream{
-		{Op: stream.AddEdge, U: 0, V: 1},
-		{Op: stream.DeleteEdge, U: 0, V: 1},
-	}
 	cycle := func() {
 		if _, err := m.ProcessBatchTimed(ctx, batch, bt); err != nil {
 			t.Fatal(err)
@@ -375,7 +414,8 @@ func dispatchedAllocsPerUpdate(t *testing.T, opts ...Option) float64 {
 // a tracer — stage clocks, stage histograms, ring events, queue
 // timestamps — adds none. Nor does the dispatch index: building an update's
 // visit list and accounting the 60-odd queries it leaves out allocate
-// nothing, traced or not.
+// nothing, traced or not. Nor does Window(8), whose pre-pass coalesces
+// into reused buffers: two windows, one annihilated pair in each.
 func TestSharedPathAllocations(t *testing.T) {
 	if n := dispatchedAllocsPerUpdate(t); n != 0 {
 		t.Errorf("dispatched shared path allocates %.2f per update, want 0", n)
@@ -383,22 +423,34 @@ func TestSharedPathAllocations(t *testing.T) {
 	if n := dispatchedAllocsPerUpdate(t, WithTracer(obs.NewTracer(64))); n != 0 {
 		t.Errorf("traced dispatched shared path allocates %.2f per update, want 0", n)
 	}
-	nilAllocs := sharedAllocsPerUpdate(t, nil)
-	tracedAllocs := sharedAllocsPerUpdate(t, nil, WithTracer(obs.NewTracer(64)))
-	now := time.Now()
-	bt := &BatchTimes{
-		Enqueued: []time.Time{now, now},
-		Dequeued: []time.Time{now, now},
-		Flushed:  now,
-	}
-	timedAllocs := sharedAllocsPerUpdate(t, bt, WithTracer(obs.NewTracer(64)))
-	if nilAllocs != 0 {
-		t.Errorf("nil-tracer shared path allocates %.2f per update, want 0", nilAllocs)
-	}
-	if tracedAllocs != 0 {
-		t.Errorf("traced shared path allocates %.2f per update, want 0", tracedAllocs)
-	}
-	if timedAllocs != 0 {
-		t.Errorf("traced+timed shared path allocates %.2f per update, want 0", timedAllocs)
+	add := func(u, v graph.VertexID) stream.Update { return stream.Update{Op: stream.AddEdge, U: u, V: v} }
+	del := func(u, v graph.VertexID) stream.Update { return stream.Update{Op: stream.DeleteEdge, U: u, V: v} }
+	for _, tc := range []struct {
+		name  string
+		batch stream.Stream
+		opts  []Option
+	}{
+		{"per-update", stream.Stream{add(0, 1), del(0, 1)}, nil},
+		{"Window(8)", stream.Stream{
+			add(0, 1), add(1, 2), add(2, 3), del(0, 1), add(3, 4), add(4, 5), add(0, 2), add(1, 3),
+			del(1, 2), del(2, 3), del(3, 4), del(4, 5), del(0, 2), del(1, 3), add(0, 5), del(0, 5),
+		}, []Option{Window(8)}},
+	} {
+		now := time.Now()
+		bt := &BatchTimes{Flushed: now}
+		for range tc.batch {
+			bt.Enqueued = append(bt.Enqueued, now)
+			bt.Dequeued = append(bt.Dequeued, now)
+		}
+		traced := func() []Option { return append([]Option{WithTracer(obs.NewTracer(64))}, tc.opts...) }
+		if n := sharedAllocsPerUpdate(t, tc.batch, nil, tc.opts...); n != 0 {
+			t.Errorf("%s: nil-tracer shared path allocates %.2f per update, want 0", tc.name, n)
+		}
+		if n := sharedAllocsPerUpdate(t, tc.batch, nil, traced()...); n != 0 {
+			t.Errorf("%s: traced shared path allocates %.2f per update, want 0", tc.name, n)
+		}
+		if n := sharedAllocsPerUpdate(t, tc.batch, bt, traced()...); n != 0 {
+			t.Errorf("%s: traced+timed shared path allocates %.2f per update, want 0", tc.name, n)
+		}
 	}
 }

@@ -41,11 +41,6 @@ type sharedPending struct {
 	// adds its own share so TTotal never includes the driver's fan-out
 	// barrier waits.
 	prepElapsed time.Duration
-	// err and done are used only by the windowed driver's slot buffer
-	// (see multiwindow.go), which defers OnDelta emission to window end:
-	// done marks a committed slot, err its commit error.
-	err  error
-	done bool
 }
 
 // sharedFullPath reports whether the verdict requires the full
@@ -63,14 +58,8 @@ func sharedFullPath(v classification) bool {
 // the full path it enumerates the expiring matches now, while the edge is
 // still present.
 func (e *Engine) sharedPrepare(ctx context.Context, upd stream.Update) {
-	e.sharedPrepareInto(ctx, upd, &e.shared)
-}
-
-// sharedPrepareInto is sharedPrepare writing into an explicit slot: the
-// windowed driver keeps one sharedPending per coalesced update so a whole
-// independent set can sit between its prepare and commit barriers.
-func (e *Engine) sharedPrepareInto(ctx context.Context, upd stream.Update, p *sharedPending) {
 	t0 := time.Now()
+	p := &e.shared
 	*p = sharedPending{}
 	switch {
 	case !upd.IsEdge():
@@ -95,18 +84,10 @@ func (e *Engine) sharedPrepareInto(ctx context.Context, upd stream.Update, p *sh
 // and the OnDelta callback exactly like the private-graph paths, and
 // returns csm.ErrDeadline under the same timeout contract as
 // ProcessUpdate: the mutation and ADS maintenance are applied, the Delta
-// is a partial lower-bound ΔM.
-func (e *Engine) sharedCommit(ctx context.Context, upd stream.Update) (csm.Delta, error) {
-	return e.sharedCommitFrom(ctx, upd, &e.shared, true)
-}
-
-// sharedCommitFrom is sharedCommit reading from an explicit slot. With
-// emit false the OnDelta callback is suppressed — the windowed driver
-// emits slot deltas itself at window end, in window order (commuting
-// updates make the delta values order-independent, so deferral only
-// restores the observable order).
-func (e *Engine) sharedCommitFrom(ctx context.Context, upd stream.Update, p *sharedPending, emit bool) (csm.Delta, error) {
+// OnDelta reports is a partial lower-bound ΔM.
+func (e *Engine) sharedCommit(ctx context.Context, upd stream.Update) error {
 	t0 := time.Now()
+	p := &e.shared
 	simulate := e.cfg.Simulate && e.cfg.Threads > 1
 
 	if sharedFullPath(p.verdict) || p.verdict == classVertexOp {
@@ -141,13 +122,13 @@ func (e *Engine) sharedCommitFrom(ctx context.Context, upd stream.Update, p *sha
 			}
 			e.traceUpdate(upd, p.verdict, false, &p.d, &p.r, total, err != nil)
 		}
-		if emit && e.cfg.OnDelta != nil {
+		if e.cfg.OnDelta != nil {
 			e.cfg.OnDelta(upd, p.d, err != nil)
 		}
-		return p.d, err
+		return err
 	}
 
 	// Safe verdicts: the ΔM is provably empty, so enumeration is skipped.
-	p.d, _ = e.commitSafe(upd, p.verdict, t0, p.prepElapsed, emit)
-	return p.d, nil
+	e.commitSafe(upd, p.verdict, t0, p.prepElapsed)
+	return nil
 }

@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"sync"
+	"strings"
 	"testing"
 
 	"paracosm/internal/algo/algotest"
@@ -15,23 +15,14 @@ import (
 	"paracosm/internal/stream"
 )
 
-// winDeltaRec is one OnDelta observation tagged with its update, so
-// windowed and oracle sequences can be compared update-for-update.
-type winDeltaRec struct {
-	op       stream.Op
-	u, v     graph.VertexID
-	pos, neg uint64
-	timeout  bool
-}
-
 // runWithDeltas runs one engine over s and returns its stats, delta
 // sequence, and the post-run graph (the engine mutates the graph it was
 // initialized with).
-func runWithDeltas(t *testing.T, algo csm.Algorithm, g *graph.Graph, q *query.Graph, s stream.Stream, opts ...Option) (Stats, []winDeltaRec, *graph.Graph) {
+func runWithDeltas(t *testing.T, algo csm.Algorithm, g *graph.Graph, q *query.Graph, s stream.Stream, opts ...Option) (Stats, []deltaRec, *graph.Graph) {
 	t.Helper()
-	var seq []winDeltaRec
+	var seq []deltaRec
 	opts = append(append([]Option(nil), opts...), WithOnDelta(func(upd stream.Update, d csm.Delta, timeout bool) {
-		seq = append(seq, winDeltaRec{upd.Op, upd.U, upd.V, d.Positive, d.Negative, timeout})
+		seq = append(seq, deltaRec{upd, d.Positive, d.Negative})
 	}))
 	eng := New(algo, opts...)
 	defer eng.Close()
@@ -76,15 +67,15 @@ func graphFingerprint(g *graph.Graph) string {
 	return fmt.Sprint(out)
 }
 
-// checkWindowedOracle runs s through a windowed engine and checks it
-// against the sequential oracle: the delta sequence must equal a
-// per-update (v1) run over the coalesced stream, and the final graph and
-// net totals must equal a v1 run over the raw stream (coalescing elides
-// transient within-window matches, so only the NET totals are
+// checkWindowedOracle runs s through a windowed engine and checks the
+// Window(n) contract: the delta sequence — values and order — must equal
+// a per-update run over the coalesced stream, and the final graph and net
+// totals must equal a per-update run over the raw stream (coalescing
+// elides transient within-window matches, so only the NET totals are
 // raw-comparable — see DESIGN.md §15).
-func checkWindowedOracle(t *testing.T, f algotest.Factory, g *graph.Graph, q *query.Graph, s stream.Stream, window int, extra ...Option) Stats {
+func checkWindowedOracle(t *testing.T, f algotest.Factory, g *graph.Graph, q *query.Graph, s stream.Stream, window int) Stats {
 	t.Helper()
-	opts := append([]Option{Threads(4), BatchSize(8)}, extra...)
+	opts := []Option{Threads(4), BatchSize(8)}
 
 	oracleStream := coalesceChunks(s, window)
 	_, wantSeq, wantG := runWithDeltas(t, f.New(), g.Clone(), q, oracleStream, opts...)
@@ -112,31 +103,43 @@ func checkWindowedOracle(t *testing.T, f algotest.Factory, g *graph.Graph, q *qu
 	if gotNet != rawNet {
 		t.Fatalf("%s w=%d: windowed net matches %d, raw replay %d", f.Name, window, gotNet, rawNet)
 	}
-	if gotSt.Window.Windows == 0 {
-		t.Fatalf("%s w=%d: windowed run recorded no windows", f.Name, window)
+	if want := (len(s) + window - 1) / window; gotSt.Window.Windows != want {
+		t.Fatalf("%s w=%d: windowed run recorded %d windows, want %d", f.Name, window, gotSt.Window.Windows, want)
+	}
+	if gotSt.Updates != len(oracleStream) || gotSt.Window.Coalesced != len(s)-len(oracleStream) {
+		t.Fatalf("%s w=%d: %d updates committed and %d coalesced away, oracle stream has %d of %d",
+			f.Name, window, gotSt.Updates, gotSt.Window.Coalesced, len(oracleStream), len(s))
 	}
 	return gotSt
 }
 
-// TestWindowedOracleRandom is the core equality proof for the
-// batch-dynamic executor: random mixed streams, several window sizes,
-// two backends. Run under -race this also exercises the concurrent wave
-// find phases.
+// TestWindowedOracleRandom is the core equality proof for Window(n):
+// random mixed streams, several window sizes, every bundled algorithm —
+// SJ-Tree's window-order-dependent ΔM⁺ queue included.
 func TestWindowedOracleRandom(t *testing.T) {
-	for _, fi := range []int{2, 5} { // GraphFlow, Symbi
-		f := algotest.Factories()[fi]
-		for _, seed := range []int64{7, 19} {
-			rng := rand.New(rand.NewSource(seed))
-			g := algotest.RandomGraph(rng, 30, 70, 2, 1)
-			q := algotest.RandomQuery(rng, g, 3)
-			if q == nil {
-				t.Skip("no query")
-			}
-			s := algotest.RandomStream(rng, g, 80, 0.6, 1)
-			for _, w := range []int{4, 16, 64} {
-				checkWindowedOracle(t, f, g, q, s, w)
-			}
+	type fixture struct {
+		g *graph.Graph
+		q *query.Graph
+		s stream.Stream
+	}
+	var fixtures []fixture
+	for _, seed := range []int64{7, 19} {
+		rng := rand.New(rand.NewSource(seed))
+		g := algotest.RandomGraph(rng, 30, 70, 2, 1)
+		q := algotest.RandomQuery(rng, g, 3)
+		if q == nil {
+			t.Skip("no query")
 		}
+		fixtures = append(fixtures, fixture{g, q, algotest.RandomStream(rng, g, 80, 0.6, 1)})
+	}
+	for _, f := range algotest.Factories() {
+		t.Run(f.Name, func(t *testing.T) {
+			for _, fx := range fixtures {
+				for _, w := range []int{4, 16, 64} {
+					checkWindowedOracle(t, f, fx.g, fx.q, fx.s, w)
+				}
+			}
+		})
 	}
 }
 
@@ -152,9 +155,8 @@ func TestWindowedOracleAnnihilation(t *testing.T) {
 	}
 	// Interleave churn pairs (+e x,y then -e x,y on fresh vertex pairs)
 	// with a few real updates from the random generator.
-	real := algotest.RandomStream(rng, g, 10, 0.7, 1)
 	var s stream.Stream
-	for i, upd := range real {
+	for _, upd := range algotest.RandomStream(rng, g, 10, 0.7, 1) {
 		u := graph.VertexID(rng.Intn(g.NumVertices()))
 		v := graph.VertexID(rng.Intn(g.NumVertices()))
 		if u != v && !g.HasEdge(u, v) {
@@ -162,18 +164,20 @@ func TestWindowedOracleAnnihilation(t *testing.T) {
 				stream.Update{Op: stream.AddEdge, U: u, V: v},
 				stream.Update{Op: stream.DeleteEdge, U: u, V: v})
 		}
-		_ = i
 		s = append(s, upd)
 	}
-	st := checkWindowedOracle(t, algotest.Factories()[2], g, q, s, 32)
-	if st.Window.Annihilated == 0 {
-		t.Fatalf("expected annihilated pairs, got %+v", st.Window)
+	for _, f := range algotest.Factories() {
+		t.Run(f.Name, func(t *testing.T) {
+			if st := checkWindowedOracle(t, f, g, q, s, 32); st.Window.Annihilated == 0 {
+				t.Fatalf("expected annihilated pairs, got %+v", st.Window)
+			}
+		})
 	}
 }
 
 // TestWindowedOracleVertexOps: vertex ops mid-window are barriers — the
-// coalescer may not fold across them and the scheduler must commit them
-// alone — and the result still matches the oracle.
+// coalescer may not fold across them — and the result still matches the
+// oracle.
 func TestWindowedOracleVertexOps(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	g := algotest.RandomGraph(rng, 24, 50, 2, 1)
@@ -181,66 +185,53 @@ func TestWindowedOracleVertexOps(t *testing.T) {
 	if q == nil {
 		t.Skip("no query")
 	}
-	edges := algotest.RandomStream(rng, g, 30, 0.6, 1)
 	var s stream.Stream
-	for i, upd := range edges {
+	for i, upd := range algotest.RandomStream(rng, g, 30, 0.6, 1) {
 		s = append(s, upd)
 		if i%7 == 3 {
 			s = append(s, stream.Update{Op: stream.AddVertex, VLabel: graph.Label(i % 2)})
 		}
 	}
-	checkWindowedOracle(t, algotest.Factories()[2], g, q, s, 16)
-}
-
-// TestWindowedOracleFootprintCapFallback: FootprintCap(1) forces every
-// footprint to overflow, so every update must take the serial fallback —
-// and the run must still match the oracle exactly.
-func TestWindowedOracleFootprintCapFallback(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	g := algotest.RandomGraph(rng, 24, 50, 2, 1)
-	q := algotest.RandomQuery(rng, g, 3)
-	if q == nil {
-		t.Skip("no query")
-	}
-	s := algotest.RandomStream(rng, g, 50, 0.6, 1)
-	st := checkWindowedOracle(t, algotest.Factories()[2], g, q, s, 16, FootprintCap(1))
-	if st.Window.UnsafeParallel != 0 {
-		t.Fatalf("cap 1 must force serial commits, got %+v", st.Window)
-	}
-	if st.Window.FallbackSerial == 0 {
-		t.Fatalf("no serial fallbacks recorded: %+v", st.Window)
+	for _, f := range algotest.Factories() {
+		t.Run(f.Name, func(t *testing.T) { checkWindowedOracle(t, f, g, q, s, 16) })
 	}
 }
 
-// TestMultiWindowedOracle proves the shared-graph windowed driver
-// equivalent to per-query private replays over the coalesced stream:
-// every query must observe exactly the deltas of a v1 run over its own
-// clone, and the driver counters must record the windows.
+// TestMultiWindowedOracle proves the shared-graph driver under Window(n)
+// equivalent to per-query private replays over the coalesced stream, for
+// every bundled algorithm on one shared graph: every query must fire, in
+// order, exactly the deltas of a per-update run over its own clone (less
+// the provably empty ones its dispatch rows spare it), end with the same
+// totals, and the driver counters must record the windows.
 func TestMultiWindowedOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	g := algotest.RandomGraph(rng, 28, 60, 2, 1)
-	qA := algotest.RandomQuery(rng, g, 3)
-	qB := algotest.RandomQuery(rng, g, 4)
-	if qA == nil || qB == nil {
+	qs := []*query.Graph{algotest.RandomQuery(rng, g, 3), algotest.RandomQuery(rng, g, 4)}
+	if qs[0] == nil || qs[1] == nil {
 		t.Skip("no queries")
 	}
 	s := algotest.RandomStream(rng, g, 64, 0.6, 1)
 	const window = 16
-	fGF := algotest.Factories()[2]
-	fSY := algotest.Factories()[5]
-	opts := []Option{Threads(2), BatchSize(4), Window(window)}
 
-	got := map[string][]winDeltaRec{}
-	m := NewMulti(opts...)
+	shared := newDeltaLog()
+	m := NewMulti(Threads(2), BatchSize(4), Window(window))
 	defer m.Close()
-	var gotMu sync.Mutex // the driver emits different queries' deltas concurrently
 	m.OnDelta = func(name string, upd stream.Update, d csm.Delta, timeout bool) {
-		gotMu.Lock()
-		defer gotMu.Unlock()
-		got[name] = append(got[name], winDeltaRec{upd.Op, upd.U, upd.V, d.Positive, d.Negative, timeout})
+		shared.add(name, upd, d)
 	}
-	m.Register("A", fGF.New(), qA)
-	m.Register("B", fSY.New(), qB)
+	type standing struct {
+		name string
+		f    algotest.Factory
+		q    *query.Graph
+	}
+	var queries []standing
+	for _, f := range algotest.Factories() {
+		for qi, q := range qs {
+			sq := standing{fmt.Sprintf("%s/%d", f.Name, qi), f, q}
+			queries = append(queries, sq)
+			m.Register(sq.name, f.New(), q)
+		}
+	}
 	if err := m.Init(g); err != nil {
 		t.Fatal(err)
 	}
@@ -249,142 +240,42 @@ func TestMultiWindowedOracle(t *testing.T) {
 	}
 
 	oracle := coalesceChunks(s, window)
-	refs := []struct {
-		name string
-		algo csm.Algorithm
-		q    *query.Graph
-	}{{"A", fGF.New(), qA}, {"B", fSY.New(), qB}}
-	for _, ref := range refs {
-		_, wantSeq, _ := runWithDeltas(t, ref.algo, g.Clone(), ref.q, oracle, Threads(2), BatchSize(4))
-		if len(got[ref.name]) != len(wantSeq) {
-			t.Fatalf("%s: shared windowed emitted %d deltas, oracle %d", ref.name, len(got[ref.name]), len(wantSeq))
-		}
-		for i := range wantSeq {
-			if got[ref.name][i] != wantSeq[i] {
-				t.Fatalf("%s: delta %d: shared %+v, oracle %+v", ref.name, i, got[ref.name][i], wantSeq[i])
-			}
+	stats := m.Stats()
+	for _, sq := range queries {
+		wantSt, wantSeq, _ := runWithDeltas(t, sq.f.New(), g.Clone(), sq.q, oracle, Threads(2), BatchSize(1))
+		checkSharedDeltas(t, sq.name, shared.seqs[sq.name], wantSeq)
+		if got, want := countsOf(stats[sq.name]), countsOf(wantSt); got != want {
+			t.Errorf("%s: shared %+v\n\tprivate %+v", sq.name, got, want)
 		}
 	}
 	wc := m.WindowCounters()
-	if wc.Windows != (len(s)+window-1)/window {
-		t.Fatalf("driver counted %d windows, want %d", wc.Windows, (len(s)+window-1)/window)
+	if want := (len(s) + window - 1) / window; wc.Windows != want {
+		t.Fatalf("driver counted %d windows, want %d", wc.Windows, want)
 	}
-	if wc.Groups == 0 {
-		t.Fatalf("driver recorded no groups: %+v", wc)
+	if wc.Coalesced != len(s)-len(oracle) {
+		t.Fatalf("driver coalesced %d updates away, oracle stream has %d of %d", wc.Coalesced, len(oracle), len(s))
 	}
 }
 
-// disjointComponentsFixture builds K disconnected path components
-// (labels 0-1-0, pre-edge v0-v1) and a stream whose inserts complete the
-// path in distinct components — pairwise-disjoint conflict footprints by
-// construction, so the scheduler must form multi-update waves.
-func disjointComponentsFixture(k int) (*graph.Graph, *query.Graph, stream.Stream) {
-	g := graph.New(3 * k)
-	for i := 0; i < k; i++ {
+// TestWindowedRunErrorPosition: Run reports a failing update at its
+// position in the raw stream, not among its window's survivors.
+func TestWindowedRunErrorPosition(t *testing.T) {
+	g := graph.New(4)
+	for i := 0; i < 4; i++ {
 		g.AddVertex(0)
-		g.AddVertex(1)
-		g.AddVertex(0)
-		g.AddEdge(graph.VertexID(3*i), graph.VertexID(3*i+1), 0)
 	}
-	q := query.MustNew([]graph.Label{0, 1, 0})
-	q.MustAddEdge(0, 1, 0)
-	q.MustAddEdge(1, 2, 0)
-	if err := q.Finalize(); err != nil {
-		panic(err)
-	}
-	var s stream.Stream
-	for i := 0; i < k; i++ {
-		s = append(s, stream.Update{Op: stream.AddEdge, U: graph.VertexID(3*i + 1), V: graph.VertexID(3*i + 2)})
-	}
-	for i := 0; i < k; i++ {
-		s = append(s, stream.Update{Op: stream.DeleteEdge, U: graph.VertexID(3*i + 1), V: graph.VertexID(3*i + 2)})
-	}
-	return g, q, s
-}
-
-// TestWindowedOracleDisjointComponents guards the parallel wave path
-// itself: with disconnected components the footprints cannot conflict,
-// so both the insert window and the delete window must commit as
-// multi-update waves (under -race this exercises the concurrent
-// find_pos/find_neg phases), and the result must still match the
-// sequential oracle.
-func TestWindowedOracleDisjointComponents(t *testing.T) {
-	const k = 12
-	for _, fi := range []int{2, 5} { // GraphFlow, Symbi
-		f := algotest.Factories()[fi]
-		g, q, s := disjointComponentsFixture(k)
-		st := checkWindowedOracle(t, f, g, q, s, k)
-		if st.Window.UnsafeParallel == 0 {
-			t.Fatalf("%s: disjoint components formed no parallel wave: %+v", f.Name, st.Window)
-		}
-		if st.Window.MaxGroup < 2 {
-			t.Fatalf("%s: max group %d, want >= 2: %+v", f.Name, st.Window.MaxGroup, st.Window)
-		}
-	}
-}
-
-// TestMultiWindowedDisjointComponents is the shared-driver analogue:
-// two standing queries over the disjoint-component graph must still
-// commit whole independent sets per barrier (MaxGroup > 1) and match
-// their private sequential replays.
-func TestMultiWindowedDisjointComponents(t *testing.T) {
-	const k = 10
-	g, q, s := disjointComponentsFixture(k)
-	fGF := algotest.Factories()[2]
-	fSY := algotest.Factories()[5]
-
-	got := map[string][]winDeltaRec{}
-	m := NewMulti(Threads(2), BatchSize(4), Window(k))
-	defer m.Close()
-	var gotMu sync.Mutex // the driver emits different queries' deltas concurrently
-	m.OnDelta = func(name string, upd stream.Update, d csm.Delta, timeout bool) {
-		gotMu.Lock()
-		defer gotMu.Unlock()
-		got[name] = append(got[name], winDeltaRec{upd.Op, upd.U, upd.V, d.Positive, d.Negative, timeout})
-	}
-	m.Register("A", fGF.New(), q)
-	m.Register("B", fSY.New(), q)
-	if err := m.Init(g.Clone()); err != nil {
+	eng := New(algotest.Factories()[2].New(), Threads(1), Window(8))
+	defer eng.Close()
+	if err := eng.Init(g, pathQuery(t, 0, 0)); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Run(context.Background(), s); err != nil {
-		t.Fatal(err)
-	}
-
-	oracle := coalesceChunks(s, k)
-	for name, algo := range map[string]csm.Algorithm{"A": fGF.New(), "B": fSY.New()} {
-		_, wantSeq, _ := runWithDeltas(t, algo, g.Clone(), q, oracle, Threads(2), BatchSize(4))
-		if len(got[name]) != len(wantSeq) {
-			t.Fatalf("%s: shared windowed emitted %d deltas, oracle %d", name, len(got[name]), len(wantSeq))
-		}
-		for i := range wantSeq {
-			if got[name][i] != wantSeq[i] {
-				t.Fatalf("%s: delta %d: shared %+v, oracle %+v", name, i, got[name][i], wantSeq[i])
-			}
-		}
-	}
-	wc := m.WindowCounters()
-	if wc.UnsafeParallel == 0 || wc.MaxGroup < 2 {
-		t.Fatalf("shared driver formed no parallel wave: %+v", wc)
-	}
-}
-
-// TestWindowedOracleNonLocalSerial: SJ-Tree drains a window-order-
-// dependent ΔM⁺ queue in Roots, so it must not implement
-// csm.FootprintLocal — and the windowed executor must therefore never
-// form a parallel wave for it, even over perfectly disjoint components,
-// while still matching the sequential oracle (serial + coalescing only).
-func TestWindowedOracleNonLocalSerial(t *testing.T) {
-	f := algotest.Factories()[4] // SJ-Tree
-	if _, ok := f.New().(csm.FootprintLocal); ok {
-		t.Fatalf("%s implements FootprintLocal; this test needs a non-local algorithm", f.Name)
-	}
-	g, q, s := disjointComponentsFixture(8)
-	st := checkWindowedOracle(t, f, g, q, s, 8)
-	if st.Window.UnsafeParallel != 0 {
-		t.Fatalf("non-local algorithm was scheduled into a parallel wave: %+v", st.Window)
-	}
-	if st.Window.FallbackSerial == 0 {
-		t.Fatalf("no serial commits recorded: %+v", st.Window)
+	_, err := eng.Run(context.Background(), stream.Stream{
+		{Op: stream.AddEdge, U: 0, V: 1},
+		{Op: stream.DeleteEdge, U: 0, V: 1}, // annihilates with update 0
+		{Op: stream.AddEdge, U: 1, V: 2},
+		{Op: stream.DeleteEdge, U: 2, V: 3}, // survivor 1, update 3: no such edge
+	})
+	if err == nil || !strings.Contains(err.Error(), "update 3:") {
+		t.Fatalf("Run error = %v, want one naming update 3", err)
 	}
 }

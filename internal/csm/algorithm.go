@@ -86,25 +86,3 @@ type LabelDispatch interface {
 	// after Build.
 	DispatchLabels() (pairs [][2]graph.Label, adsReadsDegrees bool)
 }
-
-// FootprintLocal marks algorithms eligible for the windowed executor's
-// parallel waves (DESIGN.md §15). Implementing it asserts two properties
-// the wave phases rely on:
-//
-//  1. Locality: all state read by Roots/Expand/Terminal and written by
-//     UpdateADS for update u is associated with data vertices within u's
-//     conflict footprint, so footprint-disjoint updates cannot observe
-//     each other's ADS maintenance.
-//  2. Reentrancy: Roots/Expand/Terminal may run concurrently for
-//     distinct footprint-disjoint updates (per-call state lives in
-//     csm.State or on the stack; counters are striped by State.Slot, and
-//     Roots touches none).
-//
-// Algorithms that buffer global deltas in their ADS — SJ-Tree drains a
-// window-order-dependent ΔM⁺ queue in Roots — must NOT implement it;
-// the windowed executor then commits their updates serially (still
-// benefiting from window coalescing), which is always sound.
-type FootprintLocal interface {
-	// FootprintLocalFind is a marker; implementations do nothing.
-	FootprintLocalFind()
-}

@@ -24,6 +24,10 @@ package graph
 // epoch), the BFS frontier, and the output buffer. One scratch serves
 // one goroutine at a time; steady-state calls allocate nothing once the
 // buffers have grown to the working-set size.
+//
+// The wave scheduler this served is gone (DESIGN.md §15): the one caller
+// left is benchmarks/harness/micro.go (graph.footprint_ns_per_call), and
+// this file and its test leave with it in ROADMAP item 9's benchmark PR.
 type FootprintScratch struct {
 	stamp []uint32 // stamp[v] == epoch ⇔ v visited in the current call
 	epoch uint32

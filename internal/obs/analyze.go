@@ -40,8 +40,8 @@ type Analysis struct {
 	// StageEvents counts per-update Class "stage" rows (one per applied
 	// update in a lockstep-driven trace); Stages sums their per-stage
 	// durations. WindowEvents counts per-window stage rows (Op "win",
-	// one per executed window of the batch-dynamic executor), summed
-	// into the window stages of the breakdown.
+	// one per window of Window(n)), whose coalescing time is summed into
+	// the breakdown's Coalesce.
 	StageEvents  int
 	WindowEvents int
 	Stages       StageBreakdown
@@ -49,21 +49,16 @@ type Analysis struct {
 
 // StageBreakdown is the summed pipeline stage time of a trace's stage
 // events (see obs.Stage for the stage model). The first five stages are
-// per-update; the window stages are per-window (batch-dynamic executor).
+// per-update; Coalesce is per-window.
 type StageBreakdown struct {
 	IngestWait, Assemble, PreApply, Commit, PostApply time.Duration
-	Coalesce, ConflictBuild, ParallelUnsafe           time.Duration
+	Coalesce                                          time.Duration
 }
 
-// Total returns the summed time across all per-update stages (window
-// stage time overlaps the per-update stages and is reported separately).
+// Total returns the summed time across all per-update stages (coalescing
+// runs ahead of them and is reported separately).
 func (b StageBreakdown) Total() time.Duration {
 	return b.IngestWait + b.Assemble + b.PreApply + b.Commit + b.PostApply
-}
-
-// WindowTotal returns the summed time across the window stages.
-func (b StageBreakdown) WindowTotal() time.Duration {
-	return b.Coalesce + b.ConflictBuild + b.ParallelUnsafe
 }
 
 // Analyze digests a slice of trace events; topK bounds len(Stragglers).
@@ -84,8 +79,6 @@ func Analyze(evs []Event, topK int) Analysis {
 			if ev.Op == OpWindow {
 				a.WindowEvents++
 				a.Stages.Coalesce += ev.Coalesce
-				a.Stages.ConflictBuild += ev.ConflictBuild
-				a.Stages.ParallelUnsafe += ev.ParallelUnsafe
 				continue
 			}
 			a.StageEvents++
@@ -176,12 +169,8 @@ func (a Analysis) Render(w io.Writer) {
 			share(a.Stages.PreApply), share(a.Stages.Commit), share(a.Stages.PostApply))
 	}
 	if a.WindowEvents > 0 {
-		fmt.Fprintf(w, "windows       : %d executed, %v window-stage time\n",
-			a.WindowEvents, a.Stages.WindowTotal().Round(time.Microsecond))
-		fmt.Fprintf(w, "window stages : coalesce %v  conflict-build %v  parallel-unsafe %v\n",
-			a.Stages.Coalesce.Round(time.Microsecond),
-			a.Stages.ConflictBuild.Round(time.Microsecond),
-			a.Stages.ParallelUnsafe.Round(time.Microsecond))
+		fmt.Fprintf(w, "windows       : %d coalesced in %v\n",
+			a.WindowEvents, a.Stages.Coalesce.Round(time.Microsecond))
 	}
 	if a.Events == 0 {
 		return

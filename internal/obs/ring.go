@@ -55,14 +55,9 @@ type Event struct {
 	Commit     time.Duration `json:"stage_commit_ns,omitempty"`
 	PostApply  time.Duration `json:"stage_post_apply_ns,omitempty"`
 
-	// Window stage durations, set only on per-window ClassStage events
-	// (Op "win", one per executed window of the batch-dynamic executor).
-	// Coalesce is the coalescing pass, ConflictBuild the footprint BFS +
-	// grouping, ParallelUnsafe the summed concurrent execution spans of
-	// the window's multi-update groups.
-	Coalesce       time.Duration `json:"stage_coalesce_ns,omitempty"`
-	ConflictBuild  time.Duration `json:"stage_conflict_build_ns,omitempty"`
-	ParallelUnsafe time.Duration `json:"stage_parallel_unsafe_ns,omitempty"`
+	// Coalesce is the window coalescing pass, set only on per-window
+	// ClassStage events (Op "win", one per window of Window(n)).
+	Coalesce time.Duration `json:"stage_coalesce_ns,omitempty"`
 }
 
 // OpWindow is the Op mnemonic of per-window stage events, distinguishing

@@ -43,15 +43,9 @@ const (
 	// StageWire is the wire serialization + write of a delta frame
 	// (sampled per delivered delta frame).
 	StageWire
-	// StageCoalesce is the batch-dynamic executor's window coalescing
-	// pass (one observation per window, not per update).
+	// StageCoalesce is Window(n)'s coalescing pass (one observation per
+	// window, not per update).
 	StageCoalesce
-	// StageConflictBuild is the conflict-footprint BFS + independent-set
-	// grouping over a window's updates (per window).
-	StageConflictBuild
-	// StageParallelUnsafe is the concurrent execution span of one
-	// multi-update independent group (per group of size > 1).
-	StageParallelUnsafe
 	// StageWALAppend is the write-ahead-log append + durability wait for
 	// one validated batch (per batch, WAL mode only).
 	StageWALAppend
@@ -65,8 +59,7 @@ const (
 var stageNames = [numStages]string{
 	"ingest_wait", "assemble", "pre_apply", "commit", "post_apply",
 	"fanout", "sub_queue", "wire_write",
-	"coalesce", "conflict_build", "parallel_unsafe",
-	"wal_append", "snapshot",
+	"coalesce", "wal_append", "snapshot",
 }
 
 // String returns the stage's metric-friendly name.

@@ -8,19 +8,17 @@ import (
 
 func TestStageNames(t *testing.T) {
 	want := map[Stage]string{
-		StageIngestWait:     "ingest_wait",
-		StageAssemble:       "assemble",
-		StagePreApply:       "pre_apply",
-		StageCommit:         "commit",
-		StagePostApply:      "post_apply",
-		StageFanout:         "fanout",
-		StageSubQueue:       "sub_queue",
-		StageWire:           "wire_write",
-		StageCoalesce:       "coalesce",
-		StageConflictBuild:  "conflict_build",
-		StageParallelUnsafe: "parallel_unsafe",
-		StageWALAppend:      "wal_append",
-		StageSnapshot:       "snapshot",
+		StageIngestWait: "ingest_wait",
+		StageAssemble:   "assemble",
+		StagePreApply:   "pre_apply",
+		StageCommit:     "commit",
+		StagePostApply:  "post_apply",
+		StageFanout:     "fanout",
+		StageSubQueue:   "sub_queue",
+		StageWire:       "wire_write",
+		StageCoalesce:   "coalesce",
+		StageWALAppend:  "wal_append",
+		StageSnapshot:   "snapshot",
 	}
 	if len(want) != NumStages {
 		t.Fatalf("test covers %d stages, NumStages = %d", len(want), NumStages)

@@ -116,11 +116,9 @@ type Tracer struct {
 	nodes       atomic.Uint64
 	batches     atomic.Uint64
 
-	// Batch-dynamic window executor counters (see Tracer.Window).
+	// Window(n) coalescing counters (see Tracer.Window).
 	winCoalesced   atomic.Uint64
 	winAnnihilated atomic.Uint64
-	winParallel    atomic.Uint64
-	winSerial      atomic.Uint64
 }
 
 // DefaultRingCap is the trace ring capacity NewTracer uses for
@@ -244,24 +242,17 @@ func (t *Tracer) Classify(d time.Duration) {
 	t.hists[PhaseClassify].Observe(d)
 }
 
-// Window accumulates the batch-dynamic executor counters: updates removed
-// by coalescing, exact insert/delete pairs annihilated, updates committed
-// in multi-update independent groups (parallel) and updates committed
-// alone after a conflict/overflow/barrier (serial). Allocation-free.
+// Window accumulates one window's coalescing counters: updates removed
+// by coalescing and exact insert/delete pairs annihilated.
+// Allocation-free.
 //
 //paracosm:noalloc
-func (t *Tracer) Window(coalesced, annihilated, parallel, serial uint64) {
+func (t *Tracer) Window(coalesced, annihilated uint64) {
 	if coalesced != 0 {
 		t.winCoalesced.Add(coalesced)
 	}
 	if annihilated != 0 {
 		t.winAnnihilated.Add(annihilated)
-	}
-	if parallel != 0 {
-		t.winParallel.Add(parallel)
-	}
-	if serial != 0 {
-		t.winSerial.Add(serial)
 	}
 }
 
@@ -284,10 +275,8 @@ type Counters struct {
 	Batches      uint64 `json:"batches"`
 	TraceDropped uint64 `json:"trace_dropped"`
 
-	WindowCoalesced      uint64 `json:"window_coalesced"`
-	WindowAnnihilated    uint64 `json:"window_annihilated"`
-	WindowUnsafeParallel uint64 `json:"window_unsafe_parallel"`
-	WindowFallbackSerial uint64 `json:"window_fallback_serial"`
+	WindowCoalesced   uint64 `json:"window_coalesced"`
+	WindowAnnihilated uint64 `json:"window_annihilated"`
 }
 
 // Counters returns a snapshot of the aggregate counters.
@@ -304,10 +293,8 @@ func (t *Tracer) Counters() Counters {
 		Batches:      t.batches.Load(),
 		TraceDropped: t.ring.Dropped(),
 
-		WindowCoalesced:      t.winCoalesced.Load(),
-		WindowAnnihilated:    t.winAnnihilated.Load(),
-		WindowUnsafeParallel: t.winParallel.Load(),
-		WindowFallbackSerial: t.winSerial.Load(),
+		WindowCoalesced:   t.winCoalesced.Load(),
+		WindowAnnihilated: t.winAnnihilated.Load(),
 	}
 }
 
@@ -329,10 +316,8 @@ func (t *Tracer) WritePrometheus(w io.Writer) error {
 		{"paracosm_search_nodes_total", "Search-tree nodes visited.", c.Nodes},
 		{"paracosm_batches_total", "Inter-update executor batch rounds.", c.Batches},
 		{"paracosm_trace_dropped_total", "Trace events overwritten in the ring.", c.TraceDropped},
-		{"paracosm_window_coalesced_total", "Updates removed by window coalescing (batch-dynamic executor).", c.WindowCoalesced},
+		{"paracosm_window_coalesced_total", "Updates removed by window coalescing (Window(n)).", c.WindowCoalesced},
 		{"paracosm_window_annihilated_total", "Exact insert/delete pairs annihilated by window coalescing (2 updates each).", c.WindowAnnihilated},
-		{"paracosm_window_unsafe_parallel_total", "Updates committed in multi-update independent groups.", c.WindowUnsafeParallel},
-		{"paracosm_window_fallback_serial_total", "Updates committed alone after a footprint conflict, cap overflow or window barrier.", c.WindowFallbackSerial},
 	}
 	for _, m := range counters {
 		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", m.name, m.help, m.name, m.name, m.v); err != nil {

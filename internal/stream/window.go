@@ -112,7 +112,8 @@ func (c *Coalescer) coalesceSegment(dst Stream, w Stream, lo, hi int, st *Coales
 		for i := lo; i < hi; i++ {
 			c.src = append(c.src, int32(i))
 		}
-		return append(dst, w[lo:hi]...)
+		dst = append(dst, w[lo:hi]...)
+		return dst
 	}
 	clear(c.idx)
 	c.entries = c.entries[:0]

@@ -27,9 +27,9 @@ QUERY="$(ls "$WORK"/query_*.txt | head -1)"
 STREAM="$WORK/insertion_stream.txt"
 
 echo "== serve on $ADDR =="
-# -window turns on the batch-dynamic executor so the paracosm_window_*
-# counters move between the two scrapes (monotonicity is then checked on
-# live, not frozen-at-zero, series); -wal-dir turns on the durability
+# -window turns on window coalescing so the coalesce stage histogram moves
+# between the two scrapes (monotonicity is then checked on live, not
+# frozen-at-zero, series); -wal-dir turns on the durability
 # layer so the paracosm_wal_* series are linted live too.
 "$WORK/paracosm" serve -data "$WORK/data_graph.txt" -addr "$ADDR" \
     -threads 2 -window 8 -wal-dir "$WORK/wal" -snapshot-every 500 \
@@ -84,10 +84,11 @@ echo "== scrape 2 (after traffic, query live) =="
 curl -sf "http://$DBG/metrics" >"$WORK/scrape2.txt"
 wc -l "$WORK/scrape2.txt"
 grep -q '^paracosm_query_updates{name="q\\"lint' "$WORK/scrape2.txt"
-# The windowed executor must have committed the client's stream: every
-# update lands in either a parallel group or a serial fallback.
-awk '/^paracosm_window_(unsafe_parallel|fallback_serial)_total /{n+=$2} END{exit n>0?0:1}' "$WORK/scrape2.txt" \
-    || { echo "window counters did not move under -window traffic" >&2; exit 1; }
+# The client's stream must have gone through the coalescing pre-pass: the
+# coalesce stage takes one sample per window (paracosm_window_coalesced_total
+# may stay 0: an insertion-only stream has nothing to coalesce).
+awk '/^paracosm_stage_coalesce_seconds_count /{n=$2} END{exit n>0?0:1}' "$WORK/scrape2.txt" \
+    || { echo "paracosm_stage_coalesce_seconds_count did not move under -window traffic" >&2; exit 1; }
 # The WAL must have logged every accepted update.
 awk '/^paracosm_wal_records_total /{n=$2} END{exit n>0?0:1}' "$WORK/scrape2.txt" \
     || { echo "paracosm_wal_records_total did not move under -wal-dir traffic" >&2; exit 1; }
