@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build lint lint-json test race bench debug-smoke serve-smoke metrics-lint recover-smoke fuzz experiments examples clean
+.PHONY: all build lint lint-json test race bench bench-lastlevel debug-smoke serve-smoke metrics-lint recover-smoke fuzz experiments examples clean
 
 all: lint test
 
@@ -33,6 +33,12 @@ race:
 
 bench:
 	$(GO) test -bench . -benchmem ./...
+
+# One benchmark of `make bench` on its own: Find-Matches ns/node with the
+# last level counted (OnMatch nil) against enumerated (OnMatch set),
+# GraphFlow and Symbi. A few seconds, no harness.
+bench-lastlevel:
+	$(GO) test -run '^$$' -bench FindMatchesLastLevel -benchtime 20x .
 
 # End-to-end smoke of the observability layer: run paracosm with
 # -debug-addr on a generated dataset and curl /healthz, /metrics and

@@ -12,9 +12,12 @@ import (
 	"paracosm/internal/algo/algotest"
 	"paracosm/internal/bench"
 	"paracosm/internal/core"
+	"paracosm/internal/csm"
 	"paracosm/internal/dataset"
 	"paracosm/internal/graph"
 	"paracosm/internal/obs"
+	"paracosm/internal/query"
+	"paracosm/internal/stream"
 )
 
 // benchConfig is a small-but-representative configuration so the full
@@ -270,5 +273,77 @@ func BenchmarkInnerExecutor(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkFindMatchesLastLevel measures the per-node cost of Find-Matches
+// with and without a match consumer: with OnMatch nil the engine counts the
+// last level of the search tree through csm.LeafCounter, with OnMatch set
+// it pushes, pops and reports every leaf. Both explore the same tree, so
+// ns/node — Find-Matches time over search nodes, ADS upkeep left out — is
+// directly comparable. One iteration is a round trip — 200 insertions, then
+// their deletions in reverse — over a small 6-label Amazon-like graph, on
+// one size-5 query per algorithm.
+func BenchmarkFindMatchesLastLevel(b *testing.B) {
+	d := dataset.AmazonLike(dataset.Scale(0.02), dataset.Seed(3))
+	trip := append(stream.Stream(nil), d.Stream[:200]...)
+	for i := 199; i >= 0; i-- {
+		trip = append(trip, stream.Update{Op: stream.DeleteEdge, U: trip[i].U, V: trip[i].V})
+	}
+	mk := func(labels []graph.Label, edges [][2]query.VertexID) *query.Graph {
+		q := query.MustNew(labels)
+		for _, e := range edges {
+			q.MustAddEdge(e[0], e[1], 0)
+		}
+		if err := q.Finalize(); err != nil {
+			b.Fatal(err)
+		}
+		return q
+	}
+	for _, tc := range []struct {
+		algo string
+		q    *query.Graph
+	}{
+		{"GraphFlow", mk([]graph.Label{0, 1, 2, 0, 1}, [][2]query.VertexID{{0, 1}, {1, 2}, {2, 3}, {3, 4}})}, // path
+		{"Symbi", mk([]graph.Label{0, 0, 1, 0, 1}, [][2]query.VertexID{{0, 1}, {0, 2}, {0, 3}, {3, 4}})},     // star with a tail
+	} {
+		e, err := algo.ByName(tc.algo)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, consumer := range []bool{false, true} {
+			name := tc.algo + "/OnMatch=nil"
+			if consumer {
+				name = tc.algo + "/OnMatch=set"
+			}
+			b.Run(name, func(b *testing.B) {
+				eng := core.New(e.New(), core.Threads(1), core.InterUpdate(false))
+				defer eng.Close()
+				if err := eng.Init(d.Graph.Clone(), tc.q); err != nil {
+					b.Fatal(err)
+				}
+				var delivered uint64
+				if consumer {
+					eng.OnMatch = func(_ *csm.State, count uint64, _ bool) { delivered += count }
+				}
+				ctx := context.Background()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := eng.Run(ctx, trip); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StopTimer()
+				st := eng.Stats()
+				if st.Nodes == 0 {
+					b.Fatal("the round trip searched nothing")
+				}
+				if consumer && delivered != st.Positive+st.Negative {
+					b.Fatalf("OnMatch saw %d matches, stats report %d", delivered, st.Positive+st.Negative)
+				}
+				b.ReportMetric(float64(st.TFind.Nanoseconds())/float64(st.Nodes), "ns/node")
+				b.ReportMetric(float64(st.Nodes)/float64(b.N), "nodes/op")
+			})
+		}
 	}
 }

@@ -155,76 +155,106 @@ func (b *Base) Expand(s *csm.State, emit func(csm.State)) {
 		return
 	}
 	u := info.order[s.Depth]
-	back := info.back[s.Depth]
-	b.ForEachCandidate(s, u, back, func(v graph.VertexID) {
+	b.ForEachCandidate(s, u, info.back[s.Depth], func(v graph.VertexID) {
 		child := *s
 		child.Set(u, v)
 		emit(child)
 	})
 }
 
+// CountLastLevel is the body of csm.LeafCounter for an algorithm that keeps
+// Base's Expand and Terminal: at the last position of s's matching order it
+// returns the size of the compatible set, which is how many leaves Expand
+// would have emitted. Base deliberately does not carry the interface's
+// method name. An algorithm that overrides Expand (NewSP's lookahead) or
+// Terminal (CaLiG's shell counting) embeds Base too, and an inherited count
+// would contradict its own traversal, so each algorithm opts in with a
+// one-line CountLeaves of its own.
+//
+//paracosm:noalloc
+func (b *Base) CountLastLevel(s *csm.State) (uint64, bool) {
+	info := &b.infos[s.Order]
+	if int(s.Depth)+1 != len(info.order) {
+		return 0, false
+	}
+	return b.ForEachCandidate(s, info.order[s.Depth], info.back[s.Depth], nil), true
+}
+
 // ForEachCandidate enumerates the compatible set C(u, s) (Definition 2.5):
 // data vertices adjacent to all matched backward neighbors of u with
 // matching labels, unused, degree-feasible, and admitted by the ADS
-// filter. It is exported for algorithms implementing custom expansion
-// (NewSP's lookahead, CaLiG's shell counting).
+// filter. It returns the set's size, and a nil yield asks for the size
+// alone. u must be the vertex at position s.Depth of s's matching order and
+// back its backward edges, with the first s.Depth vertices of that order
+// matched: what Expand passes, and what algorithms implementing custom
+// expansion (NewSP's lookahead) pass too.
 //
 // The enumeration is a k-way zipper over the label-sliced adjacency runs of
-// the matched backward neighbors: the run with the fewest L(u)-labeled
-// neighbors is the anchor, and a monotonic cursor per remaining run is
-// advanced with graph.AdvanceNeighbors (linear probe + gallop). All cursor
-// state lives in fixed-size stack arrays, so the enumeration itself
-// allocates nothing.
-func (b *Base) ForEachCandidate(s *csm.State, u query.VertexID, back []query.BackEdge, yield func(v graph.VertexID)) {
+// the matched backward neighbors: the shortest run is the anchor, and a
+// monotonic cursor per remaining run is advanced with
+// graph.AdvanceNeighbors (linear probe + gallop). All cursor state lives in
+// fixed-size stack arrays, so the enumeration itself allocates nothing.
+//
+//paracosm:noalloc
+func (b *Base) ForEachCandidate(s *csm.State, u query.VertexID, back []query.BackEdge, yield func(v graph.VertexID)) uint64 {
 	if len(back) == 0 {
-		return // only root positions have no backward neighbors
+		return 0 // only root positions have no backward neighbors
 	}
 	info := &b.infos[s.Order]
 	lu := b.Q.Label(u)
-	du := b.Q.Degree(u)
 
-	// Anchor on the backward neighbor with the fewest lu-labeled neighbors.
-	anchorIdx := 0
-	anchor := s.Map[info.order[back[0].Pos]]
-	anchorDeg := b.G.DegreeWithLabel(anchor, lu)
-	for i, be := range back[1:] {
-		w := s.Map[info.order[be.Pos]]
-		if d := b.G.DegreeWithLabel(w, lu); d < anchorDeg {
-			anchorIdx, anchor, anchorDeg = i+1, w, d
-		}
-	}
-	cand := b.G.NeighborsWithLabel(anchor, lu)
-	ks := b.Kernel(s)
-	ks.AddCandidateLookup(len(cand) < b.G.Degree(anchor))
-	if len(cand) == 0 {
-		return
-	}
-	anchorEL := back[anchorIdx].ELabel
-
-	// Cursored label runs of the remaining backward neighbors.
+	// One label-run fetch per backward neighbor; the shortest is the anchor.
 	var (
 		runs    [query.MaxVertices][]graph.Neighbor
 		elabels [query.MaxVertices]graph.Label
 		pos     [query.MaxVertices]int
 	)
-	k := 0
+	anchorIdx := 0
 	for i, be := range back {
-		if i == anchorIdx {
-			continue
+		runs[i] = b.G.NeighborsWithLabel(s.Map[info.order[be.Pos]], lu)
+		elabels[i] = be.ELabel
+		if len(runs[i]) < len(runs[anchorIdx]) {
+			anchorIdx = i
 		}
-		runs[k] = b.G.NeighborsWithLabel(s.Map[info.order[be.Pos]], lu)
-		elabels[k] = be.ELabel
-		k++
 	}
-	var probes, galloped uint64
+	cand, anchorEL := runs[anchorIdx], elabels[anchorIdx]
+	ks := b.Kernel(s)
+	ks.AddCandidateLookup(len(cand) < b.G.Degree(s.Map[info.order[back[anchorIdx].Pos]]))
+	if len(cand) == 0 {
+		return 0
+	}
+	// The remaining runs keep their order, cursors starting at 0.
+	k := len(back) - 1
+	copy(runs[anchorIdx:k], runs[anchorIdx+1:])
+	copy(elabels[anchorIdx:k], elabels[anchorIdx+1:])
+
+	// A candidate that passes the zipper is adjacent to len(back) distinct
+	// matched vertices, so the degree test can only reject when u needs more
+	// neighbors than that.
+	du := b.Q.Degree(u)
+	checkDegree := du > len(back)
+	// Injectivity is tested against the matched vertices only, not all of
+	// State.Map's slots.
+	var matched [query.MaxVertices]graph.VertexID
+	depth := int(s.Depth)
+	for i, w := range info.order[:depth] {
+		matched[i] = s.Map[w]
+	}
+
+	var n, probes, galloped uint64
 zip:
 	for _, nb := range cand {
 		if !b.IgnoreELabels && nb.ELabel != anchorEL {
 			continue
 		}
 		v := nb.ID
-		if b.G.Degree(v) < du || s.Uses(v) {
+		if checkDegree && b.G.Degree(v) < du {
 			continue
+		}
+		for _, m := range matched[:depth] {
+			if m == v {
+				continue zip
+			}
 		}
 		for i := 0; i < k; i++ {
 			j, g := graph.AdvanceNeighbors(runs[i], pos[i], v)
@@ -245,11 +275,15 @@ zip:
 		if b.Filter != nil && !b.Filter(u, v) {
 			continue
 		}
-		yield(v)
+		n++
+		if yield != nil {
+			yield(v)
+		}
 	}
 	if k > 0 {
 		ks.AddIntersection(probes, galloped)
 	}
+	return n
 }
 
 // Terminal implements csm.Enumerator for ordinary full-enumeration

@@ -101,6 +101,13 @@ func TestExpandFindsTriangleCompletions(t *testing.T) {
 		if c, done := b.Terminal(&s); !done || c != 1 {
 			t.Fatalf("leaf not terminal: %+v", s)
 		}
+		if _, ok := b.CountLastLevel(&s); ok {
+			t.Fatalf("a full embedding was counted as a last-position node: %+v", s)
+		}
+	}
+	// The root is one vertex short: counting answers what Expand emitted.
+	if n, ok := b.CountLastLevel(&roots[0]); !ok || n != 2 {
+		t.Fatalf("CountLastLevel = (%d, %v), want (2, true)", n, ok)
 	}
 }
 
@@ -123,6 +130,10 @@ func TestExpandRespectsInjectivity(t *testing.T) {
 	b.Init(g, q)
 	roots := collectRoots(b, stream.Update{Op: stream.AddEdge, U: 0, V: 1})
 	for _, r := range roots {
+		// Only v2 closes the triangle.
+		if n, ok := b.CountLastLevel(&r); !ok || n != 1 {
+			t.Fatalf("CountLastLevel = (%d, %v), want (1, true)", n, ok)
+		}
 		b.Expand(&r, func(s csm.State) {
 			seen := map[graph.VertexID]bool{}
 			for u := 0; u < 3; u++ {
@@ -144,6 +155,9 @@ func TestFilterHook(t *testing.T) {
 	b.Expand(&roots[0], func(s csm.State) { children = append(children, s) })
 	if len(children) != 1 || children[0].Matched(2) != 2 {
 		t.Fatalf("filter not applied: %+v", children)
+	}
+	if n, _ := b.CountLastLevel(&roots[0]); n != 1 {
+		t.Fatalf("filter not applied to the count: %d, want 1", n)
 	}
 	// Filter rejecting a seed endpoint kills the root.
 	b.Filter = func(u query.VertexID, v graph.VertexID) bool { return v != 0 }

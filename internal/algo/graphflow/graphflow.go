@@ -20,7 +20,10 @@ type GraphFlow struct {
 // New returns a GraphFlow instance.
 func New() *GraphFlow { return &GraphFlow{} }
 
-var _ csm.Algorithm = (*GraphFlow)(nil)
+var (
+	_ csm.Algorithm   = (*GraphFlow)(nil)
+	_ csm.LeafCounter = (*GraphFlow)(nil)
+)
 
 // Name implements csm.Algorithm.
 func (a *GraphFlow) Name() string { return "GraphFlow" }
@@ -31,6 +34,10 @@ func (a *GraphFlow) Build(g *graph.Graph, q *query.Graph) error {
 	a.Init(g, q)
 	return nil
 }
+
+// CountLeaves implements csm.LeafCounter: GraphFlow keeps Base's Expand and
+// Terminal, so Base's count of the last level is its own.
+func (a *GraphFlow) CountLeaves(s *csm.State) (uint64, bool) { return a.CountLastLevel(s) }
 
 // UpdateADS implements csm.Algorithm: nothing to maintain.
 func (a *GraphFlow) UpdateADS(stream.Update) {}

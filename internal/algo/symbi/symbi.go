@@ -26,8 +26,9 @@ type Symbi struct {
 func New() *Symbi { return &Symbi{} }
 
 var (
-	_ csm.Algorithm = (*Symbi)(nil)
-	_ csm.Rebuilder = (*Symbi)(nil)
+	_ csm.Algorithm   = (*Symbi)(nil)
+	_ csm.Rebuilder   = (*Symbi)(nil)
+	_ csm.LeafCounter = (*Symbi)(nil)
 )
 
 // Name implements csm.Algorithm.
@@ -40,6 +41,10 @@ func (a *Symbi) Build(g *graph.Graph, q *query.Graph) error {
 	a.Filter = a.ix.Candidate
 	return nil
 }
+
+// CountLeaves implements csm.LeafCounter: Symbi keeps Base's Expand and
+// Terminal, so Base's count of the last level is its own.
+func (a *Symbi) CountLeaves(s *csm.State) (uint64, bool) { return a.CountLastLevel(s) }
 
 // UpdateADS implements csm.Algorithm: incremental DCS maintenance.
 func (a *Symbi) UpdateADS(upd stream.Update) { a.ix.ApplyUpdate(upd) }

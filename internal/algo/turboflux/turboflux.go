@@ -28,8 +28,9 @@ type TurboFlux struct {
 func New() *TurboFlux { return &TurboFlux{} }
 
 var (
-	_ csm.Algorithm = (*TurboFlux)(nil)
-	_ csm.Rebuilder = (*TurboFlux)(nil)
+	_ csm.Algorithm   = (*TurboFlux)(nil)
+	_ csm.Rebuilder   = (*TurboFlux)(nil)
+	_ csm.LeafCounter = (*TurboFlux)(nil)
 )
 
 // Name implements csm.Algorithm.
@@ -44,6 +45,10 @@ func (a *TurboFlux) Build(g *graph.Graph, q *query.Graph) error {
 	a.Filter = a.ix.Candidate
 	return nil
 }
+
+// CountLeaves implements csm.LeafCounter: TurboFlux keeps Base's Expand and
+// Terminal, so Base's count of the last level is its own.
+func (a *TurboFlux) CountLeaves(s *csm.State) (uint64, bool) { return a.CountLastLevel(s) }
 
 // UpdateADS implements csm.Algorithm: incremental DCG maintenance.
 func (a *TurboFlux) UpdateADS(upd stream.Update) { a.ix.ApplyUpdate(upd) }

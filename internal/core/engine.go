@@ -21,6 +21,10 @@ type Engine struct {
 	g    *graph.Graph
 	q    *query.Graph
 
+	// leaves is algo's csm.LeafCounter capability, nil when it declares
+	// none; drain counts the last level through it while OnMatch is nil.
+	leaves csm.LeafCounter
+
 	// OnMatch, if non-nil, observes every reported match. Invocations are
 	// serialized; the callback must not retain the state pointer.
 	OnMatch csm.MatchFunc
@@ -91,6 +95,7 @@ func New(algo csm.Algorithm, opts ...Option) *Engine {
 // newEngine builds an engine from a normalized configuration.
 func newEngine(algo csm.Algorithm, cfg Config) *Engine {
 	e := &Engine{cfg: cfg, algo: algo}
+	e.leaves, _ = algo.(csm.LeafCounter)
 	e.searchers = []*searcher{newSearcher(e, 0)}
 	e.spanTask = e.runSpan
 	return e

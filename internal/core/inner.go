@@ -29,7 +29,8 @@ type innerResult struct {
 
 // pollEvery is how many search nodes a searcher explores between two
 // looks at the clock and the abort flag: a deadline stops every searcher
-// within this many nodes of expiring.
+// within this many nodes of expiring — plus, where the last level is
+// counted (see drain), the one adjacency scan under way.
 const pollEvery = 1024
 
 // searchPhase is what the searchers of one find phase share. The driving
@@ -125,9 +126,19 @@ const (
 // pool worker under LoadBalance) a searcher that sees starved siblings
 // donates the shallow end of its stack to the pool.
 //
+// With no OnMatch consumer and an algorithm that declares csm.LeafCounter,
+// the last level of the tree is counted, not visited: a node one vertex
+// short of a full embedding is answered with the number of its leaves,
+// which are added to nodes and matches — and charged to the poll countdown
+// — exactly as if each had been pushed, popped and found terminal.
+//
 //paracosm:noalloc
 func (sr *searcher) drain(budget uint64, share bool) drainStop {
 	e := sr.e
+	leaves := e.leaves
+	if e.OnMatch != nil {
+		leaves = nil // the consumer is owed every embedding
+	}
 	for len(sr.stack) > 0 {
 		if sr.nodes >= budget {
 			return stopBudget
@@ -149,6 +160,20 @@ func (sr *searcher) drain(budget uint64, share bool) drainStop {
 				e.emitMatch(&sr.cur, c, e.phase.positive)
 			}
 			continue
+		}
+		if leaves != nil {
+			if c, last := leaves.CountLeaves(&sr.cur); last {
+				sr.nodes += c
+				sr.matches += c
+				// A count larger than what is left of the countdown must
+				// land on it, not wrap past it: the next node polls.
+				if c < uint64(sr.poll) {
+					sr.poll -= uint32(c)
+				} else {
+					sr.poll = 1
+				}
+				continue
+			}
 		}
 		e.algo.Expand(&sr.cur, sr.push)
 		// A DFS stack is sorted by depth, shallowest at the bottom, so the

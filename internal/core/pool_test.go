@@ -217,6 +217,9 @@ func TestTimeoutContract(t *testing.T) {
 	if _, err := eng.ProcessUpdate(context.Background(), stream.Update{Op: stream.AddEdge, U: 2, V: 3}); err != nil {
 		t.Fatalf("engine unusable after timeout: %v", err)
 	}
+
+	// The same contract where leaves are counted, not visited.
+	t.Run("counted-last-level", timeoutInsideCountedLevel)
 }
 
 // TestTimeoutAbortsEveryWorker: a deadline that has passed stops the whole

@@ -31,6 +31,20 @@ type Enumerator interface {
 	Terminal(s *State) (count uint64, done bool)
 }
 
+// LeafCounter is an optional capability of an Enumerator: it answers a node
+// at the last matching-order position with the number of its children
+// instead of emitting them, for a driver that only counts matches
+// (core.Engine without an OnMatch consumer, DESIGN.md §9). An algorithm
+// declares it explicitly; it must not arrive by embedding, because the count
+// is only right for an algorithm whose own Expand and Terminal it mirrors.
+type LeafCounter interface {
+	// CountLeaves reports ok when s has exactly one query vertex left to
+	// match, and then n is the number of children Expand would emit for s,
+	// every one of which Terminal would report as a leaf counting 1. For any
+	// other state ok is false and the caller expands s as usual.
+	CountLeaves(s *State) (n uint64, ok bool)
+}
+
 // Algorithm is a complete CSM algorithm pluggable into both the sequential
 // engine and ParaCOSM. Beyond the traversal routine it provides the
 // offline build and the two ADS hooks ParaCOSM's inter-update classifier
