@@ -67,8 +67,7 @@ func main() {
 		streamPath = flag.String("stream", "", "update stream file (required)")
 		algoName   = flag.String("algo", "Symbi", "algorithm: CaLiG | GraphFlow | NewSP | Symbi | TurboFlux")
 		threads    = flag.Int("threads", 0, "worker threads (default GOMAXPROCS; 1 = sequential)")
-		inter      = flag.Bool("inter", true, "enable inter-update (safe/unsafe batch) parallelism")
-		batch      = flag.Int("batch", 0, "batch size k (default 4*threads)")
+		inter      = flag.Bool("inter", true, "enable the inter-update safe/unsafe classifier")
 		split      = flag.Int("split", 4, "SPLIT_DEPTH for adaptive task sharing")
 		budget     = flag.Duration("budget", time.Hour, "processing time budget")
 		verbose    = flag.Bool("v", false, "print every incremental match")
@@ -108,7 +107,6 @@ func main() {
 	eng := core.New(entry.New(),
 		core.Threads(*threads),
 		core.InterUpdate(*inter),
-		core.BatchSize(*batch),
 		core.SplitDepth(*split),
 		core.WithTracer(tracer))
 	defer eng.Close()
@@ -141,7 +139,7 @@ func main() {
 	fmt.Printf("query graph    : |V|=%d |E|=%d\n", q.NumVertices(), q.NumEdges())
 	fmt.Printf("status         : %s\n", status)
 	fmt.Printf("offline build  : %v\n", build.Round(time.Microsecond))
-	fmt.Printf("updates        : %d (%d safe / %d unsafe, %d batches)\n", st.Updates, st.SafeUpdates, st.UnsafeUpdates, st.Batches)
+	fmt.Printf("updates        : %d (%d safe / %d unsafe)\n", st.Updates, st.SafeUpdates, st.UnsafeUpdates)
 	fmt.Printf("matches        : +%d / -%d (search nodes: %d)\n", st.Positive, st.Negative, st.Nodes)
 	fmt.Printf("incremental t  : %v (ADS %v, find %v)\n",
 		st.TTotal.Round(time.Microsecond), st.TADS.Round(time.Microsecond), st.TFind.Round(time.Microsecond))

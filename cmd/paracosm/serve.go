@@ -27,8 +27,7 @@ func serveMain(args []string) {
 		dataPath    = fs.String("data", "", "data graph file (required)")
 		addr        = fs.String("addr", "127.0.0.1:7400", "TCP listen address")
 		threads     = fs.Int("threads", 0, "worker threads per query engine (default GOMAXPROCS)")
-		inter       = fs.Bool("inter", true, "enable inter-update (safe/unsafe batch) parallelism")
-		batch       = fs.Int("batch", 0, "engine batch size k (default 4*threads)")
+		inter       = fs.Bool("inter", true, "enable the inter-update safe/unsafe classifier")
 		batchMax    = fs.Int("batch-max", 0, "max updates folded into one ingestion batch")
 		inflight    = fs.Int("inflight", 0, "ingestion queue capacity in updates")
 		reject      = fs.Bool("reject", false, "reject updates when the ingestion queue is full instead of blocking")
@@ -85,7 +84,6 @@ func serveMain(args []string) {
 		Engine: []core.Option{
 			core.Threads(*threads),
 			core.InterUpdate(*inter),
-			core.BatchSize(*batch),
 			core.Window(*window),
 		},
 	})

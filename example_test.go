@@ -54,7 +54,7 @@ func ExampleEngine_Run() {
 		panic(err)
 	}
 
-	eng := paracosm.New(paracosm.GraphFlow(), paracosm.Threads(2), paracosm.BatchSize(4))
+	eng := paracosm.New(paracosm.GraphFlow(), paracosm.Threads(2))
 	if err := eng.Init(g, q); err != nil {
 		panic(err)
 	}

@@ -80,7 +80,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	eng := core.New(turboflux.New(), core.Threads(4), core.BatchSize(16))
+	eng := core.New(turboflux.New(), core.Threads(4))
 	alerts := 0
 	eng.OnMatch = func(s *csm.State, count uint64, positive bool) {
 		if !positive {

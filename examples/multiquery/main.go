@@ -59,7 +59,7 @@ func main() {
 	// supply wedge: two shops selling the same item, visited by one user.
 	wedge := mkQuery([]paracosm.Label{0, 1, 1, 2}, [][2]uint8{{0, 1}, {0, 2}, {1, 3}, {2, 3}})
 
-	m := paracosm.NewMulti(paracosm.Threads(4), paracosm.BatchSize(16))
+	m := paracosm.NewMulti(paracosm.Threads(4))
 	defer m.Close()
 	m.Register("friend-triangle", paracosm.Symbi(), triangle)
 	m.Register("co-shopping-square", paracosm.TurboFlux(), square)

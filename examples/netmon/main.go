@@ -77,7 +77,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	eng := core.New(newsp.New(), core.Threads(4), core.BatchSize(32))
+	eng := core.New(newsp.New(), core.Threads(4))
 	detections := 0
 	eng.OnMatch = func(s *csm.State, count uint64, positive bool) {
 		if positive {

@@ -43,7 +43,7 @@ func main() {
 	}
 
 	// Wrap any single-threaded CSM algorithm (here: Symbi) in ParaCOSM.
-	eng := core.New(symbi.New(), core.Threads(4), core.BatchSize(8))
+	eng := core.New(symbi.New(), core.Threads(4))
 	eng.OnMatch = func(s *csm.State, count uint64, positive bool) {
 		sign := "+"
 		if !positive {

@@ -87,7 +87,7 @@ func TestFilePipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := core.New(e.New(), core.Threads(2), core.BatchSize(8))
+	eng := core.New(e.New(), core.Threads(2))
 	if err := eng.Init(g, q); err != nil {
 		t.Fatal(err)
 	}

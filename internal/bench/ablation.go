@@ -14,9 +14,8 @@ import (
 )
 
 // Ablation experiments for the design choices DESIGN.md calls out: the
-// value of edge-rooted incremental search (vs IncIsoMatch recomputation),
-// the inter-update batch size k, and the inner-update task granularity
-// (SPLIT_DEPTH / escalation budget).
+// value of edge-rooted incremental search (vs IncIsoMatch recomputation)
+// and the inner-update task granularity (SPLIT_DEPTH / escalation budget).
 
 func init() {
 	// Ablations are appended to the registry by being listed in All();
@@ -27,7 +26,6 @@ func init() {
 func ablations() []Experiment {
 	return []Experiment{
 		{ID: "recompute", Title: "Ablation: incremental search vs IncIsoMatch recomputation", Run: RunRecompute},
-		{ID: "ablation-batch", Title: "Ablation: inter-update batch size k", Run: RunAblationBatch},
 		{ID: "ablation-split", Title: "Ablation: task granularity (SPLIT_DEPTH, escalation budget)", Run: RunAblationSplit},
 	}
 }
@@ -74,45 +72,6 @@ func RunRecompute(cfg Config, w io.Writer) error {
 			perUpd = float64(nodes) / float64(updates)
 		}
 		tb.AddRow(c.name, float64(tot.Microseconds())/1000, nodes, perUpd)
-	}
-	tb.Render(w)
-	return nil
-}
-
-// RunAblationBatch sweeps the inter-update batch size k and reports
-// incremental time and deferral behavior on the Orkut stand-in.
-func RunAblationBatch(cfg Config, w io.Writer) error {
-	cfg = cfg.Defaults()
-	d := cfg.data(dataset.OrkutSpec)
-	s := cfg.stream(d)
-	e, err := algo.ByName("Symbi")
-	if err != nil {
-		return err
-	}
-	qs, err := cfg.queriesFor(d, 6)
-	if err != nil {
-		return err
-	}
-	tb := metrics.NewTable(
-		fmt.Sprintf("Ablation: batch size k (%s stand-in, Symbi, %d threads)", d.Name, cfg.Threads),
-		"k", "time (ms)", "batches", "safe %", "reclassified")
-	for _, k := range []int{1, 4, 16, 64, 256} {
-		var tot time.Duration
-		var batches, safe, updates, reclass int
-		for _, q := range qs {
-			r := cfg.runOne(e, d, q, s,
-				core.Threads(cfg.Threads), core.InterUpdate(true), core.BatchSize(k), core.Simulate(cfg.Simulate))
-			tot += r.Stats.TTotal
-			batches += r.Stats.Batches
-			safe += r.Stats.SafeUpdates
-			updates += r.Stats.Updates
-			reclass += r.Stats.Reclassified
-		}
-		safePct := 0.0
-		if updates > 0 {
-			safePct = 100 * float64(safe) / float64(updates)
-		}
-		tb.AddRow(k, float64(tot.Microseconds())/1000, batches, safePct, reclass)
 	}
 	tb.Render(w)
 	return nil

@@ -453,7 +453,8 @@ func spread(s metrics.Summary) float64 {
 }
 
 // RunFig11 reproduces Figure 11: speedup from enabling the inter-update
-// mechanism (batch executor) on the Orkut stand-in, at equal thread count.
+// mechanism (the update classifier) on the Orkut stand-in, at equal thread
+// count.
 func RunFig11(cfg Config, w io.Writer) error {
 	cfg = cfg.Defaults()
 	d := cfg.data(dataset.OrkutSpec)

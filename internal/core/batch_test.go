@@ -2,11 +2,16 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"math/rand"
 	"testing"
 
+	"paracosm/internal/algo/algotest"
 	"paracosm/internal/algo/graphflow"
 	"paracosm/internal/graph"
+	"paracosm/internal/obs"
 	"paracosm/internal/query"
+	"paracosm/internal/refmatch"
 	"paracosm/internal/stream"
 )
 
@@ -24,17 +29,18 @@ func pathFixture(t *testing.T) (*Engine, *graph.Graph) {
 	if err := q.Finalize(); err != nil {
 		t.Fatal(err)
 	}
-	eng := New(graphflow.New(), Threads(1), InterUpdate(true), BatchSize(8))
+	eng := New(graphflow.New(), Threads(1), InterUpdate(true))
 	if err := eng.Init(g, q); err != nil {
 		t.Fatal(err)
 	}
 	return eng, g
 }
 
-// TestReclassification: both insertions of the path are degree-safe when
-// the batch is classified, but applying the first raises v1's degree so
-// the second must be re-validated to unsafe — otherwise the completed path
-// match would be silently missed.
+// TestReclassification: both insertions of the path are degree-safe
+// against the initial graph, but applying the first raises v1's degree, so
+// the second — classified when it runs, against the current state — is
+// unsafe. A verdict taken before the first applied would silently miss the
+// completed path match; classifying per update needs no re-validation.
 func TestReclassification(t *testing.T) {
 	eng, g := pathFixture(t)
 	s := stream.Stream{
@@ -49,11 +55,8 @@ func TestReclassification(t *testing.T) {
 	if st.Positive != 2 {
 		t.Fatalf("Positive = %d, want 2", st.Positive)
 	}
-	if st.Reclassified != 1 {
-		t.Fatalf("Reclassified = %d, want 1", st.Reclassified)
-	}
-	if st.SafeUpdates != 1 || st.UnsafeUpdates != 1 {
-		t.Fatalf("safe/unsafe = %d/%d, want 1/1", st.SafeUpdates, st.UnsafeUpdates)
+	if st.SafeByDegree != 1 || st.UnsafeUpdates != 1 || st.Reclassified != 0 {
+		t.Fatalf("safe:degree/unsafe/reclassified = %d/%d/%d, want 1/1/0", st.SafeByDegree, st.UnsafeUpdates, st.Reclassified)
 	}
 	if !g.HasEdge(0, 1) || !g.HasEdge(1, 2) {
 		t.Fatal("edges not applied")
@@ -87,8 +90,8 @@ func TestSafeDeletionSkipsSearch(t *testing.T) {
 }
 
 // TestBatchBoundaryDeferralProcessesEverything: a long alternating
-// safe/unsafe stream across many batch boundaries must apply every update
-// exactly once.
+// safe/unsafe stream must apply every update exactly once, each under its
+// own verdict.
 func TestBatchBoundaryDeferralProcessesEverything(t *testing.T) {
 	g := graph.New(40)
 	for i := 0; i < 40; i++ {
@@ -99,7 +102,7 @@ func TestBatchBoundaryDeferralProcessesEverything(t *testing.T) {
 	if err := q.Finalize(); err != nil {
 		t.Fatal(err)
 	}
-	eng := New(graphflow.New(), Threads(2), InterUpdate(true), BatchSize(3))
+	eng := New(graphflow.New(), Threads(2), InterUpdate(true))
 	if err := eng.Init(g, q); err != nil {
 		t.Fatal(err)
 	}
@@ -125,8 +128,8 @@ func TestBatchBoundaryDeferralProcessesEverything(t *testing.T) {
 	if int(st.Positive) != want {
 		t.Fatalf("Positive = %d, want %d", st.Positive, want)
 	}
-	if st.Batches < len(s)/3 {
-		t.Fatalf("Batches = %d, suspiciously few for batch size 3 with deferrals", st.Batches)
+	if st.UnsafeUpdates != want || st.SafeByLabel != len(s)-want {
+		t.Fatalf("unsafe/safe:label = %d/%d, want %d/%d", st.UnsafeUpdates, st.SafeByLabel, want, len(s)-want)
 	}
 	// Every edge must exist exactly once.
 	for i, upd := range s {
@@ -136,8 +139,8 @@ func TestBatchBoundaryDeferralProcessesEverything(t *testing.T) {
 	}
 }
 
-// TestVertexOpsInBatches: vertex updates flowing through the batch
-// executor are counted as safe and keep indexes growable.
+// TestVertexOpsInBatches: vertex updates flowing through the classifier
+// are counted as safe and keep indexes growable.
 func TestVertexOpsInBatches(t *testing.T) {
 	eng, g := pathFixture(t)
 	st, err := eng.Run(context.Background(), stream.Stream{
@@ -156,8 +159,8 @@ func TestVertexOpsInBatches(t *testing.T) {
 	}
 }
 
-// TestInterUpdateDisabledProcessesFully: with the batch executor off every
-// update takes the full path, so the safe counters stay zero.
+// TestInterUpdateDisabledProcessesFully: with the classifier off every
+// update takes the full path, so the safe/unsafe counters stay zero.
 func TestInterUpdateDisabledProcessesFully(t *testing.T) {
 	g := graph.New(4)
 	for i := 0; i < 4; i++ {
@@ -179,10 +182,127 @@ func TestInterUpdateDisabledProcessesFully(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.SafeUpdates != 0 || st.Batches != 0 {
-		t.Fatalf("stats = %+v, want no batch-executor activity", st)
+	if st.SafeUpdates != 0 || st.UnsafeUpdates != 0 {
+		t.Fatalf("stats = %+v, want no classifier activity", st)
 	}
 	if st.Updates != 2 {
 		t.Fatalf("Updates = %d", st.Updates)
+	}
+}
+
+// TestProcessUpdateIsRunOfOne: ProcessUpdate is Run's loop over a
+// one-update stream, so calling it once per update — under any classifier,
+// thread and window setting, a window of one coalescing nothing — must give
+// the per-update deltas and the counters of Run over the same stream
+// without a window, and both must equal refmatch update by update. Traced,
+// both sides also show every update classified exactly once: one event per
+// update, and per class as many events as the Stats counter it feeds.
+func TestProcessUpdateIsRunOfOne(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	g := algotest.RandomGraph(rng, 30, 160, 2, 2)
+	s := skewedStream(rng, g, 120, 0.6) // vertex ops included
+	queries := []*query.Graph{pathQuery(t, 0, 1, 0), algotest.RandomQuery(rng, g, 4)}
+	// ref[ignoreELabels][qi][i] is refmatch's ΔM of update i.
+	var ref [2][][][2]uint64
+	for ig := range ref {
+		for _, q := range queries {
+			h := g.Clone()
+			var per [][2]uint64
+			for _, upd := range s {
+				pos, neg := refmatch.Delta(h, q, upd, refmatch.Options{IgnoreELabels: ig == 1})
+				per = append(per, [2]uint64{pos, neg})
+				if err := upd.Apply(h); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ref[ig] = append(ref[ig], per)
+		}
+	}
+	threadOpts := [][]Option{{Threads(1)}, {Threads(2), EscalateNodes(1)}}
+	for _, f := range algotest.Factories() {
+		t.Run(f.Name, func(t *testing.T) {
+			ig := 0
+			if f.IgnoreELabels {
+				ig = 1
+			}
+			for qi, q := range queries {
+				for _, inter := range []bool{false, true} {
+					for ti, th := range threadOpts {
+						for _, w := range []int{0, 8} {
+							name := fmt.Sprintf("q%d inter=%v threads#%d window=%d", qi, inter, ti, w)
+							opts := append([]Option{InterUpdate(inter)}, th...)
+							st := checkRunOfOne(t, name, f, g, q, s, ref[ig][qi], opts, w)
+							if inter && st.SafeUpdates == 0 {
+								t.Fatalf("%s: the classifier proved nothing safe; the fixture tests nothing", name)
+							}
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// checkRunOfOne runs s through Run (opts, no window) and through one
+// ProcessUpdate per update (opts plus Window(window)) on fresh engines,
+// compares both with want, update by update, and returns Run's Stats.
+func checkRunOfOne(t *testing.T, name string, f algotest.Factory, g *graph.Graph, q *query.Graph, s stream.Stream, want [][2]uint64, opts []Option, window int) Stats {
+	t.Helper()
+	opts = opts[:len(opts):len(opts)] // each append below copies
+	runTr := obs.NewTracer(len(s))
+	runSt, runSeq, _ := runWithDeltas(t, f.New(), g.Clone(), q, s, append(opts, WithTracer(runTr))...)
+	checkClassifiedOnce(t, name+" Run", runTr, runSt)
+
+	oneTr := obs.NewTracer(len(s))
+	eng := New(f.New(), append(opts, Window(window), WithTracer(oneTr))...)
+	defer eng.Close()
+	if err := eng.Init(g.Clone(), q); err != nil {
+		t.Fatal(err)
+	}
+	for i, upd := range s {
+		d, err := eng.ProcessUpdate(context.Background(), upd)
+		if err != nil {
+			t.Fatalf("%s: update %d (%v): %v", name, i, upd, err)
+		}
+		got := deltaRec{upd, d.Positive, d.Negative}
+		if got != runSeq[i] || got.pos != want[i][0] || got.neg != want[i][1] {
+			t.Fatalf("%s: update %d (%v): ProcessUpdate (+%d,-%d), Run (+%d,-%d), refmatch (+%d,-%d)",
+				name, i, upd, got.pos, got.neg, runSeq[i].pos, runSeq[i].neg, want[i][0], want[i][1])
+		}
+	}
+	oneSt := eng.Stats()
+	checkClassifiedOnce(t, name+" ProcessUpdate", oneTr, oneSt)
+	if countsOf(oneSt) != countsOf(runSt) || oneSt.Escalations != runSt.Escalations ||
+		oneSt.Reclassified != 0 || runSt.Reclassified != 0 || oneSt.Window != runSt.Window {
+		t.Fatalf("%s: ProcessUpdate stats %+v\n\tRun stats %+v", name, oneSt, runSt)
+	}
+	return runSt
+}
+
+// checkClassifiedOnce checks one run's trace against its Stats: one event
+// per update, and each verdict's events equal to its counter — so every
+// update was classified (or, with the classifier off, passed it by) once.
+func checkClassifiedOnce(t *testing.T, name string, tr *obs.Tracer, st Stats) {
+	t.Helper()
+	evs := tr.Ring().Snapshot()
+	byClass := map[string]int{}
+	for _, ev := range evs {
+		byClass[ev.Class]++
+	}
+	want := map[string]int{
+		obs.ClassSafeLabel:  st.SafeByLabel,
+		obs.ClassSafeDegree: st.SafeByDegree,
+		obs.ClassSafeADS:    st.SafeByADS,
+		obs.ClassVertex:     st.VertexUpdates,
+		obs.ClassUnsafe:     st.UnsafeUpdates,
+		obs.ClassDirect:     st.Updates - st.SafeUpdates - st.UnsafeUpdates,
+	}
+	if len(evs) != st.Updates || tr.Counters().Updates != uint64(st.Updates) {
+		t.Fatalf("%s: %d trace events, %d traced updates, %d updates", name, len(evs), tr.Counters().Updates, st.Updates)
+	}
+	for class, n := range want {
+		if byClass[class] != n {
+			t.Fatalf("%s: %d %q events, stats say %d (%v)", name, byClass[class], class, n, byClass)
+		}
 	}
 }

@@ -7,11 +7,13 @@
 //     dispatched through a concurrent queue with adaptive re-splitting
 //     driven by idle-thread detection; and
 //
-//   - the inter-update executor (§4.2, Figure 6): a three-stage update
-//     type classifier (label filter, degree filter, ADS/candidate filter)
-//     run in parallel over batches, applying safe updates directly and
-//     deferring everything after the first unsafe update to the next
-//     batch.
+//   - the inter-update executor (§4.2): a three-stage update type
+//     classifier (label filter, degree filter, ADS/candidate filter) run
+//     on every update against the current state, so that safe updates
+//     skip enumeration (and, at stage 3, ADS maintenance).
+//
+// One per-update pipeline (pipeline.go) serves both drivers: Engine runs
+// it over its own graph, MultiEngine in lockstep over a shared one.
 package core
 
 import (
@@ -29,10 +31,6 @@ type Config struct {
 	// §4.3). Defaults to runtime.GOMAXPROCS(0). Threads == 1 degenerates
 	// to faithful sequential execution.
 	Threads int
-
-	// BatchSize is k, the number of updates classified per inter-update
-	// batch. Defaults to 4 * Threads.
-	BatchSize int
 
 	// SplitDepth is SPLIT_DEPTH of Algorithm 2: search-tree nodes at
 	// depth below it may be re-split into queue tasks when idle threads
@@ -53,7 +51,7 @@ type Config struct {
 	// Figure 10: tasks are only split during initialization.
 	LoadBalance bool
 
-	// InterUpdate enables the safe/unsafe batch executor. Disabling it
+	// InterUpdate enables the safe/unsafe update classifier. Disabling it
 	// processes every update through the full (inner-parallel) path,
 	// the baseline of Figure 11.
 	InterUpdate bool
@@ -66,11 +64,11 @@ type Config struct {
 	Simulate bool
 
 	// Tracer, if non-nil, receives one obs.Event per processed update
-	// (safe and unsafe alike) plus per-batch classification timings: the
-	// always-on observability hook behind the /debug server. nil (the
-	// default) costs a single predictable branch per update and zero
-	// allocations — the hot path is unchanged. A single Tracer may be
-	// shared across engines; its counters then aggregate.
+	// (safe and unsafe alike): the always-on observability hook behind
+	// the /debug server. nil (the default) costs a single predictable
+	// branch per update and zero allocations — the hot path is unchanged.
+	// A single Tracer may be shared across engines; its counters then
+	// aggregate.
 	Tracer *obs.Tracer
 
 	// OnDelta, if non-nil, observes every processed update's incremental
@@ -99,8 +97,8 @@ type Config struct {
 	// executor in window order — so a windowed run equals a per-update run
 	// over each window coalesced, and only NET totals compare with the raw
 	// stream (DESIGN.md §15). 0 or 1 (the default) is the per-update
-	// executor alone. A standalone Engine also requires InterUpdate;
-	// ignored under Simulate (the simulator models the per-update schedule).
+	// executor alone. Ignored under Simulate (the simulator models the
+	// per-update schedule).
 	Window int
 }
 
@@ -115,9 +113,6 @@ type Option func(*Config)
 // Threads sets the worker pool size.
 func Threads(n int) Option { return func(c *Config) { c.Threads = n } }
 
-// BatchSize sets the inter-update batch size k.
-func BatchSize(k int) Option { return func(c *Config) { c.BatchSize = k } }
-
 // SplitDepth sets SPLIT_DEPTH for adaptive task splitting.
 func SplitDepth(d int) Option { return func(c *Config) { c.SplitDepth = d } }
 
@@ -128,7 +123,7 @@ func EscalateNodes(n int) Option { return func(c *Config) { c.EscalateNodes = n 
 // LoadBalance toggles adaptive re-splitting (Figure 10 ablation).
 func LoadBalance(on bool) Option { return func(c *Config) { c.LoadBalance = on } }
 
-// InterUpdate toggles the batch executor (Figure 11 ablation).
+// InterUpdate toggles the update classifier (Figure 11 ablation).
 func InterUpdate(on bool) Option { return func(c *Config) { c.InterUpdate = on } }
 
 // Simulate toggles execution-driven schedule simulation.
@@ -164,9 +159,6 @@ func (c *Config) normalize() {
 	}
 	if c.Threads > maxThreads && !c.Simulate {
 		c.Threads = maxThreads
-	}
-	if c.BatchSize < 1 {
-		c.BatchSize = 4 * c.Threads
 	}
 	if c.SplitDepth < 0 {
 		c.SplitDepth = 0
@@ -224,10 +216,12 @@ type Stats struct {
 	TTotal time.Duration
 
 	// Inter-update executor counters.
-	Batches       int
 	SafeUpdates   int
 	UnsafeUpdates int
-	Reclassified  int // safe-at-classification, unsafe at re-validation
+	// Reclassified is always 0: every update is classified once, when it
+	// runs, so no verdict is ever re-validated. It stays only because
+	// benchmarks/harness reads it.
+	Reclassified  int
 	SafeByLabel   int // rejected by stage 1
 	SafeByDegree  int // passed stage 1, rejected by stage 2
 	SafeByADS     int // passed stages 1-2, rejected by stage 3
@@ -270,7 +264,6 @@ func (s *Stats) Add(o Stats) {
 	s.TADS += o.TADS
 	s.TFind += o.TFind
 	s.TTotal += o.TTotal
-	s.Batches += o.Batches
 	s.SafeUpdates += o.SafeUpdates
 	s.UnsafeUpdates += o.UnsafeUpdates
 	s.Reclassified += o.Reclassified

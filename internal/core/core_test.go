@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -52,7 +53,7 @@ func TestParaCOSMMatchesReference(t *testing.T) {
 				for _, threads := range []int{1, 2, 4} {
 					for _, inter := range []bool{false, true} {
 						g := g0.Clone()
-						eng := New(f.New(), Threads(threads), InterUpdate(inter), BatchSize(7), SplitDepth(3))
+						eng := New(f.New(), Threads(threads), InterUpdate(inter), SplitDepth(3))
 						if err := eng.Init(g, q); err != nil {
 							t.Fatal(err)
 						}
@@ -95,7 +96,7 @@ func TestBatchExecutorSkippingADSIsSound(t *testing.T) {
 				}
 				s := algotest.RandomStream(rng, g, 35, 0.65, 2)
 				algo := f.New()
-				eng := New(algo, Threads(2), InterUpdate(true), BatchSize(5))
+				eng := New(algo, Threads(2), InterUpdate(true))
 				if err := eng.Init(g, q); err != nil {
 					t.Fatal(err)
 				}
@@ -127,9 +128,11 @@ func (a *figure6Algo) Roots(stream.Update, func(csm.State)) {}
 func (a *figure6Algo) Expand(*csm.State, func(csm.State))   {}
 func (a *figure6Algo) Terminal(*csm.State) (uint64, bool)   { return 0, true }
 
-// TestFigure6Deferral encodes the paper's Figure 6 walkthrough: in a batch
-// where updates 1-3 are safe, 4 unsafe and 5 safe, update 4 must take the
-// full path and update 5 must be deferred to the following batch.
+// TestFigure6Deferral runs the paper's Figure 6 walkthrough — updates 1-3
+// safe, 4 unsafe, 5 safe — through the per-update pipeline, which has no
+// deferral left: each update is classified when it runs, so update 4 alone
+// takes the full path, update 5 is applied as safe right behind it, and
+// every update commits in stream order.
 func TestFigure6Deferral(t *testing.T) {
 	g := graph.New(8)
 	for i := 0; i < 8; i++ {
@@ -141,7 +144,10 @@ func TestFigure6Deferral(t *testing.T) {
 		t.Fatal(err)
 	}
 	algo := &figure6Algo{unsafeEdges: map[[2]graph.VertexID]bool{{0, 4}: true}}
-	eng := New(algo, Threads(2), BatchSize(5), InterUpdate(true))
+	var committed []graph.VertexID
+	eng := New(algo, Threads(2), InterUpdate(true), WithOnDelta(func(upd stream.Update, _ csm.Delta, _ bool) {
+		committed = append(committed, upd.V)
+	}))
 	if err := eng.Init(g, q); err != nil {
 		t.Fatal(err)
 	}
@@ -156,8 +162,8 @@ func TestFigure6Deferral(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Batches != 2 {
-		t.Fatalf("Batches = %d, want 2 (update 5 deferred)", st.Batches)
+	if fmt.Sprint(committed) != "[1 2 3 4 5]" {
+		t.Fatalf("commit order %v, want stream order", committed)
 	}
 	if st.SafeUpdates != 4 || st.UnsafeUpdates != 1 {
 		t.Fatalf("safe/unsafe = %d/%d, want 4/1", st.SafeUpdates, st.UnsafeUpdates)
@@ -182,7 +188,7 @@ func TestStatsAccounting(t *testing.T) {
 		t.Skip("no query")
 	}
 	s := algotest.RandomStream(rng, g, 30, 0.7, 1)
-	eng := New(algotest.Factories()[4].New(), Threads(2), InterUpdate(true), BatchSize(6)) // Symbi
+	eng := New(algotest.Factories()[4].New(), Threads(2), InterUpdate(true)) // Symbi
 	if err := eng.Init(g, q); err != nil {
 		t.Fatal(err)
 	}
@@ -196,9 +202,6 @@ func TestStatsAccounting(t *testing.T) {
 	if st.SafeByLabel+st.SafeByDegree+st.SafeByADS+st.VertexUpdates != st.SafeUpdates {
 		t.Fatalf("stage counters %d+%d+%d+%d != safe %d",
 			st.SafeByLabel, st.SafeByDegree, st.SafeByADS, st.VertexUpdates, st.SafeUpdates)
-	}
-	if st.Batches == 0 {
-		t.Fatal("no batches recorded")
 	}
 	if r := st.SafeRatio(); r < 0 || r > 1 {
 		t.Fatalf("SafeRatio = %v", r)
@@ -269,11 +272,11 @@ func TestThreadBusyRecorded(t *testing.T) {
 func TestConfigNormalization(t *testing.T) {
 	eng := New(algotest.Factories()[2].New(), Threads(0), SplitDepth(-3))
 	cfg := eng.Config()
-	if cfg.Threads != 1 || cfg.SplitDepth != 0 || cfg.BatchSize != 4 || cfg.EscalateNodes != 4096 {
+	if cfg.Threads != 1 || cfg.SplitDepth != 0 || cfg.EscalateNodes != 4096 {
 		t.Fatalf("normalized config = %+v", cfg)
 	}
 	eng2 := New(algotest.Factories()[2].New())
-	if eng2.Config().Threads < 1 || eng2.Config().BatchSize < 1 {
+	if eng2.Config().Threads < 1 {
 		t.Fatalf("default config = %+v", eng2.Config())
 	}
 }

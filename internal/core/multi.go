@@ -27,11 +27,12 @@ import (
 // O(|G| + Σ index) instead of the O(queries × |G|) a clone-per-query
 // design costs, and registering a query is O(index build), not O(|G|)
 // copy. The stream is processed in lockstep: for each update every query
-// first runs its read-only pre-apply phase (classification, and expiring-
+// first runs its read-only prepare phase (classification, and expiring-
 // match enumeration for deletions), the update is applied to the shared
-// graph exactly once, then every query runs its post-apply phase (ADS
-// maintenance, new-match enumeration). The phases only read the graph, so
-// queries never contend beyond the two fan-out barriers per update. See
+// graph exactly once, then every query runs its commit phase (ADS
+// maintenance, new-match enumeration) — the single engine's pipeline
+// (pipeline.go) with the mutation shared. The phases only read the graph,
+// so queries never contend beyond the two fan-out barriers per update. See
 // DESIGN.md §13 for the full contract.
 //
 // Two operating modes coexist:
@@ -328,7 +329,7 @@ func (m *MultiEngine) Run(ctx context.Context, s stream.Stream) error {
 }
 
 // BatchTimes carries the serving layer's queue timestamps for one batch
-// into ProcessBatchTimed, so the driver can attribute ingest-queue wait
+// into ProcessBatchLogged, so the driver can attribute ingest-queue wait
 // and batch-assembly dwell to each update. Enqueued[i]/Dequeued[i] are
 // when batch[i] was admitted to the ingestion queue and picked up by the
 // ingestion loop; Flushed is when the assembled batch was submitted.
@@ -388,29 +389,26 @@ func (bt *BatchTimes) stageWaits(i int) (wait, assemble time.Duration) {
 // error (errors.Join, as in Run) is returned and the recorded errors are
 // cleared.
 func (m *MultiEngine) ProcessBatch(ctx context.Context, batch stream.Stream) (applied int, err error) {
-	return m.ProcessBatchTimed(ctx, batch, nil)
+	return m.ProcessBatchLogged(ctx, batch, nil, nil)
 }
 
-// ProcessBatchTimed is ProcessBatch with queue timestamps: when the
-// engine has a Tracer, each applied update's ingest-queue wait and
-// batch-assembly dwell (from bt, which may be nil) are observed into the
-// pipeline stage histograms alongside the driver-measured pre-apply,
-// commit and post-apply stages. Every per-update stage is observed
-// exactly once per applied update — on the same code path that counts
-// the update applied — so stage sample counts reconcile with the
-// applied-update count by construction.
-func (m *MultiEngine) ProcessBatchTimed(ctx context.Context, batch stream.Stream, bt *BatchTimes) (applied int, err error) {
-	return m.ProcessBatchLogged(ctx, batch, bt, nil)
-}
-
-// ProcessBatchLogged is ProcessBatchTimed with a durability hook: when
-// persist is non-nil it is called with the validated subsequence after
-// speculative validation and before any engine observes an update (the
-// write-ahead ordering — log, then apply). The slice is only valid for
-// the duration of the call. A persist error aborts the batch: the
-// speculative apply is rolled back, no query sees anything, and
-// (0, err) is returned — an update is either durable and applied, or
-// neither.
+// ProcessBatchLogged is ProcessBatch with queue timestamps and a
+// durability hook, either of which may be nil.
+//
+// With a Tracer, each applied update's ingest-queue wait and
+// batch-assembly dwell (from bt) are observed into the pipeline stage
+// histograms alongside the driver-measured pre-apply, commit and
+// post-apply stages. Every per-update stage is observed exactly once per
+// applied update — on the same code path that counts the update applied —
+// so stage sample counts reconcile with the applied-update count by
+// construction.
+//
+// persist is called with the validated subsequence after speculative
+// validation and before any engine observes an update (the write-ahead
+// ordering — log, then apply). The slice is only valid for the duration
+// of the call. A persist error aborts the batch: the speculative apply is
+// rolled back, no query sees anything, and (0, err) is returned — an
+// update is either durable and applied, or neither.
 func (m *MultiEngine) ProcessBatchLogged(ctx context.Context, batch stream.Stream, bt *BatchTimes, persist func(stream.Stream) error) (applied int, err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -494,12 +492,16 @@ func (m *MultiEngine) runSharedLocked(ctx context.Context, s stream.Stream, bt *
 	if m.fanPrepare == nil {
 		// Built once per MultiEngine: the closures read the current task
 		// from m.fanCur, so the lockstep loop below never allocates.
+		// The update's clock stops between the two phases: the barrier
+		// waits and the shared apply are not this query's time.
 		m.fanPrepare = func(mq *multiQuery) {
-			mq.eng.sharedPrepare(m.fanCur.ctx, m.fanCur.upd)
+			mq.eng.prepare(m.fanCur.ctx, m.fanCur.upd)
+			mq.eng.pend.prior = time.Since(mq.eng.pend.t0)
 		}
 		m.fanCommit = func(mq *multiQuery) {
 			cur := &m.fanCur
-			if err := mq.eng.sharedCommit(cur.ctx, cur.upd); err != nil {
+			mq.eng.pend.t0 = time.Now()
+			if err := mq.eng.commit(cur.ctx, cur.upd); err != nil {
 				mq.err = fmt.Errorf("update %d (%v): %w", cur.i, cur.upd, err)
 			} else if cur.simBudget > 0 && mq.eng.totalElapsed() > cur.simBudget {
 				mq.err = fmt.Errorf("update %d: %w", cur.i, csm.ErrDeadline)
@@ -525,6 +527,10 @@ func (m *MultiEngine) runSharedLocked(ctx context.Context, s stream.Stream, bt *
 	// update visits when the index does not decide: m.queries itself until
 	// a query fails, its compacted copy after.
 	dispatching := m.cfg.InterUpdate && !m.cfg.Simulate
+	vertexVerdict := classDirect
+	if m.cfg.InterUpdate {
+		vertexVerdict = classVertexOp
+	}
 	dc := &m.dispatch.counters
 	all, live := m.queries, len(m.queries)
 	tr := m.cfg.Tracer
@@ -549,12 +555,12 @@ func (m *MultiEngine) runSharedLocked(ctx context.Context, s stream.Stream, bt *
 			visit = m.visitLocked(upd)
 		}
 		if upd.IsEdge() {
-			// Vertex ops have a trivial pre-apply phase (classVertexOp,
-			// no enumeration); skip the fan-out barrier for them.
 			fanOut(visit, m.fanPrepare)
 		} else {
+			// A vertex op's prepare is its verdict alone (no enumeration);
+			// skip the fan-out barrier for it.
 			for _, mq := range visit {
-				mq.eng.shared = sharedPending{verdict: classVertexOp}
+				mq.eng.pend = pending{verdict: vertexVerdict}
 			}
 		}
 		var preApply time.Duration

@@ -42,13 +42,13 @@ func (l *deltaLog) add(name string, upd stream.Update, d csm.Delta) {
 // privateReplay runs q alone over a private clone of base through s —
 // the pre-shared-graph execution model — returning its Stats and OnDelta
 // sequence (one record per update). This is the oracle the shared-graph
-// MultiEngine must match. BatchSize(1) makes the batch executor classify
-// every update against the current state, as the lockstep driver does, so
-// the per-stage safe counters are comparable and not only the totals.
+// MultiEngine must match. Both drivers classify every update against the
+// current state, so the per-stage safe counters are comparable and not
+// only the totals.
 func privateReplay(t *testing.T, algo csm.Algorithm, base *graph.Graph, q *query.Graph, s stream.Stream) (Stats, []deltaRec) {
 	t.Helper()
 	var seq []deltaRec
-	eng := New(algo, Threads(2), BatchSize(1), WithOnDelta(func(upd stream.Update, d csm.Delta, timeout bool) {
+	eng := New(algo, Threads(2), WithOnDelta(func(upd stream.Update, d csm.Delta, timeout bool) {
 		seq = append(seq, deltaRec{upd, d.Positive, d.Negative})
 	}))
 	defer eng.Close()

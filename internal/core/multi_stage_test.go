@@ -100,7 +100,7 @@ func stageCountsReconcile(t *testing.T, window int) {
 				bt.Dequeued = append(bt.Dequeued, now.Add(-2*time.Millisecond))
 			}
 		}
-		n, err := m.ProcessBatchTimed(ctx, chunk, bt)
+		n, err := m.ProcessBatchLogged(ctx, chunk, bt, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -312,7 +312,7 @@ func TestQuerySnapshotsAndClosedLatency(t *testing.T) {
 
 // sharedAllocsPerUpdate measures steady-state allocations per update of
 // batch — which must leave the 6-vertex graph as it found it — through the
-// full serving-mode path (ProcessBatchTimed over a MultiEngine with one
+// full serving-mode path (ProcessBatchLogged over a MultiEngine with one
 // registered query), with the allocation-free probe algorithm isolating
 // the driver's own cost.
 func sharedAllocsPerUpdate(t *testing.T, batch stream.Stream, bt *BatchTimes, opts ...Option) float64 {
@@ -345,7 +345,7 @@ func sharedAllocsPerUpdate(t *testing.T, batch stream.Stream, bt *BatchTimes, op
 	}
 	ctx := context.Background()
 	cycle := func() {
-		if _, err := m.ProcessBatchTimed(ctx, batch, bt); err != nil {
+		if _, err := m.ProcessBatchLogged(ctx, batch, bt, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

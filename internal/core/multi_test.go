@@ -27,7 +27,7 @@ func TestMultiEngineMatchesIndividualRuns(t *testing.T) {
 	fGF := algotest.Factories()[2] // GraphFlow
 	fSY := algotest.Factories()[4] // Symbi
 
-	m := NewMulti(Threads(2), BatchSize(6))
+	m := NewMulti(Threads(2))
 	m.Register("gf-q1", fGF.New(), q1)
 	m.Register("sy-q2", fSY.New(), q2)
 	if err := m.Init(g); err != nil {
@@ -132,7 +132,7 @@ func TestMultiEngineDeregister(t *testing.T) {
 
 	wantPos, wantNeg := refTotals(t, g, q1, s)
 
-	m := NewMulti(Threads(2), BatchSize(4))
+	m := NewMulti(Threads(2))
 	defer m.Close()
 	m.Register("keep", algotest.Factories()[2].New(), q1) // GraphFlow
 	m.Register("drop", algotest.Factories()[4].New(), q2) // Symbi
@@ -188,7 +188,7 @@ func TestMultiEngineRegisterLive(t *testing.T) {
 		deltaMu sync.Mutex
 		deltas  []delta
 	)
-	m := NewMulti(Threads(2), BatchSize(4))
+	m := NewMulti(Threads(2))
 	defer m.Close()
 	m.OnDelta = func(query string, upd stream.Update, d csm.Delta, timeout bool) {
 		deltaMu.Lock()

@@ -52,12 +52,6 @@ func TestTracerReconcilesWithStats(t *testing.T) {
 			if c.Escalations != uint64(st.Escalations) {
 				t.Errorf("tracer escalations %d != stats %d", c.Escalations, st.Escalations)
 			}
-			if c.Reclassified != uint64(st.Reclassified) {
-				t.Errorf("tracer reclassified %d != stats %d", c.Reclassified, st.Reclassified)
-			}
-			if c.Batches != uint64(st.Batches) {
-				t.Errorf("tracer batches %d != stats %d", c.Batches, st.Batches)
-			}
 			if c.Matches != st.Positive+st.Negative {
 				t.Errorf("tracer matches %d != stats %d", c.Matches, st.Positive+st.Negative)
 			}
@@ -271,9 +265,9 @@ func allocsPerUpdate(t *testing.T, opts ...Option) float64 {
 	return testing.AllocsPerRun(200, cycle) / 2 // two updates per cycle
 }
 
-// allocsPerRun measures one Engine.Run over a 64-update stream through the
-// inter-update executor (every update is unsafe for allocProbeAlgo, so that
-// is 64 classification rounds).
+// allocsPerRun measures one Engine.Run over a 64-update stream with the
+// classifier on (every update is unsafe for allocProbeAlgo, so every one
+// runs the full path).
 func allocsPerRun(t *testing.T) float64 {
 	t.Helper()
 	eng, _ := treeEngine(t, &allocProbeAlgo{roots: 4}, Threads(1), InterUpdate(true))
@@ -291,8 +285,8 @@ func allocsPerRun(t *testing.T) float64 {
 	for i := 0; i < 4; i++ {
 		run()
 	}
-	if st := eng.Stats(); st.Batches < len(s) || st.UnsafeUpdates < len(s) {
-		t.Fatalf("%d rounds, %d unsafe updates over %d updates; the batch executor went untested", st.Batches, st.UnsafeUpdates, len(s))
+	if st := eng.Stats(); st.UnsafeUpdates < len(s) {
+		t.Fatalf("%d unsafe updates over %d updates; the classifier went untested", st.UnsafeUpdates, len(s))
 	}
 	return testing.AllocsPerRun(50, run)
 }
@@ -304,9 +298,8 @@ func allocsPerRun(t *testing.T) float64 {
 // fixed). The nil-callback cases also lock in the match-delta hook's
 // contract: an unset OnDelta costs one branch and no allocations, and
 // even a set callback (stack-passed value args, closure built once)
-// stays allocation-free. The same holds through Run with the inter-update
-// executor on: its rounds reuse engine-resident scratch, so a whole Run
-// allocates only the Stats snapshot it returns.
+// stays allocation-free. The same holds through Run with the classifier
+// on: a whole Run allocates only the Stats snapshot it returns.
 func TestProcessUpdateAllocations(t *testing.T) {
 	nilAllocs := allocsPerUpdate(t)
 	tracedAllocs := allocsPerUpdate(t, WithTracer(obs.NewTracer(64)))

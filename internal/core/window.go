@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"time"
 
 	"paracosm/internal/obs"
@@ -54,34 +53,18 @@ func (w *winScratch) coalesce(raw stream.Stream, wc *WindowCounters, tr *obs.Tra
 	return w.coal.Src()
 }
 
-// runWindow is runBatch for Window(n): coalesce the next window of s,
-// classify the survivors in parallel (Stage A) and drain them ALL through
-// Stage B in window order — a window defers nothing behind an unsafe
-// update, its verdicts are re-validated instead. OnDelta fires as the
-// drain goes. It returns how many raw updates were consumed: the whole
-// window, or on error up to the failing survivor's position.
-func (e *Engine) runWindow(ctx context.Context, s stream.Stream) (int, error) {
-	if len(s) > e.cfg.Window {
-		s = s[:e.cfg.Window]
-	}
-	if e.win == nil {
-		e.win = newWinScratch()
-	}
+// coalesce is Window(n) for the single engine: it books window raw into
+// the engine's Stats and returns its survivors, for Run's loop, with each
+// one's index in raw; both are valid until the next call.
+func (e *Engine) coalesce(raw stream.Stream) (stream.Stream, []int32) {
 	w := e.win
 	w.buf = w.buf[:0]
 	var wc WindowCounters
-	src := w.coalesce(s, &wc, e.cfg.Tracer)
+	src := w.coalesce(raw, &wc, e.cfg.Tracer)
 	e.statsMu.Lock()
 	e.stats.Window.Add(wc)
 	e.statsMu.Unlock()
-
-	verdicts := e.stageA(w.buf)
-	for j, upd := range w.buf {
-		if _, err := e.stageB(ctx, upd, verdicts[j]); err != nil {
-			return int(src[j]) + 1, err
-		}
-	}
-	return len(s), nil
+	return w.buf, src
 }
 
 // coalesceLocked is Window(n) for the shared driver: it coalesces the

@@ -75,7 +75,7 @@ func graphFingerprint(g *graph.Graph) string {
 // raw-comparable — see DESIGN.md §15).
 func checkWindowedOracle(t *testing.T, f algotest.Factory, g *graph.Graph, q *query.Graph, s stream.Stream, window int) Stats {
 	t.Helper()
-	opts := []Option{Threads(4), BatchSize(8)}
+	opts := []Option{Threads(4)}
 
 	oracleStream := coalesceChunks(s, window)
 	_, wantSeq, wantG := runWithDeltas(t, f.New(), g.Clone(), q, oracleStream, opts...)
@@ -214,7 +214,7 @@ func TestMultiWindowedOracle(t *testing.T) {
 	const window = 16
 
 	shared := newDeltaLog()
-	m := NewMulti(Threads(2), BatchSize(4), Window(window))
+	m := NewMulti(Threads(2), Window(window))
 	defer m.Close()
 	m.OnDelta = func(name string, upd stream.Update, d csm.Delta, timeout bool) {
 		shared.add(name, upd, d)
@@ -242,7 +242,7 @@ func TestMultiWindowedOracle(t *testing.T) {
 	oracle := coalesceChunks(s, window)
 	stats := m.Stats()
 	for _, sq := range queries {
-		wantSt, wantSeq, _ := runWithDeltas(t, sq.f.New(), g.Clone(), sq.q, oracle, Threads(2), BatchSize(1))
+		wantSt, wantSeq, _ := runWithDeltas(t, sq.f.New(), g.Clone(), sq.q, oracle, Threads(2))
 		checkSharedDeltas(t, sq.name, shared.seqs[sq.name], wantSeq)
 		if got, want := countsOf(stats[sq.name]), countsOf(wantSt); got != want {
 			t.Errorf("%s: shared %+v\n\tprivate %+v", sq.name, got, want)
@@ -275,7 +275,7 @@ func TestWindowedRunErrorPosition(t *testing.T) {
 		{Op: stream.AddEdge, U: 1, V: 2},
 		{Op: stream.DeleteEdge, U: 2, V: 3}, // survivor 1, update 3: no such edge
 	})
-	if err == nil || !strings.Contains(err.Error(), "update 3:") {
+	if err == nil || !strings.Contains(err.Error(), "update 3 (") {
 		t.Fatalf("Run error = %v, want one naming update 3", err)
 	}
 }

@@ -25,7 +25,7 @@
 //   - rangedeterminism:  no `for range` over maps on result-reporting or
 //     matching-order code paths unless the values feed a sort
 //   - lockcopy:          generics-aware detection of by-value copies of types
-//     containing sync.Mutex / sync.RWMutex (covers Queue[T] instantiations)
+//     containing sync.Mutex / sync.RWMutex (covers Pool[T] instantiations)
 //
 // Intentional violations are annotated in-source with the escape hatch
 //

@@ -156,8 +156,9 @@ func TestStrictIgnores(t *testing.T) {
 // prover and the runtime guard pin the same set.
 func TestNoAllocPinsHotPath(t *testing.T) {
 	pins := map[string][]string{
-		"../core/engine.go": {"processUpdate", "findPhase"},
-		"../graph/graph.go": {"NeighborsWithLabel", "DegreeWithLabel"},
+		"../core/engine.go":   {"ProcessUpdate"},
+		"../core/pipeline.go": {"prepare", "commit", "commitSafe", "findPhase"},
+		"../graph/graph.go":   {"NeighborsWithLabel", "DegreeWithLabel"},
 		"../graph/intersect.go": {
 			"SearchNeighbors", "FindInNeighbors", "AdvanceNeighbors",
 			"SearchIDs", "AdvanceIDs",

@@ -15,13 +15,12 @@ import (
 // them into the update totals would skew the phase fractions and latency
 // quantiles of serve-mode trace dumps with zero-duration srv:* rows.
 type Analysis struct {
-	Events       int // per-update engine events only
-	ByClass      map[string]int
-	Escalations  int
-	Timeouts     int
-	Reclassified int
-	Nodes        uint64
-	Matches      uint64
+	Events      int // per-update engine events only
+	ByClass     map[string]int
+	Escalations int
+	Timeouts    int
+	Nodes       uint64
+	Matches     uint64
 
 	ADS, Find, Total time.Duration // summed per-phase time
 
@@ -97,9 +96,6 @@ func Analyze(evs []Event, topK int) Analysis {
 		if ev.Timeout {
 			a.Timeouts++
 		}
-		if ev.Reclassified {
-			a.Reclassified++
-		}
 		a.Nodes += ev.Nodes
 		a.Matches += ev.Matches
 		a.ADS += ev.ADS
@@ -141,8 +137,8 @@ func Analyze(evs []Event, topK int) Analysis {
 
 // Render writes the analysis as a human-readable report.
 func (a Analysis) Render(w io.Writer) {
-	fmt.Fprintf(w, "events        : %d (%d escalated, %d timed out, %d reclassified)\n",
-		a.Events, a.Escalations, a.Timeouts, a.Reclassified)
+	fmt.Fprintf(w, "events        : %d (%d escalated, %d timed out)\n",
+		a.Events, a.Escalations, a.Timeouts)
 	if a.ServerEvents > 0 {
 		ops := make([]string, 0, len(a.ByServerOp))
 		for op := range a.ByServerOp {

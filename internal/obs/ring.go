@@ -22,13 +22,10 @@ type Event struct {
 	// U, V are the update's endpoints (V is meaningless for vertex ops).
 	U uint32 `json:"u"`
 	V uint32 `json:"v"`
-	// Class records the batch executor's verdict: "unsafe",
-	// "safe:label", "safe:degree", "safe:ads", "vertex", or "direct"
-	// when the update bypassed classification (InterUpdate disabled).
+	// Class records the classifier's verdict: "unsafe", "safe:label",
+	// "safe:degree", "safe:ads", "vertex", or "direct" when the update
+	// bypassed classification (InterUpdate disabled).
 	Class string `json:"class"`
-	// Reclassified marks an update that was safe at stage-A
-	// classification but unsafe at re-validation time.
-	Reclassified bool `json:"reclassified,omitempty"`
 	// Escalated marks updates whose search escalated to the parallel
 	// phase of the inner-update executor.
 	Escalated bool `json:"escalated,omitempty"`

@@ -55,7 +55,7 @@ func TestRingJSONLRoundTrip(t *testing.T) {
 	evs := []Event{
 		{Seq: 1, Op: "+e", U: 5, V: 9, Class: ClassUnsafe, Escalated: true, Nodes: 1234, Resplits: 3, Matches: 7, ADS: time.Microsecond, Find: 2 * time.Millisecond, Total: 3 * time.Millisecond},
 		{Seq: 2, Op: "-v", U: 11, Class: ClassVertex, Total: 40 * time.Nanosecond},
-		{Seq: 3, Op: "-e", U: 1, V: 2, Class: ClassSafeDegree, Reclassified: true, Timeout: true},
+		{Seq: 3, Op: "-e", U: 1, V: 2, Class: ClassSafeDegree, Timeout: true},
 	}
 	for _, ev := range evs {
 		r.Append(ev)

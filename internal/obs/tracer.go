@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"sync/atomic"
-	"time"
 )
 
 // Phase identifies one of the tracer's per-phase latency histograms.
@@ -17,9 +16,6 @@ const (
 	PhaseADS
 	// PhaseFind is the find-matches (search) slice of an update.
 	PhaseFind
-	// PhaseClassify is the per-batch stage-A classification time of the
-	// inter-update executor (one observation per batch, not per update).
-	PhaseClassify
 	numPhases
 )
 
@@ -32,8 +28,6 @@ func (p Phase) String() string {
 		return "ads"
 	case PhaseFind:
 		return "find"
-	case PhaseClassify:
-		return "classify"
 	}
 	return fmt.Sprintf("Phase(%d)", int(p))
 }
@@ -111,10 +105,8 @@ type Tracer struct {
 	unsafeN     atomic.Uint64 // "unsafe" is a keyword-adjacent builtin package name
 	escalations atomic.Uint64
 	timeouts    atomic.Uint64
-	reclass     atomic.Uint64
 	matches     atomic.Uint64
 	nodes       atomic.Uint64
-	batches     atomic.Uint64
 
 	// Window(n) coalescing counters (see Tracer.Window).
 	winCoalesced   atomic.Uint64
@@ -209,9 +201,6 @@ func (t *Tracer) Update(ev Event) {
 	if ev.Timeout {
 		t.timeouts.Add(1)
 	}
-	if ev.Reclassified {
-		t.reclass.Add(1)
-	}
 	t.matches.Add(ev.Matches)
 	t.nodes.Add(ev.Nodes)
 	t.hists[PhaseTotal].Observe(ev.Total)
@@ -234,12 +223,6 @@ func (t *Tracer) SafeN(n uint64) {
 	t.hists[PhaseTotal].ObserveN(0, n)
 	t.hists[PhaseADS].ObserveN(0, n)
 	t.hists[PhaseFind].ObserveN(0, n)
-}
-
-// Classify records one inter-update batch's stage-A classification time.
-func (t *Tracer) Classify(d time.Duration) {
-	t.batches.Add(1)
-	t.hists[PhaseClassify].Observe(d)
 }
 
 // Window accumulates one window's coalescing counters: updates removed
@@ -269,10 +252,8 @@ type Counters struct {
 	Unsafe       uint64 `json:"unsafe"`
 	Escalations  uint64 `json:"escalations"`
 	Timeouts     uint64 `json:"timeouts"`
-	Reclassified uint64 `json:"reclassified"`
 	Matches      uint64 `json:"matches"`
 	Nodes        uint64 `json:"nodes"`
-	Batches      uint64 `json:"batches"`
 	TraceDropped uint64 `json:"trace_dropped"`
 
 	WindowCoalesced   uint64 `json:"window_coalesced"`
@@ -287,10 +268,8 @@ func (t *Tracer) Counters() Counters {
 		Unsafe:       t.unsafeN.Load(),
 		Escalations:  t.escalations.Load(),
 		Timeouts:     t.timeouts.Load(),
-		Reclassified: t.reclass.Load(),
 		Matches:      t.matches.Load(),
 		Nodes:        t.nodes.Load(),
-		Batches:      t.batches.Load(),
 		TraceDropped: t.ring.Dropped(),
 
 		WindowCoalesced:   t.winCoalesced.Load(),
@@ -311,10 +290,8 @@ func (t *Tracer) WritePrometheus(w io.Writer) error {
 		{"paracosm_unsafe_updates_total", "Updates that ran the full inner-parallel path after classification.", c.Unsafe},
 		{"paracosm_escalations_total", "Updates whose search escalated to the parallel phase.", c.Escalations},
 		{"paracosm_timeouts_total", "Updates cut off by the context deadline.", c.Timeouts},
-		{"paracosm_reclassified_total", "Safe-at-classification updates found unsafe at re-validation.", c.Reclassified},
 		{"paracosm_matches_total", "Incremental matches reported (positive + negative).", c.Matches},
 		{"paracosm_search_nodes_total", "Search-tree nodes visited.", c.Nodes},
-		{"paracosm_batches_total", "Inter-update executor batch rounds.", c.Batches},
 		{"paracosm_trace_dropped_total", "Trace events overwritten in the ring.", c.TraceDropped},
 		{"paracosm_window_coalesced_total", "Updates removed by window coalescing (Window(n)).", c.WindowCoalesced},
 		{"paracosm_window_annihilated_total", "Exact insert/delete pairs annihilated by window coalescing (2 updates each).", c.WindowAnnihilated},
@@ -336,11 +313,7 @@ func (t *Tracer) WritePrometheus(w io.Writer) error {
 		}
 	}
 	for p := Phase(0); p < numPhases; p++ {
-		name := "paracosm_update_" + p.String() + "_seconds"
-		if p == PhaseClassify {
-			name = "paracosm_batch_classify_seconds"
-		}
-		if err := t.hists[p].WritePrometheus(w, name); err != nil {
+		if err := t.hists[p].WritePrometheus(w, "paracosm_update_"+p.String()+"_seconds"); err != nil {
 			return err
 		}
 	}

@@ -13,19 +13,15 @@ func TestTracerUpdateAggregates(t *testing.T) {
 		ADS: time.Microsecond, Find: time.Millisecond, Total: 2 * time.Millisecond})
 	tr.Update(Event{Op: "-e", Class: ClassSafeLabel, Nodes: 0, Total: 3 * time.Microsecond})
 	tr.Update(Event{Op: "+v", Class: ClassVertex, Total: time.Microsecond})
-	tr.Update(Event{Op: "+e", Class: ClassDirect, Timeout: true, Reclassified: true, Nodes: 50, Total: time.Millisecond})
-	tr.Classify(10 * time.Microsecond)
+	tr.Update(Event{Op: "+e", Class: ClassDirect, Timeout: true, Nodes: 50, Total: time.Millisecond})
 
 	c := tr.Counters()
 	if c.Updates != 4 || c.Safe != 2 || c.Unsafe != 1 || c.Escalations != 1 ||
-		c.Timeouts != 1 || c.Reclassified != 1 || c.Matches != 5 || c.Nodes != 150 || c.Batches != 1 {
+		c.Timeouts != 1 || c.Matches != 5 || c.Nodes != 150 {
 		t.Fatalf("counters = %+v", c)
 	}
 	if got := tr.Hist(PhaseTotal).Count(); got != 4 {
 		t.Fatalf("total histogram count = %d, want 4", got)
-	}
-	if got := tr.Hist(PhaseClassify).Count(); got != 1 {
-		t.Fatalf("classify histogram count = %d, want 1", got)
 	}
 	// Events with Seq 0 get tracer-assigned, strictly increasing seqs.
 	evs := tr.Ring().Snapshot()
@@ -78,7 +74,6 @@ func TestTracerWritePrometheus(t *testing.T) {
 		"paracosm_trace_dropped_total 0",
 		"# TYPE paracosm_update_total_seconds histogram",
 		"paracosm_update_find_seconds_count 1",
-		"# TYPE paracosm_batch_classify_seconds histogram",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("metrics output missing %q", want)

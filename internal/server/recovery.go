@@ -150,7 +150,7 @@ func (s *Server) replay(after uint64) error {
 				return s.ctx.Err()
 			}
 		}
-		applied, err := s.multi.ProcessBatchTimed(context.Background(), batch, nil)
+		applied, err := s.multi.ProcessBatch(context.Background(), batch)
 		if err != nil {
 			return err
 		}

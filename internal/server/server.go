@@ -51,7 +51,7 @@ type Config struct {
 	// BatchMax caps how many queued updates the ingestion loop folds
 	// into one MultiEngine.ProcessBatch call. Batching is opportunistic:
 	// an idle stream is flushed immediately, a busy one amortizes the
-	// per-batch classifier cost. Defaults to 256.
+	// per-batch engine lock, validation and WAL append. Defaults to 256.
 	BatchMax int
 
 	// ReadTimeout is the per-frame read deadline; connections idle

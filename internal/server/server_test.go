@@ -141,7 +141,7 @@ func TestServerEndToEndConcurrent(t *testing.T) {
 
 	srv := startTestServer(t, g, Config{
 		SubscriberQueue: 1 << 14,
-		Engine:          []core.Option{core.Threads(2), core.BatchSize(8)},
+		Engine:          []core.Option{core.Threads(2)},
 	})
 
 	// Phase 1 — every client registers and subscribes concurrently,

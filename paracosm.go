@@ -122,15 +122,13 @@ func New(a Algorithm, opts ...Option) *Engine { return core.New(a, opts...) }
 var (
 	// Threads sets the worker pool size.
 	Threads = core.Threads
-	// BatchSize sets the inter-update batch size k.
-	BatchSize = core.BatchSize
 	// SplitDepth sets SPLIT_DEPTH for adaptive task splitting.
 	SplitDepth = core.SplitDepth
 	// EscalateNodes sets the sequential budget before parallel escalation.
 	EscalateNodes = core.EscalateNodes
 	// LoadBalance toggles adaptive re-splitting.
 	LoadBalance = core.LoadBalance
-	// InterUpdate toggles the safe/unsafe batch executor.
+	// InterUpdate toggles the safe/unsafe update classifier.
 	InterUpdate = core.InterUpdate
 	// Simulate toggles execution-driven schedule simulation.
 	Simulate = core.Simulate

@@ -27,7 +27,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 		paracosm.NewSP, paracosm.CaLiG, paracosm.CaLiGCounting,
 	} {
 		algo := mk()
-		eng := paracosm.New(algo, paracosm.Threads(2), paracosm.BatchSize(4))
+		eng := paracosm.New(algo, paracosm.Threads(2))
 		gg := g.Clone()
 		if err := eng.Init(gg, q); err != nil {
 			t.Fatalf("%s: %v", algo.Name(), err)
