@@ -227,15 +227,6 @@ func BenchmarkGraphMutation(b *testing.B) {
 			}
 		}
 	})
-	b.Run("LockedAddRemoveEdge", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			u := graph.VertexID(rng.Intn(n))
-			v := graph.VertexID(rng.Intn(n))
-			if g.LockedAddEdge(u, v, 0) {
-				g.LockedRemoveEdge(u, v)
-			}
-		}
-	})
 }
 
 // BenchmarkInnerExecutor measures parallel search thread-scaling on one

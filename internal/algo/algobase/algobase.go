@@ -47,9 +47,10 @@ type Base struct {
 }
 
 // SetSearchers sizes the counter stripes for states carrying slots
-// 0..n-1. core.Engine calls it before Build with its searcher count; an
-// algorithm driven only by the sequential csm.Engine keeps the single
-// stripe Init provides. Stripes never shrink, so counts survive a re-Init.
+// 0..n-1. core.Engine calls it with its searcher count when it adds its
+// pool workers, before their first parallel phase; an engine that never
+// escalates keeps the single stripe Init provides. Stripes never shrink, so
+// counts survive a re-Init.
 func (b *Base) SetSearchers(n int) {
 	for len(b.kstats) < n {
 		b.kstats = append(b.kstats, graph.KernelStats{})

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"testing"
 
+	"paracosm/internal/core"
 	"paracosm/internal/csm"
 	"paracosm/internal/graph"
 	"paracosm/internal/refmatch"
@@ -34,7 +35,7 @@ func TestDeltaMatchesReference(t *testing.T) {
 				opt := refmatch.Options{IgnoreELabels: f.IgnoreELabels}
 
 				algo := f.New()
-				eng := csm.NewEngine(algo)
+				eng := core.New(algo, core.Threads(1), core.InterUpdate(false))
 				if err := eng.Init(g, q); err != nil {
 					t.Fatalf("seed %d: Init: %v", seed, err)
 				}
@@ -75,7 +76,7 @@ func TestIncrementalADSConsistency(t *testing.T) {
 				}
 				algo = f.New()
 				reb = algo.(csm.Rebuilder)
-				eng := csm.NewEngine(algo)
+				eng := core.New(algo, core.Threads(1), core.InterUpdate(false))
 				if err := eng.Init(g, q); err != nil {
 					t.Fatal(err)
 				}
@@ -110,7 +111,7 @@ func TestSafetySoundness(t *testing.T) {
 				}
 				opt := refmatch.Options{IgnoreELabels: f.IgnoreELabels}
 				algo := f.New()
-				eng := csm.NewEngine(algo)
+				eng := core.New(algo, core.Threads(1), core.InterUpdate(false))
 				if err := eng.Init(g, q); err != nil {
 					t.Fatal(err)
 				}
@@ -155,7 +156,7 @@ func TestAlgorithmsAgreeOnMatchSets(t *testing.T) {
 			}
 			opt := refmatch.Options{IgnoreELabels: f.IgnoreELabels}
 			algo := f.New()
-			eng := csm.NewEngine(algo)
+			eng := core.New(algo, core.Threads(1), core.InterUpdate(false))
 			if err := eng.Init(g, q); err != nil {
 				t.Fatal(err)
 			}
@@ -236,7 +237,7 @@ func TestVertexUpdatesAreNoOps(t *testing.T) {
 			t.Skip("no query")
 		}
 		algo := f.New()
-		eng := csm.NewEngine(algo)
+		eng := core.New(algo, core.Threads(1), core.InterUpdate(false))
 		if err := eng.Init(g, q); err != nil {
 			t.Fatal(err)
 		}

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"paracosm/internal/core"
 	"paracosm/internal/csm"
 	"paracosm/internal/graph"
 	"paracosm/internal/query"
@@ -199,7 +200,7 @@ func TestCountingEqualsEnumeration(t *testing.T) {
 		} else {
 			a = New()
 		}
-		eng := csm.NewEngine(a)
+		eng := core.New(a, core.Threads(1), core.InterUpdate(false))
 		g := g0.Clone()
 		if err := eng.Init(g, q); err != nil {
 			t.Fatal(err)
@@ -315,7 +316,7 @@ func TestCaLiGIgnoresEdgeLabels(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := New()
-	eng := csm.NewEngine(a)
+	eng := core.New(a, core.Threads(1), core.InterUpdate(false))
 	if err := eng.Init(g, q); err != nil {
 		t.Fatal(err)
 	}

@@ -4,13 +4,13 @@ import (
 	"context"
 	"testing"
 
-	"paracosm/internal/csm"
+	"paracosm/internal/core"
 	"paracosm/internal/graph"
 	"paracosm/internal/query"
 	"paracosm/internal/stream"
 )
 
-func fixture(t *testing.T) (*csm.Engine, *graph.Graph) {
+func fixture(t *testing.T) (*core.Engine, *graph.Graph) {
 	t.Helper()
 	g := graph.New(4)
 	g.AddVertex(0)
@@ -26,7 +26,7 @@ func fixture(t *testing.T) (*csm.Engine, *graph.Graph) {
 	if err := q.Finalize(); err != nil {
 		t.Fatal(err)
 	}
-	e := csm.NewEngine(New())
+	e := core.New(New(), core.Threads(1), core.InterUpdate(false))
 	if err := e.Init(g, q); err != nil {
 		t.Fatal(err)
 	}

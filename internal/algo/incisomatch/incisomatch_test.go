@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"paracosm/internal/algo/algotest"
+	"paracosm/internal/core"
 	"paracosm/internal/csm"
 	"paracosm/internal/refmatch"
 )
@@ -19,7 +20,7 @@ func TestDeltaMatchesReference(t *testing.T) {
 		if q == nil {
 			continue
 		}
-		eng := csm.NewEngine(New())
+		eng := core.New(New(), core.Threads(1), core.InterUpdate(false))
 		if err := eng.Init(g, q); err != nil {
 			t.Fatal(err)
 		}
@@ -50,7 +51,7 @@ func TestRecomputationIsMoreExpensive(t *testing.T) {
 	s := algotest.RandomStream(rng, g, 30, 0.8, 1)
 
 	run := func(a csm.Algorithm) uint64 {
-		eng := csm.NewEngine(a)
+		eng := core.New(a, core.Threads(1), core.InterUpdate(false))
 		if err := eng.Init(g.Clone(), q); err != nil {
 			t.Fatal(err)
 		}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"paracosm/internal/algo/graphflow"
+	"paracosm/internal/core"
 	"paracosm/internal/csm"
 	"paracosm/internal/graph"
 	"paracosm/internal/query"
@@ -48,7 +49,7 @@ func TestLookaheadPrunesDeadEnds(t *testing.T) {
 
 	run := func(a csm.Algorithm) (uint64, uint64) {
 		gg := g.Clone()
-		eng := csm.NewEngine(a)
+		eng := core.New(a, core.Threads(1), core.InterUpdate(false))
 		if err := eng.Init(gg, q); err != nil {
 			t.Fatal(err)
 		}
@@ -71,7 +72,7 @@ func TestLookaheadPrunesDeadEnds(t *testing.T) {
 
 func TestNewSPFindsAllMatches(t *testing.T) {
 	g, q := deadEndFixture(t)
-	eng := csm.NewEngine(New())
+	eng := core.New(New(), core.Threads(1), core.InterUpdate(false))
 	gg := g.Clone()
 	gg.RemoveEdge(7+1, 21) // remove the b7-c edge (ids: hub=0, bs start at 1)
 	if err := eng.Init(gg, q); err != nil {
@@ -124,7 +125,7 @@ func TestAgreesWithGraphFlowOnRandomStream(t *testing.T) {
 	type result struct{ pos, neg uint64 }
 	run := func(a csm.Algorithm) result {
 		g := g0.Clone()
-		eng := csm.NewEngine(a)
+		eng := core.New(a, core.Threads(1), core.InterUpdate(false))
 		if err := eng.Init(g, q); err != nil {
 			t.Fatal(err)
 		}

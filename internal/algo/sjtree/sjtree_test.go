@@ -7,6 +7,7 @@ import (
 
 	"paracosm/internal/algo/algotest"
 	"paracosm/internal/algo/sjtree"
+	"paracosm/internal/core"
 	"paracosm/internal/csm"
 	"paracosm/internal/refmatch"
 	"paracosm/internal/stream"
@@ -22,7 +23,7 @@ func TestDeltaMatchesReference(t *testing.T) {
 		if q == nil {
 			continue
 		}
-		eng := csm.NewEngine(sjtree.New())
+		eng := core.New(sjtree.New(), core.Threads(1), core.InterUpdate(false))
 		if err := eng.Init(g, q); err != nil {
 			t.Fatal(err)
 		}
@@ -51,7 +52,7 @@ func TestTablesMatchRebuild(t *testing.T) {
 			continue
 		}
 		a := sjtree.New()
-		eng := csm.NewEngine(a)
+		eng := core.New(a, core.Threads(1), core.InterUpdate(false))
 		if err := eng.Init(g, q); err != nil {
 			t.Fatal(err)
 		}
@@ -164,7 +165,7 @@ func TestMatchMultisets(t *testing.T) {
 		t.Skip("no query")
 	}
 	a := sjtree.New()
-	eng := csm.NewEngine(a)
+	eng := core.New(a, core.Threads(1), core.InterUpdate(false))
 	if err := eng.Init(g, q); err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"paracosm/internal/algo/graphflow"
+	"paracosm/internal/core"
 	"paracosm/internal/csm"
 	"paracosm/internal/graph"
 	"paracosm/internal/query"
@@ -51,7 +52,7 @@ func TestDCSPrunesButPreservesResults(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		g, q, s := randomWorkload(seed)
 		run := func(a csm.Algorithm) (pos, neg, nodes uint64) {
-			eng := csm.NewEngine(a)
+			eng := core.New(a, core.Threads(1), core.InterUpdate(false))
 			if err := eng.Init(g.Clone(), q); err != nil {
 				t.Fatal(err)
 			}
@@ -75,7 +76,7 @@ func TestDCSPrunesButPreservesResults(t *testing.T) {
 func TestRebuildConsistencyAfterStream(t *testing.T) {
 	g, q, s := randomWorkload(42)
 	a := New()
-	eng := csm.NewEngine(a)
+	eng := core.New(a, core.Threads(1), core.InterUpdate(false))
 	if err := eng.Init(g, q); err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"paracosm/internal/algo/symbi"
+	"paracosm/internal/core"
 	"paracosm/internal/csm"
 	"paracosm/internal/graph"
 	"paracosm/internal/query"
@@ -60,7 +61,7 @@ func TestDCGAgreesWithDCS(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		g, s := randomGraphStream(seed)
 		run := func(a csm.Algorithm) (pos, neg, nodes uint64) {
-			eng := csm.NewEngine(a)
+			eng := core.New(a, core.Threads(1), core.InterUpdate(false))
 			if err := eng.Init(g.Clone(), q); err != nil {
 				t.Fatal(err)
 			}
@@ -85,7 +86,7 @@ func TestRebuildConsistency(t *testing.T) {
 	q := cycleQuery(t)
 	g, s := randomGraphStream(11)
 	a := New()
-	eng := csm.NewEngine(a)
+	eng := core.New(a, core.Threads(1), core.InterUpdate(false))
 	if err := eng.Init(g, q); err != nil {
 		t.Fatal(err)
 	}

@@ -57,10 +57,11 @@ type Config struct {
 	InterUpdate bool
 
 	// Simulate switches the executors to execution-driven schedule
-	// simulation (see sim.go): the search runs for real, but parallel
-	// find times, classification times and per-worker loads are computed
-	// for Threads virtual workers from measured per-node costs. Use on
-	// machines with fewer cores than the configuration under study.
+	// simulation (see sim.go): the search runs for real, on one
+	// goroutine, but parallel find times, classification times and
+	// per-worker loads are computed for Threads virtual workers from
+	// measured task times. Use on machines with fewer cores than the
+	// configuration under study.
 	Simulate bool
 
 	// Tracer, if non-nil, receives one obs.Event per processed update

@@ -53,6 +53,11 @@ type Engine struct {
 	// simBudget is the simulated-time budget of the current Run (simulate
 	// mode only; 0 when processing updates outside Run).
 	simBudget time.Duration
+	// simTasks and simFrontier are the simulator's reusable scratch: the
+	// task costs of the escalated update being profiled, and (unbalanced
+	// schedule) a copy of its frontier (see sim.go).
+	simTasks    []uint64
+	simFrontier []csm.State
 
 	// pool is the persistent worker pool of the inner-update executor,
 	// started lazily on the first escalated update (see ensurePool) and

@@ -22,7 +22,8 @@ type innerResult struct {
 	seqBusy time.Duration
 	// escalated and resplits describe this update's trip through the
 	// parallel phase, for the per-update trace event (simulate mode
-	// never escalates for real, so they stay zero there).
+	// escalates by the same rule but shares no work, so resplits stay
+	// zero there).
 	escalated bool
 	resplits  uint64
 }

@@ -222,7 +222,7 @@ func (e *Engine) accountSafe(v classification, n int, tads, total time.Duration)
 
 // findPhase runs the find-matches phase — real or simulated — filling
 // d.TFind and returning the inner result plus the caller-thread busy
-// time (0 in simulate mode: simulateSchedule attributes per-worker
+// time (0 in simulate mode: findMatchesSimulated attributes per-worker
 // loads, including the caller slot, itself).
 //
 //paracosm:noalloc

@@ -4,7 +4,6 @@ import (
 	"sort"
 	"time"
 
-	"paracosm/internal/csm"
 	"paracosm/internal/stream"
 )
 
@@ -12,33 +11,46 @@ import (
 //
 // The speedup experiments of the ParaCOSM paper ran on an 80-core Xeon;
 // on machines without that parallelism (the common case for a laptop
-// reproduction — and this repository's CI environment has a single core),
-// wall-clock speedups are physically unmeasurable. Simulate mode keeps the
-// computation exact — every search-tree node is really visited, every
-// match really counted — while the *schedule* of Algorithm 2 is simulated
-// for N virtual workers from the measured per-node cost:
+// reproduction), wall-clock speedups are physically unmeasurable. Simulate
+// mode keeps the computation exact — the search runs for real, through the
+// same drain loop, escalation rule and counted last level as the real
+// inner-update executor, so nodes and matches are identical — while the
+// *schedule* of its parallel phase is simulated for N virtual workers:
 //
-//   - the search tree of each update is profiled into the atomic subtree
-//     tasks the inner-update executor would place on its concurrent
-//     queue (subtrees rooted at SPLIT_DEPTH);
-//   - with load balancing, tasks are assigned longest-first to the
-//     least-loaded worker (the greedy schedule dynamic work-sharing
-//     converges to); without, tasks are assigned round-robin in
-//     generation order at the coarse initial-split granularity,
-//     reproducing the paper's "unbalanced" configuration (Figure 10);
-//   - the simulated find time is the makespan plus explicit coordination
-//     overheads (task queue operations, worker startup).
+//   - an update runs sequentially on the caller's searcher until it has
+//     drained its tree or spent EscalateNodes nodes, exactly as the real
+//     executor does; an update that escalates has that measured prefix
+//     charged to the caller slot;
+//   - the escalated frontier is then drained on the same searcher in
+//     budgeted slices, and each slice's measured time is one task. With
+//     load balancing a slice is simSlice nodes, extended until the next
+//     node is at most SPLIT_DEPTH deep — the real pool shares no deeper
+//     node — and the tasks are placed longest-first on the least-loaded
+//     worker (the greedy schedule dynamic work-sharing converges to).
+//     Without, a task is one frontier node's whole subtree, dealt
+//     round-robin in queue order: the paper's "unbalanced" configuration
+//     (Figure 10);
+//   - the simulated find time is the prefix plus the makespan plus the
+//     pool's coordination cost (simTrip).
 //
 // Per-worker simulated loads feed Stats.ThreadBusy, so Figure 10's CDFs
 // come out of the same machinery. On a real multicore, disable Simulate
 // and the identical experiments measure wall-clock time instead.
 
-// Simulated coordination overheads, charged per queue task and per worker
-// wakeup. Measured once on the development machine; they only matter for
-// trees near the escalation threshold.
 const (
-	simTaskOverhead   = 300 * time.Nanosecond
-	simWorkerOverhead = 2 * time.Microsecond
+	// simTrip is one worker's trip through the pool: woken for an epoch,
+	// or handed one task. It is the benchmark's measured
+	// concurrent.pool_epoch_ns — one empty epoch, hand-over, wakeup and
+	// join — divided by its worker count: 464 ns over 2 workers on the
+	// 2-core reference box (EXPERIMENTS.md). An escalation costs Threads
+	// trips; each task one more, spread over the workers.
+	simTrip = 232 * time.Nanosecond
+	// simSlice is the node budget of one balanced-schedule slice. The real
+	// pool can hand over a single node, so slices must be short next to a
+	// tree: 64 nodes of a counted last level measured at most ~25 µs on
+	// the dense trees of TestSimulatedMakespanOnHeavyTree, where 1 024-node
+	// slices ran to 0.8 ms and one slice set the makespan.
+	simSlice = 64
 	// simRealCapFactor bounds the real time spent on one update in
 	// simulate mode at this multiple of the remaining simulated budget
 	// (a 32-worker simulation may legitimately run 32x its simulated
@@ -46,41 +58,22 @@ const (
 	simRealCapFactor = 8
 )
 
-// initialSplitDepth is the BFS layer used as task granularity by the
-// non-load-balanced ("unbalanced") configuration: the first expansion
-// layer below the seed edge, matching Algorithm 2's initialization phase.
-const initialSplitDepth = 3
-
-// simProfile records the task decomposition of one update's search tree.
-type simProfile struct {
-	totalNodes uint64
-	// coarse are subtree sizes (in nodes) at the initial-split layer.
-	coarse []uint64
-	// fine are subtree sizes at SPLIT_DEPTH (adaptive re-splitting
-	// granularity).
-	fine []uint64
-}
-
-// findMatchesSimulated explores the update's search tree sequentially,
-// profiling the task decomposition, and returns the result together with
-// the simulated parallel find time.
+// findMatchesSimulated runs the update's find phase through drain on the
+// caller's searcher, profiling an escalated tree into tasks, and returns
+// the result together with the simulated parallel find time.
 //
-//paracosm:allocs simulation mode profiles the task tree into scratch slices
+//paracosm:allocs simulation mode schedules the profiled tasks through sorted copies
 func (e *Engine) findMatchesSimulated(deadline time.Time, hasDeadline bool, upd stream.Update, positive bool) (innerResult, time.Duration) {
 	var res innerResult
-	prof := simProfile{}
 	threads := e.cfg.Threads
-
-	splitDepth := e.splitDepth
 	start := time.Now()
-	// simLimit is the simulated time still available for this update:
-	// the run budget minus simulated time already spent. Using the
-	// simulated clock here matters — real elapsed time in simulate mode
-	// exceeds simulated time by up to the thread count, and comparing
-	// against wall-clock deadlines would abort runs that are well within
-	// their simulated budget.
-	var simLimit, realCap time.Duration
+	// simLimit is the simulated time still available for this update: the
+	// run budget minus simulated time already spent. Real elapsed time in
+	// simulate mode exceeds simulated time by up to the thread count, so
+	// the searcher's deadline sits at that multiple (capped) of simLimit,
+	// where even a perfect schedule would overrun the budget.
 	if hasDeadline {
+		var simLimit time.Duration
 		if e.simBudget > 0 {
 			simLimit = e.simBudget - e.totalElapsed()
 		} else {
@@ -90,142 +83,77 @@ func (e *Engine) findMatchesSimulated(deadline time.Time, hasDeadline bool, upd 
 			res.timeout = true
 			return res, 0
 		}
-		realCap = simLimit * simRealCapFactor
+		deadline = start.Add(simLimit * time.Duration(min(threads, simRealCapFactor)))
+	}
+	e.beginPhase(deadline, hasDeadline, positive)
+	sr := e.searchers[0]
+	sr.reset()
+	e.algo.Roots(upd, sr.push)
+	stop := sr.drain(uint64(e.cfg.EscalateNodes), false)
+	pre := time.Since(start)
+	if stop != stopBudget {
+		// Never escalated: the measured sequential time is the simulated
+		// time, attributed to the caller slot like real sequential phases.
+		res.matches, res.nodes, res.timeout = sr.matches, sr.nodes, stop == stopAborted
+		e.addThreadBusy(pre, nil)
+		return res, pre
 	}
 
-	var dfs func(s *csm.State) uint64
-	dfs = func(s *csm.State) uint64 {
-		if res.timeout {
-			return 0
+	tasks := e.simTasks[:0]
+	if e.cfg.LoadBalance {
+		for stop == stopBudget {
+			t0 := time.Now()
+			stop = sr.drain(sr.nodes+simSlice, false)
+			for stop == stopBudget && int(sr.stack[len(sr.stack)-1].Depth) > e.splitDepth {
+				stop = sr.drain(sr.nodes+1, false) // finish the unshareable subtree
+			}
+			tasks = append(tasks, uint64(time.Since(t0)))
 		}
-		res.nodes++
-		prof.totalNodes++
-		if res.nodes%4096 == 0 && hasDeadline {
-			el := time.Since(start)
-			// Simulated elapsed time for this update is at best
-			// el/threads; abort when even that optimistic bound exceeds
-			// the remaining simulated budget, or when the real-time cap
-			// is blown.
-			if el/time.Duration(threads) > simLimit || el > realCap {
-				res.timeout = true
-				return 1
+	} else {
+		frontier := append(e.simFrontier[:0], sr.stack...)
+		e.simFrontier = frontier
+		for _, f := range frontier {
+			t0 := time.Now()
+			sr.stack = append(sr.stack[:0], f)
+			if stop = sr.drain(^uint64(0), false); stop == stopAborted {
+				break
 			}
+			tasks = append(tasks, uint64(time.Since(t0)))
 		}
-		if c, done := e.algo.Terminal(s); done {
-			res.matches += c
-			if e.OnMatch != nil {
-				e.emitMatch(s, c, positive)
-			}
-			return 1
-		}
-		sub := uint64(1)
-		e.algo.Expand(s, func(child csm.State) {
-			n := dfs(&child)
-			sub += n
-			if int(child.Depth) == initialSplitDepth {
-				prof.coarse = append(prof.coarse, n)
-			}
-			if int(child.Depth) == splitDepth && splitDepth != initialSplitDepth {
-				prof.fine = append(prof.fine, n)
-			}
-		})
-		return sub
 	}
+	e.simTasks = tasks
+	res.matches, res.nodes, res.timeout = sr.matches, sr.nodes, stop == stopAborted
+	res.escalated = true
 
-	e.algo.Roots(upd, func(root csm.State) {
-		if res.timeout {
-			return
-		}
-		n := dfs(&root)
-		// Roots are at depth 2; if the split layers coincide with the
-		// root layer (tiny queries), treat each root as a task.
-		if initialSplitDepth <= 2 {
-			prof.coarse = append(prof.coarse, n)
-		}
-		if splitDepth <= 2 {
-			prof.fine = append(prof.fine, n)
-		}
-	})
-	if splitDepth == initialSplitDepth {
-		prof.fine = prof.coarse
+	var makespan uint64
+	var loads []uint64
+	if e.cfg.LoadBalance {
+		makespan, loads = lptMakespan(tasks, threads)
+	} else {
+		makespan, loads = staticMakespan(tasks, threads)
 	}
-
-	elapsed := time.Since(start)
-	simFind := e.simulateSchedule(&prof, elapsed)
-	return res, simFind
+	overhead := time.Duration(threads)*simTrip + time.Duration(len(tasks))*simTrip/time.Duration(threads)
+	e.addThreadBusy(pre, loads)
+	return res, pre + time.Duration(makespan) + overhead
 }
 
-// simulateSchedule converts the profiled decomposition into a simulated
-// parallel find time, and accumulates per-worker loads into ThreadBusy.
-func (e *Engine) simulateSchedule(prof *simProfile, measured time.Duration) time.Duration {
-	threads := e.cfg.Threads
-	if prof.totalNodes == 0 {
-		return 0
-	}
-	perNode := float64(measured) / float64(prof.totalNodes)
-	// Below the escalation threshold the executor never goes parallel:
-	// simulated time is the measured sequential time, attributed to the
-	// caller slot (ThreadBusy[0]) like real sequential phases.
-	if prof.totalNodes <= uint64(e.cfg.EscalateNodes) || threads <= 1 {
-		e.statsMu.Lock()
-		if len(e.stats.ThreadBusy) == 0 {
-			e.stats.ThreadBusy = append(e.stats.ThreadBusy, 0)
-		}
-		e.stats.ThreadBusy[0] += measured
-		e.statsMu.Unlock()
-		return measured
-	}
-
-	var coarseTotal, fineTotal uint64
-	for _, t := range prof.coarse {
-		coarseTotal += t
-	}
-	for _, t := range prof.fine {
-		fineTotal += t
-	}
-	// Nodes above the coarse layer are explored by the main thread during
-	// initialization; everything below it is parallel work.
-	pre := prof.totalNodes - coarseTotal
-
-	tasks := prof.fine
-	var loads []uint64
-	var makespan uint64
-	if e.cfg.LoadBalance {
-		// Balanced: adaptive re-splitting shares work down to SPLIT_DEPTH
-		// granularity; LPT over the fine tasks models the resulting
-		// schedule. Nodes between the coarse and fine layers are abundant
-		// small work that spreads evenly.
-		makespan, loads = lptMakespan(tasks, threads)
-		inBetween := coarseTotal - fineTotal
-		per := inBetween / uint64(threads)
-		for w := range loads {
-			loads[w] += per
-		}
-		makespan = maxLoad(loads)
-	} else {
-		// Unbalanced: coarse tasks assigned statically, no re-splitting.
-		tasks = prof.coarse
-		makespan, loads = staticMakespan(prof.coarse, threads)
-	}
-
-	overhead := time.Duration(len(tasks))*simTaskOverhead/time.Duration(threads) +
-		time.Duration(threads)*simWorkerOverhead
-	sim := time.Duration(float64(pre+makespan)*perNode) + overhead
-
+// addThreadBusy books a simulated update into ThreadBusy: pre on the caller
+// slot, and loads[w] (nanoseconds) on worker w's slot 1+w — the convention
+// the real executor uses (see Stats.ThreadBusy). Loads mean the update
+// escalated.
+func (e *Engine) addThreadBusy(pre time.Duration, loads []uint64) {
 	e.statsMu.Lock()
-	for len(e.stats.ThreadBusy) < threads+1 {
+	for len(e.stats.ThreadBusy) < 1+len(loads) {
 		e.stats.ThreadBusy = append(e.stats.ThreadBusy, 0)
 	}
-	// Slot 0 is the caller thread (initialization above the coarse split
-	// layer); slots 1..threads are the simulated workers — the same
-	// convention the real executor uses (see Stats.ThreadBusy).
-	e.stats.ThreadBusy[0] += time.Duration(float64(pre) * perNode)
+	e.stats.ThreadBusy[0] += pre
 	for w, l := range loads {
-		e.stats.ThreadBusy[w+1] += time.Duration(float64(l) * perNode)
+		e.stats.ThreadBusy[w+1] += time.Duration(l)
 	}
-	e.stats.Escalations++
+	if loads != nil {
+		e.stats.Escalations++
+	}
 	e.statsMu.Unlock()
-	return sim
 }
 
 // lptMakespan schedules tasks longest-first onto the least-loaded of n

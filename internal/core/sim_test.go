@@ -2,13 +2,16 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"paracosm/internal/algo/algotest"
+	"paracosm/internal/csm"
 	"paracosm/internal/refmatch"
+	"paracosm/internal/stream"
 )
 
 func TestLPTMakespanBasics(t *testing.T) {
@@ -110,8 +113,69 @@ func TestSimulateMatchesReference(t *testing.T) {
 	}
 }
 
+// TestSimulatedSearchIsTheExecutors: the simulator searches through the
+// real executor's drain loop and escalation rule, so for every algorithm,
+// balanced or not, and with or without an OnMatch consumer (counted or
+// enumerated last level), each update visits the same nodes and finds the
+// same matches as on a real Threads(2) engine, and the same updates
+// escalate.
+func TestSimulatedSearchIsTheExecutors(t *testing.T) {
+	escalated := 0
+	for _, f := range algotest.Factories() {
+		for _, balance := range []bool{true, false} {
+			for _, consumer := range []bool{false, true} {
+				rng := rand.New(rand.NewSource(11))
+				g0 := algotest.RandomGraph(rng, 40, 260, 2, 1)
+				q := algotest.RandomQuery(rng, g0, 4)
+				if q == nil {
+					t.Fatal("no query")
+				}
+				s := algotest.RandomStream(rng, g0, 40, 0.7, 1)
+				run := func(opts ...Option) ([]csm.Delta, Stats) {
+					var ds []csm.Delta
+					opts = append(opts, InterUpdate(false), EscalateNodes(32), LoadBalance(balance),
+						WithOnDelta(func(_ stream.Update, d csm.Delta, _ bool) { ds = append(ds, d) }))
+					eng := New(f.New(), opts...)
+					defer eng.Close()
+					if consumer {
+						eng.OnMatch = func(*csm.State, uint64, bool) {}
+					}
+					if err := eng.Init(g0.Clone(), q); err != nil {
+						t.Fatal(err)
+					}
+					st, err := eng.Run(context.Background(), s)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return ds, st
+				}
+				realD, realSt := run(Threads(2))
+				simD, simSt := run(Threads(8), Simulate(true))
+				name := fmt.Sprintf("%s balance=%v consumer=%v", f.Name, balance, consumer)
+				for i := range s {
+					r, m := realD[i], simD[i]
+					if r.Positive != m.Positive || r.Negative != m.Negative || r.Nodes != m.Nodes {
+						t.Fatalf("%s update %d (%v): simulated (+%d,-%d, %d nodes), real (+%d,-%d, %d nodes)",
+							name, i, s[i], m.Positive, m.Negative, m.Nodes, r.Positive, r.Negative, r.Nodes)
+					}
+				}
+				if simSt.Escalations != realSt.Escalations {
+					t.Fatalf("%s: %d simulated escalations, %d real", name, simSt.Escalations, realSt.Escalations)
+				}
+				escalated += realSt.Escalations
+			}
+		}
+	}
+	if escalated == 0 {
+		t.Fatal("no update escalated: the workload does not reach the parallel phase")
+	}
+}
+
 // TestSimulatedMakespanOnHeavyTree: on a dense single-label workload the
-// simulated 16-worker schedule must actually spread the search. Both
+// simulated 16-worker schedule must actually spread the search. The
+// simulator escalates by the real executor's rule, so the prefix before
+// escalation is sequential: the budget is set well below the trees'
+// ~20 000 nodes, as the default 4 096 would cap any schedule near 5x. Both
 // sides of the comparison come from ONE run's ThreadBusy — the makespan
 // is the caller slot plus the busiest worker, the work is the sum of all
 // slots — so the verdict does not depend on how two separately timed runs
@@ -127,7 +191,7 @@ func TestSimulatedMakespanOnHeavyTree(t *testing.T) {
 	s := algotest.RandomStream(rng, g0, 10, 1.0, 1)
 	f := algotest.Factories()[2] // GraphFlow
 
-	eng := New(f.New(), Threads(16), Simulate(true), InterUpdate(false))
+	eng := New(f.New(), Threads(16), Simulate(true), InterUpdate(false), EscalateNodes(256))
 	if err := eng.Init(g0.Clone(), q); err != nil {
 		t.Fatal(err)
 	}

@@ -8,9 +8,9 @@ import (
 
 // Enumerator is the user-supplied search-tree traversal routine of the
 // paper (§4): it exposes the search tree T of one update as Roots (the
-// first layer) plus Expand (children of an inner node), so that both the
-// sequential engine and ParaCOSM's inner-update executor can traverse it
-// without knowing the algorithm's internals.
+// first layer) plus Expand (children of an inner node), so that ParaCOSM's
+// engine — sequentially, or split across its inner-update executor's
+// workers — can traverse it without knowing the algorithm's internals.
 type Enumerator interface {
 	// Roots emits the first-layer states of the search tree for upd: one
 	// state per (query-edge orientation, endpoint assignment) that the
@@ -45,8 +45,8 @@ type LeafCounter interface {
 	CountLeaves(s *State) (n uint64, ok bool)
 }
 
-// Algorithm is a complete CSM algorithm pluggable into both the sequential
-// engine and ParaCOSM. Beyond the traversal routine it provides the
+// Algorithm is a complete CSM algorithm pluggable into ParaCOSM, at any
+// thread count. Beyond the traversal routine it provides the
 // offline build and the two ADS hooks ParaCOSM's inter-update classifier
 // needs: incremental maintenance (UpdateADS) and the stage-3 candidate
 // filter (AffectsADS).

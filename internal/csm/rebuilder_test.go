@@ -1,6 +1,10 @@
-package csm
+package csm_test
 
-import "testing"
+import (
+	"testing"
+
+	"paracosm/internal/csm"
+)
 
 // rebuildAlgo implements Rebuilder for interface-shape verification.
 type rebuildAlgo struct {
@@ -11,8 +15,8 @@ type rebuildAlgo struct {
 func (r *rebuildAlgo) RebuildADS() bool { return r.consistent }
 
 func TestRebuilderInterface(t *testing.T) {
-	var a Algorithm = &rebuildAlgo{consistent: true}
-	reb, ok := a.(Rebuilder)
+	var a csm.Algorithm = &rebuildAlgo{consistent: true}
+	reb, ok := a.(csm.Rebuilder)
 	if !ok {
 		t.Fatal("rebuildAlgo does not satisfy Rebuilder")
 	}
@@ -20,8 +24,8 @@ func TestRebuilderInterface(t *testing.T) {
 		t.Fatal("RebuildADS = false")
 	}
 	// Plain pathAlgo must NOT satisfy Rebuilder (it has no ADS).
-	var b Algorithm = &pathAlgo{}
-	if _, ok := b.(Rebuilder); ok {
+	var b csm.Algorithm = &pathAlgo{}
+	if _, ok := b.(csm.Rebuilder); ok {
 		t.Fatal("pathAlgo unexpectedly satisfies Rebuilder")
 	}
 }

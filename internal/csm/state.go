@@ -1,10 +1,11 @@
 // Package csm defines the general continuous-subgraph-matching model of the
 // ParaCOSM paper (§2.2, Algorithm 1): the partial-embedding search state,
 // the algorithm interface every baseline implements (its search-tree
-// traversal routine and its ADS filtering rule), and a sequential engine
-// that drives the offline/online two-stage process. ParaCOSM's executors
-// (internal/core) reuse the same interface to parallelize any conforming
-// algorithm without touching its logic.
+// traversal routine and its ADS filtering rule), and the per-update result
+// an engine reports. The engine that drives the offline/online two-stage
+// process is internal/core's: Threads(1) is the sequential baseline, and
+// its executors parallelize any conforming algorithm without touching its
+// logic.
 package csm
 
 import (

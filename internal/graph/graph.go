@@ -12,21 +12,15 @@
 // AddVertex, so the partition key of an adjacency entry never changes.
 // See DESIGN.md §11 for the layout, aliasing rules and kernel heuristics.
 //
-// Concurrency contract: a Graph is safe for concurrent readers. Mutations
-// must either be externally serialized, or go through the Locked* methods,
-// which acquire the per-vertex shard locks (see locks.go) and may run
-// concurrently with each other and with Locked reads. Both adj[v] and its
-// offset table segs[v] are mutated only while v's shard lock is held (or
-// under external serialization), so the pair is always observed
-// consistently. This is exactly the access pattern of ParaCOSM's batch
-// executor: classification performs locked reads while safe updates are
-// applied with locked writes.
+// Concurrency contract: a Graph is safe for concurrent readers, and has one
+// writer at a time, with no reader in flight — the caller serializes. That
+// is exactly how ParaCOSM uses it: each driver applies one update at a time
+// (a standalone Engine on its own goroutine; MultiEngine's lockstep loop
+// under its mutex, between two read-only fan-out phases), so the graph needs
+// no locks of its own.
 package graph
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // VertexID identifies a data-graph vertex.
 type VertexID uint32
@@ -66,15 +60,7 @@ type Graph struct {
 	alive   []bool       // false once a vertex has been deleted
 	live    int          // number of alive vertices (single-writer, like labels/adj)
 	byLabel map[Label][]VertexID
-
-	// edges is the current number of edges. It is guarded by edgeMu for
-	// Locked* concurrent mutations; the plain single-writer API accesses
-	// it directly under the package's external-serialization contract and
-	// carries //lint:ignore lockguard annotations at each site.
-	edges int // guarded by edgeMu
-
-	locks  shardedLocks
-	edgeMu sync.Mutex // guards edges under Locked* mutations
+	edges   int // current number of edges
 }
 
 // New returns an empty graph with capacity hints for n vertices.
@@ -135,14 +121,8 @@ func (g *Graph) NumVertices() int { return len(g.labels) }
 // incrementally, so it is O(1).
 func (g *Graph) NumLive() int { return g.live }
 
-// NumEdges returns the current number of edges. It takes the edge-counter
-// mutex so the result is exact even while Locked* mutations are in flight.
-func (g *Graph) NumEdges() int {
-	g.edgeMu.Lock()
-	n := g.edges
-	g.edgeMu.Unlock()
-	return n
-}
+// NumEdges returns the current number of edges.
+func (g *Graph) NumEdges() int { return g.edges }
 
 // Label returns the label of vertex v.
 func (g *Graph) Label(v VertexID) Label { return g.labels[v] }
@@ -255,7 +235,6 @@ func (g *Graph) AddEdge(u, v VertexID, l Label) bool {
 		return false
 	}
 	g.insertHalf(v, u, l)
-	//lint:ignore lockguard plain AddEdge is the externally-serialized mutation path — audited: the shared multi-query graph is mutated only by MultiEngine's lockstep driver under m.mu (fan-out phases are read-only), and single-engine graphs are single-goroutine
 	g.edges++
 	return true
 }
@@ -267,7 +246,6 @@ func (g *Graph) RemoveEdge(u, v VertexID) bool {
 		return false
 	}
 	g.removeHalf(v, u)
-	//lint:ignore lockguard plain RemoveEdge is the externally-serialized mutation path — audited: the shared multi-query graph is mutated only by MultiEngine's lockstep driver under m.mu (fan-out phases are read-only), and single-engine graphs are single-goroutine
 	g.edges--
 	return true
 }
@@ -349,12 +327,11 @@ func (g *Graph) removeHalf(v, u VertexID) bool {
 // snapshot state around an update).
 func (g *Graph) Clone() *Graph {
 	c := &Graph{
-		labels: append([]Label(nil), g.labels...),
-		adj:    make([][]Neighbor, len(g.adj)),
-		segs:   make([][]labelSeg, len(g.segs)),
-		alive:  append([]bool(nil), g.alive...),
-		live:   g.live,
-		//lint:ignore lockguard Clone snapshots a quiescent graph — audited: MultiEngine clones only inside Init under m.mu, which excludes the Run/ProcessBatch mutators
+		labels:  append([]Label(nil), g.labels...),
+		adj:     make([][]Neighbor, len(g.adj)),
+		segs:    make([][]labelSeg, len(g.segs)),
+		alive:   append([]bool(nil), g.alive...),
+		live:    g.live,
 		edges:   g.edges,
 		byLabel: make(map[Label][]VertexID, len(g.byLabel)),
 	}

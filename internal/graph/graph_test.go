@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
-	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -303,48 +302,6 @@ func TestAdjacencySymmetry(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestLockedMutationsConcurrent(t *testing.T) {
-	const n = 64
-	g := New(n)
-	for i := 0; i < n; i++ {
-		g.AddVertex(0)
-	}
-	var wg sync.WaitGroup
-	// Insert a disjoint perfect matching concurrently, plus concurrent reads.
-	for i := 0; i < n; i += 2 {
-		wg.Add(1)
-		go func(u VertexID) {
-			defer wg.Done()
-			g.LockedAddEdge(u, u+1, 1)
-			g.LockedDegrees(u, u+1)
-			g.LockedHasEdge(u, u+1)
-		}(VertexID(i))
-	}
-	wg.Wait()
-	if g.NumEdges() != n/2 {
-		t.Fatalf("NumEdges = %d, want %d", g.NumEdges(), n/2)
-	}
-	for i := 0; i < n; i += 2 {
-		wg.Add(1)
-		go func(u VertexID) {
-			defer wg.Done()
-			g.LockedRemoveEdge(u, u+1)
-		}(VertexID(i))
-	}
-	wg.Wait()
-	if g.NumEdges() != 0 {
-		t.Fatalf("NumEdges = %d after removal, want 0", g.NumEdges())
-	}
-}
-
-func TestLockedAddEdgeRejectsSelfLoop(t *testing.T) {
-	g := New(1)
-	g.AddVertex(0)
-	if g.LockedAddEdge(0, 0, 0) {
-		t.Fatal("LockedAddEdge accepted self loop")
 	}
 }
 

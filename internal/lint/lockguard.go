@@ -106,8 +106,8 @@ type lockedHelper struct {
 }
 
 // isHelperDecl reports whether fd is a *Locked-convention method with a
-// named receiver. Functions merely *prefixed* "Locked" (graph.LockedAddEdge
-// et al.) are self-locking wrappers, not helpers.
+// named receiver. Functions merely *prefixed* "Locked" (the LockedSum of
+// the lockedhelper fixture) are self-locking wrappers, not helpers.
 func isHelperDecl(fd *ast.FuncDecl) bool {
 	if fd.Recv == nil || len(fd.Recv.List) == 0 || len(fd.Recv.List[0].Names) == 0 {
 		return false
