@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build lint lint-json test race bench bench-lastlevel debug-smoke serve-smoke metrics-lint recover-smoke fuzz experiments examples clean
+.PHONY: all build lint lint-json test test-sched race bench bench-lastlevel debug-smoke serve-smoke metrics-lint recover-smoke fuzz experiments examples clean
 
 all: lint test
 
@@ -10,12 +10,12 @@ build:
 	$(GO) build ./...
 	$(GO) vet ./...
 
-# lint = build + go vet (via build) + the project-specific concurrency and
-# allocation analyzers (lockguard, lockescape, atomicmix, goroutineleak,
-# waitgroup, chandrop, noalloc, rangedeterminism, lockcopy). Non-zero exit
-# on any finding, including stale //lint:ignore directives (strict mode is
-# the default); see DESIGN.md "Static analysis layer" for the annotation
-# grammar and escape hatches.
+# lint = build + go vet (via build) + the project-specific concurrency,
+# allocation and dead-code analyzers (lockguard, lockescape, atomicmix,
+# goroutineleak, waitgroup, chandrop, noalloc, rangedeterminism, lockcopy,
+# deadexport). Non-zero exit on any finding, including stale //lint:ignore
+# directives (strict mode is the default); see DESIGN.md "Static analysis
+# layer" for the annotation grammar and escape hatches.
 lint: build
 	$(GO) run ./cmd/paracosmvet ./...
 
@@ -27,6 +27,12 @@ lint-json:
 
 test:
 	$(GO) test ./...
+
+# The packages whose tests involve goroutines, run three times at 1, 2 and
+# 4 CPUs: a verdict that depends on how the scheduler interleaves them
+# shows up here rather than as a flake of `make test`.
+test-sched:
+	$(GO) test -count=3 -cpu 1,2,4 ./internal/wal ./internal/concurrent ./internal/core ./internal/server
 
 race:
 	$(GO) test -race ./...

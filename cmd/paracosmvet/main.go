@@ -1,8 +1,8 @@
 // Command paracosmvet runs ParaCOSM's project-specific static-analysis
 // suite (internal/lint) over the module: lockguard, lockescape, atomicmix,
-// goroutineleak, waitgroup, chandrop, noalloc, rangedeterminism, and
-// lockcopy. It exits non-zero on any finding so `make lint` and CI can gate
-// on it.
+// goroutineleak, waitgroup, chandrop, noalloc, rangedeterminism, lockcopy,
+// and deadexport. It exits non-zero on any finding so `make lint` and CI
+// can gate on it.
 //
 // Usage:
 //

@@ -23,7 +23,7 @@ import (
 	"paracosm/internal/core"
 	"paracosm/internal/csm"
 	"paracosm/internal/graph"
-	"paracosm/internal/metrics"
+	"paracosm/internal/obs"
 	"paracosm/internal/query"
 	"paracosm/internal/stream"
 )
@@ -133,7 +133,7 @@ func main() {
 	}
 
 	st := eng.Stats()
-	sum := metrics.Summarize(latencies)
+	sum := obs.Summarize(latencies)
 	fmt.Printf("\nevents     : %d connections, %d intrusion chains detected\n", st.Updates, detections)
 	fmt.Printf("latency    : p50=%v p90=%v p99=%v max=%v\n",
 		sum.P50.Round(time.Microsecond), sum.P90.Round(time.Microsecond),

@@ -31,6 +31,8 @@ type Factory struct {
 
 // Factories returns one factory per bundled algorithm, in paper order.
 // CaLiG is included twice: once enumerating, once in counting mode.
+//
+//lint:ignore deadexport test harness: the shared cross-check generators and algorithm list the algorithm, core and server tests run on
 func Factories() []Factory {
 	return []Factory{
 		{Name: "CaLiG", New: func() csm.Algorithm { return calig.New() }, IgnoreELabels: true},
@@ -45,6 +47,8 @@ func Factories() []Factory {
 
 // RandomGraph builds a random labeled graph with n vertices, ~e edges,
 // vl vertex labels and el edge labels.
+//
+//lint:ignore deadexport test harness: the shared cross-check generators and algorithm list the algorithm, core and server tests run on
 func RandomGraph(rng *rand.Rand, n, e, vl, el int) *graph.Graph {
 	g := graph.New(n)
 	for i := 0; i < n; i++ {
@@ -61,6 +65,8 @@ func RandomGraph(rng *rand.Rand, n, e, vl, el int) *graph.Graph {
 // RandomQuery extracts a connected query of the given size from g by
 // random walk (the paper's query-generation methodology), or returns nil
 // when g is too sparse to yield one.
+//
+//lint:ignore deadexport test harness: the shared cross-check generators and algorithm list the algorithm, core and server tests run on
 func RandomQuery(rng *rand.Rand, g *graph.Graph, size int) *query.Graph {
 	n := g.NumVertices()
 	for attempt := 0; attempt < 100; attempt++ {
@@ -112,6 +118,8 @@ func RandomQuery(rng *rand.Rand, g *graph.Graph, size int) *query.Graph {
 // RandomStream generates length well-formed updates against a copy of g:
 // inserts of absent edges (probability insertP) and deletes of present
 // edges. The returned stream applies cleanly to g in order.
+//
+//lint:ignore deadexport test harness: the shared cross-check generators and algorithm list the algorithm, core and server tests run on
 func RandomStream(rng *rand.Rand, g *graph.Graph, length int, insertP float64, el int) stream.Stream {
 	sim := g.Clone()
 	n := sim.NumVertices()

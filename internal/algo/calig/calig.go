@@ -65,7 +65,7 @@ func (a *CaLiG) Build(g *graph.Graph, q *query.Graph) error {
 	a.IgnoreELabels = true
 	a.Init(g, q)
 	a.ix = newLIG(g, q)
-	a.Filter = a.ix.Lit
+	a.Filter = a.ix.lighted
 
 	kernel, shell := q.VertexCover()
 	_ = kernel
@@ -164,7 +164,7 @@ func (a *CaLiG) AffectsADS(upd stream.Update) bool {
 		if eo.Flipped {
 			qa, qb = qb, qa
 		}
-		if a.ix.Lit(qa, x) && a.ix.Lit(qb, y) {
+		if a.ix.lighted(qa, x) && a.ix.lighted(qb, y) {
 			return true
 		}
 	}
@@ -306,11 +306,4 @@ func countInjective(cands [][]graph.VertexID) uint64 {
 		return total
 	}
 	return rec(0)
-}
-
-// Index exposes the LiG for white-box tests.
-func (a *CaLiG) Index() interface {
-	Lit(query.VertexID, graph.VertexID) bool
-} {
-	return a.ix
 }

@@ -64,8 +64,8 @@ func (ix *lig) compute(u query.VertexID, v graph.VertexID) bool {
 	return true
 }
 
-// Lit reports the lighting state of (u, v).
-func (ix *lig) Lit(u query.VertexID, v graph.VertexID) bool {
+// lighted reports the lighting state of (u, v).
+func (ix *lig) lighted(u query.VertexID, v graph.VertexID) bool {
 	return int(v) < len(ix.lit[u]) && ix.lit[u][v]
 }
 
@@ -210,7 +210,7 @@ func (ix *lig) wouldChange(upd stream.Update) bool {
 	h := hview{g: ix.g, x: upd.U, y: upd.V, add: upd.Op == stream.AddEdge}
 	check := func(v graph.VertexID) bool {
 		for u := range ix.lit {
-			if ix.computeHypo(h, query.VertexID(u), v) != ix.Lit(query.VertexID(u), v) {
+			if ix.computeHypo(h, query.VertexID(u), v) != ix.lighted(query.VertexID(u), v) {
 				return true
 			}
 		}

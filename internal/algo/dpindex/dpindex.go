@@ -157,13 +157,13 @@ func (ix *Index) Candidate(u query.VertexID, v graph.VertexID) bool {
 	return ix.d1[u][v] && ix.d2[u][v]
 }
 
-// D1 reports the top-down entry (TurboFlux's IMPLICIT state).
-func (ix *Index) D1(u query.VertexID, v graph.VertexID) bool {
+// inD1 reports the top-down entry (TurboFlux's IMPLICIT state).
+func (ix *Index) inD1(u query.VertexID, v graph.VertexID) bool {
 	return int(v) < len(ix.d1[u]) && ix.d1[u][v]
 }
 
-// D2 reports the bottom-up entry.
-func (ix *Index) D2(u query.VertexID, v graph.VertexID) bool {
+// inD2 reports the bottom-up entry.
+func (ix *Index) inD2(u query.VertexID, v graph.VertexID) bool {
 	return int(v) < len(ix.d2[u]) && ix.d2[u][v]
 }
 
@@ -288,13 +288,13 @@ func (ix *Index) WouldAffect(upd stream.Update) bool {
 			la, lb := ix.q.Label(qa), ix.q.Label(qb)
 			// Orientation x->a, y->b.
 			if la == lx && lb == ly {
-				if ix.D1(qa, x) || ix.D2(qb, y) {
+				if ix.inD1(qa, x) || ix.inD2(qb, y) {
 					return true
 				}
 			}
 			// Orientation y->a, x->b.
 			if la == ly && lb == lx {
-				if ix.D1(qa, y) || ix.D2(qb, x) {
+				if ix.inD1(qa, y) || ix.inD2(qb, x) {
 					return true
 				}
 			}
@@ -359,8 +359,8 @@ func (ix *Index) ConsistentWithRebuild() bool {
 	return true
 }
 
-// CandidateCount returns the number of full candidates of u (diagnostics).
-func (ix *Index) CandidateCount(u query.VertexID) int {
+// candidateCount returns the number of full candidates of u (diagnostics).
+func (ix *Index) candidateCount(u query.VertexID) int {
 	c := 0
 	for v := range ix.d1[u] {
 		if ix.d1[u][v] && ix.d2[u][v] {

@@ -53,8 +53,8 @@ func TestBuildPathCandidates(t *testing.T) {
 			t.Errorf("Candidate(u%d, v%d) = %v, want %v", c.u, c.v, got, c.want)
 		}
 	}
-	if ix.CandidateCount(1) != 1 {
-		t.Errorf("CandidateCount(u1) = %d, want 1", ix.CandidateCount(1))
+	if ix.candidateCount(1) != 1 {
+		t.Errorf("candidateCount(u1) = %d, want 1", ix.candidateCount(1))
 	}
 }
 
@@ -88,8 +88,8 @@ func TestTreeSkeletonWeakerThanDAG(t *testing.T) {
 	tree := New(g, q, TreeSkeleton(q, q.BuildSpanningTree()), false)
 	dagCands, treeCands := 0, 0
 	for u := 0; u < 3; u++ {
-		dagCands += dag.CandidateCount(query.VertexID(u))
-		treeCands += tree.CandidateCount(query.VertexID(u))
+		dagCands += dag.candidateCount(query.VertexID(u))
+		treeCands += tree.candidateCount(query.VertexID(u))
 	}
 	if dagCands > treeCands {
 		t.Fatalf("DAG candidates (%d) should not exceed tree candidates (%d)", dagCands, treeCands)

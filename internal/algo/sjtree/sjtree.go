@@ -400,11 +400,6 @@ func (a *SJTree) RebuildADS() bool {
 	return true
 }
 
-// JoinOrder returns the connected join-edge ordering chosen at Build.
-func (a *SJTree) JoinOrder() []query.Edge {
-	return append([]query.Edge(nil), a.order...)
-}
-
 // TableSizes returns the materialized table cardinalities (the memory
 // footprint Table 1 warns about).
 func (a *SJTree) TableSizes() []int {

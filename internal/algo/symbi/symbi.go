@@ -57,6 +57,3 @@ func (a *Symbi) AffectsADS(upd stream.Update) bool {
 
 // RebuildADS implements csm.Rebuilder.
 func (a *Symbi) RebuildADS() bool { return a.ix.ConsistentWithRebuild() }
-
-// Index exposes the DCS for white-box tests.
-func (a *Symbi) Index() *dpindex.Index { return a.ix }

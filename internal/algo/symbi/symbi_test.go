@@ -119,7 +119,7 @@ func TestName(t *testing.T) {
 	if New().Name() != "Symbi" {
 		t.Fatal("wrong name")
 	}
-	if New().Index() != nil {
+	if New().ix != nil {
 		t.Fatal("index should be nil before Build")
 	}
 }

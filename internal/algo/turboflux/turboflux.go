@@ -61,6 +61,3 @@ func (a *TurboFlux) AffectsADS(upd stream.Update) bool {
 
 // RebuildADS implements csm.Rebuilder.
 func (a *TurboFlux) RebuildADS() bool { return a.ix.ConsistentWithRebuild() }
-
-// Index exposes the DCG for white-box tests.
-func (a *TurboFlux) Index() *dpindex.Index { return a.ix }

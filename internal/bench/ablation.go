@@ -10,7 +10,6 @@ import (
 	"paracosm/internal/core"
 	"paracosm/internal/csm"
 	"paracosm/internal/dataset"
-	"paracosm/internal/metrics"
 )
 
 // Ablation experiments for the design choices DESIGN.md calls out: the
@@ -25,15 +24,15 @@ func init() {
 // ablations returns the ablation experiments (registered in All).
 func ablations() []Experiment {
 	return []Experiment{
-		{ID: "recompute", Title: "Ablation: incremental search vs IncIsoMatch recomputation", Run: RunRecompute},
-		{ID: "ablation-split", Title: "Ablation: task granularity (SPLIT_DEPTH, escalation budget)", Run: RunAblationSplit},
+		{ID: "recompute", Title: "Ablation: incremental search vs IncIsoMatch recomputation", Run: runRecompute},
+		{ID: "ablation-split", Title: "Ablation: task granularity (SPLIT_DEPTH, escalation budget)", Run: runAblationSplit},
 	}
 }
 
-// RunRecompute quantifies the motivation for CSM: edge-rooted incremental
+// runRecompute quantifies the motivation for CSM: edge-rooted incremental
 // algorithms vs the IncIsoMatch-style recomputation baseline, in search
 // nodes and time per update.
-func RunRecompute(cfg Config, w io.Writer) error {
+func runRecompute(cfg Config, w io.Writer) error {
 	cfg = cfg.Defaults()
 	d := cfg.data(dataset.AmazonSpec)
 	s := cfg.stream(d)
@@ -41,7 +40,7 @@ func RunRecompute(cfg Config, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	tb := metrics.NewTable(
+	tb := newTable(
 		fmt.Sprintf("Ablation: recomputation vs incremental (%s stand-in, query size 6, %d updates)", d.Name, len(s)),
 		"Algorithm", "total time (ms)", "search nodes", "nodes/update")
 
@@ -71,16 +70,16 @@ func RunRecompute(cfg Config, w io.Writer) error {
 		if updates > 0 {
 			perUpd = float64(nodes) / float64(updates)
 		}
-		tb.AddRow(c.name, float64(tot.Microseconds())/1000, nodes, perUpd)
+		tb.addRow(c.name, float64(tot.Microseconds())/1000, nodes, perUpd)
 	}
-	tb.Render(w)
+	tb.render(w)
 	return nil
 }
 
-// RunAblationSplit sweeps the inner-update task granularity: SPLIT_DEPTH
+// runAblationSplit sweeps the inner-update task granularity: SPLIT_DEPTH
 // (how deep subtrees may still be re-split) and the escalation budget (how
 // many sequential nodes before the parallel phase engages).
-func RunAblationSplit(cfg Config, w io.Writer) error {
+func runAblationSplit(cfg Config, w io.Writer) error {
 	cfg = cfg.Defaults()
 	d := cfg.data(dataset.LiveJournalSpec)
 	s := cfg.stream(d)
@@ -102,7 +101,7 @@ func RunAblationSplit(cfg Config, w io.Writer) error {
 	}
 	base := run(sequentialOpts()...)
 
-	tb := metrics.NewTable(
+	tb := newTable(
 		fmt.Sprintf("Ablation: task granularity (%s stand-in, GraphFlow, size-8 queries, %d threads; sequential find = %v)",
 			d.Name, cfg.Threads, base.Round(time.Millisecond)),
 		"SPLIT_DEPTH", "escalate", "find time (ms)", "speedup")
@@ -118,9 +117,9 @@ func RunAblationSplit(cfg Config, w io.Writer) error {
 			if t > 0 {
 				sp = fmt.Sprintf("%.2f", float64(base)/float64(t))
 			}
-			tb.AddRow(sdLabel, esc, float64(t.Microseconds())/1000, sp)
+			tb.addRow(sdLabel, esc, float64(t.Microseconds())/1000, sp)
 		}
 	}
-	tb.Render(w)
+	tb.render(w)
 	return nil
 }

@@ -11,7 +11,6 @@ import (
 	"paracosm/internal/core"
 	"paracosm/internal/csm"
 	"paracosm/internal/dataset"
-	"paracosm/internal/metrics"
 	"paracosm/internal/query"
 )
 
@@ -20,17 +19,17 @@ import (
 
 func ablations2() []Experiment {
 	return []Experiment{
-		{ID: "ablation-order", Title: "Ablation: matching-order strategy", Run: RunAblationOrder},
-		{ID: "mnemonic", Title: "Comparison: ParaCOSM vs Mnemonic-style coarse-grained parallelism", Run: RunMnemonic},
-		{ID: "deletions", Title: "Deletion handling: insert+expire window conservation", Run: RunDeletions},
-		{ID: "sjtree", Title: "Comparison: join-based SJ-Tree vs backtracking (time/space trade-off)", Run: RunSJTree},
+		{ID: "ablation-order", Title: "Ablation: matching-order strategy", Run: runAblationOrder},
+		{ID: "mnemonic", Title: "Comparison: ParaCOSM vs Mnemonic-style coarse-grained parallelism", Run: runMnemonic},
+		{ID: "deletions", Title: "Deletion handling: insert+expire window conservation", Run: runDeletions},
+		{ID: "sjtree", Title: "Comparison: join-based SJ-Tree vs backtracking (time/space trade-off)", Run: runSJTree},
 	}
 }
 
-// RunAblationOrder compares matching-order strategies (backward-degree
+// runAblationOrder compares matching-order strategies (backward-degree
 // greedy vs degree-only vs random) by search-tree size on identical
 // workloads.
-func RunAblationOrder(cfg Config, w io.Writer) error {
+func runAblationOrder(cfg Config, w io.Writer) error {
 	cfg = cfg.Defaults()
 	d := cfg.data(dataset.LiveJournalSpec)
 	s := cfg.stream(d)
@@ -42,7 +41,7 @@ func RunAblationOrder(cfg Config, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	tb := metrics.NewTable(
+	tb := newTable(
 		fmt.Sprintf("Ablation: matching-order strategy (%s stand-in, GraphFlow, size-8 queries)", d.Name),
 		"strategy", "search nodes", "time (ms)", "vs backdeg")
 	var baseNodes uint64
@@ -63,20 +62,20 @@ func RunAblationOrder(cfg Config, w io.Writer) error {
 		if baseNodes > 0 {
 			rel = fmt.Sprintf("%.2fx", float64(nodes)/float64(baseNodes))
 		}
-		tb.AddRow(strat.String(), nodes, float64(tot.Microseconds())/1000, rel)
+		tb.addRow(strat.String(), nodes, float64(tot.Microseconds())/1000, rel)
 	}
-	tb.Render(w)
+	tb.render(w)
 	return nil
 }
 
-// RunMnemonic contrasts ParaCOSM's fine-grained inner-update parallelism
+// runMnemonic contrasts ParaCOSM's fine-grained inner-update parallelism
 // with Mnemonic's coarse-grained scheme (each update of a batch handled by
 // one thread, no intra-update splitting). Both schedules are computed from
 // the same measured per-update costs: Mnemonic's batch makespan is the
 // maximum update cost in each window of Threads updates — a single
 // explosive update stalls its whole batch, which is precisely the load
 // imbalance ParaCOSM's task splitting removes (paper §3.2, Challenge 1).
-func RunMnemonic(cfg Config, w io.Writer) error {
+func runMnemonic(cfg Config, w io.Writer) error {
 	cfg = cfg.Defaults()
 	d := cfg.data(dataset.LiveJournalSpec)
 	s := cfg.stream(d)
@@ -84,7 +83,7 @@ func RunMnemonic(cfg Config, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	tb := metrics.NewTable(
+	tb := newTable(
 		fmt.Sprintf("ParaCOSM vs Mnemonic-style coarse-grained parallelism (%s stand-in, size-9 queries, %d threads)",
 			d.Name, cfg.Threads),
 		"Algorithm", "sequential (ms)", "Mnemonic (ms)", "ParaCOSM (ms)", "Mnemonic speedup", "ParaCOSM speedup")
@@ -141,12 +140,12 @@ func RunMnemonic(cfg Config, w io.Writer) error {
 		if pcosm > 0 {
 			spP = fmt.Sprintf("%.2f", float64(seq)/float64(pcosm))
 		}
-		tb.AddRow(name,
+		tb.addRow(name,
 			float64(seq.Microseconds())/1000,
 			float64(mnem.Microseconds())/1000,
 			float64(pcosm.Microseconds())/1000,
 			spM, spP)
 	}
-	tb.Render(w)
+	tb.render(w)
 	return nil
 }

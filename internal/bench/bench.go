@@ -96,18 +96,18 @@ type Experiment struct {
 // All returns every experiment, in paper order.
 func All() []Experiment {
 	return []Experiment{
-		{ID: "table1", Title: "Table 1: existing CSM solutions (complexity reference)", Run: RunTable1},
-		{ID: "fig4", Title: "Figure 4: single-threaded incremental matching time by query size", Run: RunFig4},
-		{ID: "table3", Title: "Table 3: ADS-update vs Find-Matches breakdown and success rate", Run: RunTable3},
-		{ID: "table4", Title: "Table 4: average unsafe update percentage", Run: RunTable4},
-		{ID: "fig7", Title: "Figure 7: ParaCOSM speedup over single-threaded baselines per dataset", Run: RunFig7},
-		{ID: "fig8", Title: "Figure 8: ParaCOSM speedup on big query graphs (LiveJournal)", Run: RunFig8},
-		{ID: "table6", Title: "Table 6: success rate of parallel CSM algorithms (LiveJournal)", Run: RunTable6},
-		{ID: "fig9", Title: "Figure 9: speedup vs number of threads", Run: RunFig9},
-		{ID: "fig10", Title: "Figure 10: CDF of per-thread busy time, balanced vs unbalanced", Run: RunFig10},
-		{ID: "fig11", Title: "Figure 11: inter-update mechanism speedup (Orkut)", Run: RunFig11},
-		{ID: "fig12", Title: "Figure 12: three-stage filtering pruning effectiveness (Orkut)", Run: RunFig12},
-		{ID: "model", Title: "§4.3: analytical speedup model and safe-update probability", Run: RunModel},
+		{ID: "table1", Title: "Table 1: existing CSM solutions (complexity reference)", Run: runTable1},
+		{ID: "fig4", Title: "Figure 4: single-threaded incremental matching time by query size", Run: runFig4},
+		{ID: "table3", Title: "Table 3: ADS-update vs Find-Matches breakdown and success rate", Run: runTable3},
+		{ID: "table4", Title: "Table 4: average unsafe update percentage", Run: runTable4},
+		{ID: "fig7", Title: "Figure 7: ParaCOSM speedup over single-threaded baselines per dataset", Run: runFig7},
+		{ID: "fig8", Title: "Figure 8: ParaCOSM speedup on big query graphs (LiveJournal)", Run: runFig8},
+		{ID: "table6", Title: "Table 6: success rate of parallel CSM algorithms (LiveJournal)", Run: runTable6},
+		{ID: "fig9", Title: "Figure 9: speedup vs number of threads", Run: runFig9},
+		{ID: "fig10", Title: "Figure 10: CDF of per-thread busy time, balanced vs unbalanced", Run: runFig10},
+		{ID: "fig11", Title: "Figure 11: inter-update mechanism speedup (Orkut)", Run: runFig11},
+		{ID: "fig12", Title: "Figure 12: three-stage filtering pruning effectiveness (Orkut)", Run: runFig12},
+		{ID: "model", Title: "§4.3: analytical speedup model and safe-update probability", Run: runModel},
 	}
 }
 

@@ -7,17 +7,16 @@ import (
 
 	"paracosm/internal/algo"
 	"paracosm/internal/dataset"
-	"paracosm/internal/metrics"
 	"paracosm/internal/stream"
 )
 
-// RunDeletions exercises the deletion path (§2.2: negative matches are
+// runDeletions exercises the deletion path (§2.2: negative matches are
 // enumerated before the edge is removed) with a sliding-window-style
 // stream: every held-out edge is inserted and later deleted again. Since
 // the graph ends exactly where it started, every appearing match must also
 // expire — the experiment asserts the +/- conservation invariant and
 // reports the relative cost of insertions vs deletions.
-func RunDeletions(cfg Config, w io.Writer) error {
+func runDeletions(cfg Config, w io.Writer) error {
 	cfg = cfg.Defaults()
 	d := cfg.data(dataset.AmazonSpec)
 	events := windowStream(d, cfg.StreamCap)
@@ -25,7 +24,7 @@ func RunDeletions(cfg Config, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	tb := metrics.NewTable(
+	tb := newTable(
 		fmt.Sprintf("Deletion handling: insert+expire window (%s stand-in, %d events)", d.Name, len(events)),
 		"Algorithm", "+matches", "-matches", "conserved", "time (ms)")
 	for _, e := range algo.Registry() {
@@ -44,16 +43,16 @@ func RunDeletions(cfg Config, w io.Writer) error {
 			tot += r.Stats.TTotal
 		}
 		if completed == 0 {
-			tb.AddRow(e.Name, "TO", "TO", "n/a", "TO")
+			tb.addRow(e.Name, "TO", "TO", "n/a", "TO")
 			continue
 		}
 		conserved := "YES"
 		if pos != neg {
 			conserved = fmt.Sprintf("NO (+%d vs -%d)", pos, neg)
 		}
-		tb.AddRow(e.Name, pos, neg, conserved, float64(tot.Microseconds())/1000)
+		tb.addRow(e.Name, pos, neg, conserved, float64(tot.Microseconds())/1000)
 	}
-	tb.Render(w)
+	tb.render(w)
 	return nil
 }
 

@@ -4,13 +4,14 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"sort"
 	"time"
 
 	"paracosm/internal/algo"
 	"paracosm/internal/core"
 	"paracosm/internal/dataset"
-	"paracosm/internal/metrics"
 	"paracosm/internal/model"
+	"paracosm/internal/obs"
 	"paracosm/internal/query"
 )
 
@@ -77,9 +78,9 @@ func (c Config) singleThreadSweep(d *dataset.Dataset) (map[string]map[int]*sizeA
 	return out, nil
 }
 
-// RunTable1 prints the complexity reference of existing CSM solutions.
-func RunTable1(cfg Config, w io.Writer) error {
-	tb := metrics.NewTable("Table 1: existing CSM solutions in recent research (CPU)",
+// runTable1 prints the complexity reference of existing CSM solutions.
+func runTable1(cfg Config, w io.Writer) error {
+	tb := newTable("Table 1: existing CSM solutions in recent research (CPU)",
 		"System", "Para", "Index A update", "Find Matches", "Srch")
 	for _, r := range model.ReferenceTable() {
 		para, srch := "X", "X"
@@ -91,22 +92,22 @@ func RunTable1(cfg Config, w io.Writer) error {
 		} else {
 			srch = "join"
 		}
-		tb.AddRow(r.System, para, r.IndexCost, r.SearchCost, srch)
+		tb.addRow(r.System, para, r.IndexCost, r.SearchCost, srch)
 	}
-	tb.Render(w)
+	tb.render(w)
 	return nil
 }
 
-// RunFig4 reproduces Figure 4: average single-threaded incremental
+// runFig4 reproduces Figure 4: average single-threaded incremental
 // matching time per query size on the LiveJournal stand-in.
-func RunFig4(cfg Config, w io.Writer) error {
+func runFig4(cfg Config, w io.Writer) error {
 	cfg = cfg.Defaults()
 	d := cfg.data(dataset.LiveJournalSpec)
 	sweep, err := cfg.singleThreadSweep(d)
 	if err != nil {
 		return err
 	}
-	tb := metrics.NewTable(
+	tb := newTable(
 		fmt.Sprintf("Figure 4: single-threaded incremental matching time (ms), %s stand-in, %d queries/size, budget %v",
 			d.Name, cfg.QueriesPerSize, cfg.Budget),
 		"Algorithm", "size 6", "size 7", "size 8", "size 9", "size 10")
@@ -120,22 +121,22 @@ func RunFig4(cfg Config, w io.Writer) error {
 				row = append(row, float64(a.avgElapsed().Microseconds())/1000)
 			}
 		}
-		tb.AddRow(row...)
+		tb.addRow(row...)
 	}
-	tb.Render(w)
+	tb.render(w)
 	return nil
 }
 
-// RunTable3 reproduces Table 3: the share of incremental time spent in ADS
+// runTable3 reproduces Table 3: the share of incremental time spent in ADS
 // maintenance vs match enumeration, and the success rate, by query size.
-func RunTable3(cfg Config, w io.Writer) error {
+func runTable3(cfg Config, w io.Writer) error {
 	cfg = cfg.Defaults()
 	d := cfg.data(dataset.LiveJournalSpec)
 	sweep, err := cfg.singleThreadSweep(d)
 	if err != nil {
 		return err
 	}
-	tb := metrics.NewTable(
+	tb := newTable(
 		fmt.Sprintf("Table 3: ADS update %% / Find Matches %% / success rate %% by query size (%s stand-in)", d.Name),
 		"Algorithm", "size", "ADS Upd %", "Find Matches %", "Succ Rate %")
 	for _, e := range algo.Registry() {
@@ -150,23 +151,23 @@ func RunTable3(cfg Config, w io.Writer) error {
 				// These keep no ADS; report their (near-zero) bookkeeping
 				// share anyway for comparison with the paper's N/A.
 			}
-			tb.AddRow(e.Name, sz, adsPct, findPct, a.succRate())
+			tb.addRow(e.Name, sz, adsPct, findPct, a.succRate())
 		}
 	}
-	tb.Render(w)
+	tb.render(w)
 	return nil
 }
 
-// RunTable4 reproduces Table 4: the average percentage of unsafe updates
+// runTable4 reproduces Table 4: the average percentage of unsafe updates
 // per dataset and query size, measured with the three-stage classifier
 // (Symbi's DCS as the stage-3 ADS, the strongest of the bundled filters).
-func RunTable4(cfg Config, w io.Writer) error {
+func runTable4(cfg Config, w io.Writer) error {
 	cfg = cfg.Defaults()
 	entry, err := algo.ByName("Symbi")
 	if err != nil {
 		return err
 	}
-	tb := metrics.NewTable(
+	tb := newTable(
 		fmt.Sprintf("Table 4: average unsafe update percentage (%%), %d queries/size", cfg.QueriesPerSize),
 		"Dataset", "size 6", "size 7", "size 8", "size 9", "size 10")
 	for _, spec := range []dataset.Spec{dataset.LSBenchSpec, dataset.LiveJournalSpec, dataset.OrkutSpec, dataset.AmazonSpec} {
@@ -190,20 +191,20 @@ func RunTable4(cfg Config, w io.Writer) error {
 				row = append(row, 100*float64(totalUnsafe)/float64(totalUpd))
 			}
 		}
-		tb.AddRow(row...)
+		tb.addRow(row...)
 	}
-	tb.Render(w)
+	tb.render(w)
 	return nil
 }
 
-// RunFig7 reproduces Figure 7: speedup of ParaCOSM (Threads workers, full
+// runFig7 reproduces Figure 7: speedup of ParaCOSM (Threads workers, full
 // two-level parallelism) over the single-threaded originals, per dataset
 // and algorithm. Query size 8 is used: at smaller sizes the workload is
 // dominated by per-update constant costs rather than search, which is not
 // the regime the paper's Figure 7 measures.
-func RunFig7(cfg Config, w io.Writer) error {
+func runFig7(cfg Config, w io.Writer) error {
 	cfg = cfg.Defaults()
-	tb := metrics.NewTable(
+	tb := newTable(
 		fmt.Sprintf("Figure 7: ParaCOSM speedup with %d threads vs single-threaded (query size 8)", cfg.Threads),
 		"Dataset", "CaLiG", "GraphFlow", "NewSP", "Symbi", "TurboFlux")
 	for _, spec := range []dataset.Spec{dataset.AmazonSpec, dataset.LiveJournalSpec, dataset.LSBenchSpec, dataset.OrkutSpec} {
@@ -239,20 +240,20 @@ func RunFig7(cfg Config, w io.Writer) error {
 				row = append(row, float64(seq)/float64(par))
 			}
 		}
-		tb.AddRow(row...)
+		tb.addRow(row...)
 	}
-	tb.Render(w)
+	tb.render(w)
 	return nil
 }
 
-// RunFig8 reproduces Figure 8: ParaCOSM speedup on big query graphs
+// runFig8 reproduces Figure 8: ParaCOSM speedup on big query graphs
 // (LiveJournal stand-in), computed over queries successful in both
 // configurations.
-func RunFig8(cfg Config, w io.Writer) error {
+func runFig8(cfg Config, w io.Writer) error {
 	cfg = cfg.Defaults()
 	d := cfg.data(dataset.LiveJournalSpec)
 	s := cfg.stream(d)
-	tb := metrics.NewTable(
+	tb := newTable(
 		fmt.Sprintf("Figure 8: ParaCOSM speedup with %d threads on big query graphs (%s stand-in)", cfg.Threads, d.Name),
 		"Algorithm", "size 6", "size 7", "size 8", "size 9", "size 10")
 	for _, e := range algo.Registry() {
@@ -279,19 +280,19 @@ func RunFig8(cfg Config, w io.Writer) error {
 				row = append(row, float64(seq)/float64(par))
 			}
 		}
-		tb.AddRow(row...)
+		tb.addRow(row...)
 	}
-	tb.Render(w)
+	tb.render(w)
 	return nil
 }
 
-// RunTable6 reproduces Table 6: success rates of the parallelized
+// runTable6 reproduces Table 6: success rates of the parallelized
 // algorithms by query size, with the single-threaded rate for comparison.
-func RunTable6(cfg Config, w io.Writer) error {
+func runTable6(cfg Config, w io.Writer) error {
 	cfg = cfg.Defaults()
 	d := cfg.data(dataset.LiveJournalSpec)
 	s := cfg.stream(d)
-	tb := metrics.NewTable(
+	tb := newTable(
 		fmt.Sprintf("Table 6: success rate (%%) of parallel CSM algorithms with %d threads (%s stand-in); Δ vs single-threaded in parens",
 			cfg.Threads, d.Name),
 		"Algorithm", "size 6", "size 7", "size 8", "size 9", "size 10")
@@ -314,15 +315,15 @@ func RunTable6(cfg Config, w io.Writer) error {
 			n := float64(len(qs))
 			row = append(row, fmt.Sprintf("%.0f (%+.0f)", 100*float64(parOK)/n, 100*float64(parOK-seqOK)/n))
 		}
-		tb.AddRow(row...)
+		tb.addRow(row...)
 	}
-	tb.Render(w)
+	tb.render(w)
 	return nil
 }
 
-// RunFig9 reproduces Figure 9: speedup as the thread count grows, relative
+// runFig9 reproduces Figure 9: speedup as the thread count grows, relative
 // to the single-threaded baseline, on the LiveJournal stand-in.
-func RunFig9(cfg Config, w io.Writer) error {
+func runFig9(cfg Config, w io.Writer) error {
 	cfg = cfg.Defaults()
 	d := cfg.data(dataset.LiveJournalSpec)
 	s := cfg.stream(d)
@@ -341,7 +342,7 @@ func RunFig9(cfg Config, w io.Writer) error {
 	for _, t := range counts {
 		headers = append(headers, fmt.Sprintf("%dT", t))
 	}
-	tb := metrics.NewTable(
+	tb := newTable(
 		fmt.Sprintf("Figure 9: speedup vs threads (%s stand-in, query size 8)", d.Name), headers...)
 	qs, err := cfg.queriesFor(d, 8)
 	if err != nil {
@@ -366,7 +367,7 @@ func RunFig9(cfg Config, w io.Writer) error {
 			for range counts {
 				row = append(row, "TO")
 			}
-			tb.AddRow(row...)
+			tb.addRow(row...)
 			continue
 		}
 		for _, t := range counts {
@@ -390,15 +391,15 @@ func RunFig9(cfg Config, w io.Writer) error {
 				row = append(row, float64(base)/float64(tot))
 			}
 		}
-		tb.AddRow(row...)
+		tb.addRow(row...)
 	}
-	tb.Render(w)
+	tb.render(w)
 	return nil
 }
 
-// RunFig10 reproduces Figure 10: the CDF of per-thread busy time for
+// runFig10 reproduces Figure 10: the CDF of per-thread busy time for
 // GraphFlow with and without adaptive load balancing.
-func RunFig10(cfg Config, w io.Writer) error {
+func runFig10(cfg Config, w io.Writer) error {
 	cfg = cfg.Defaults()
 	d := cfg.data(dataset.LiveJournalSpec)
 	s := cfg.stream(d)
@@ -419,47 +420,41 @@ func RunFig10(cfg Config, w io.Writer) error {
 		}
 		return busy
 	}
-	balanced := metrics.NewCDF(collect(true))
-	unbalanced := metrics.NewCDF(collect(false))
+	// Each side's busy times, ascending: the empirical CDF the figure plots.
+	balanced, unbalanced := collect(true), collect(false)
+	for _, busy := range [][]time.Duration{balanced, unbalanced} {
+		sort.Slice(busy, func(i, j int) bool { return busy[i] < busy[j] })
+	}
 
-	tb := metrics.NewTable(
+	tb := newTable(
 		fmt.Sprintf("Figure 10: CDF of per-thread busy time, GraphFlow, %d threads (%s stand-in)", cfg.Threads, d.Name),
 		"quantile", "balanced", "unbalanced")
 	for _, p := range []float64{0.1, 0.25, 0.5, 0.75, 0.9, 0.99} {
-		tb.AddRow(fmt.Sprintf("p%02.0f", p*100), balanced.Quantile(p), unbalanced.Quantile(p))
+		tb.addRow(fmt.Sprintf("p%02.0f", p*100), obs.NearestRank(balanced, p), obs.NearestRank(unbalanced, p))
 	}
-	tb.Render(w)
+	tb.render(w)
 
-	bs, us := metrics.Summarize(collectDurations(balanced)), metrics.Summarize(collectDurations(unbalanced))
 	fmt.Fprintf(w, "balanced spread (max/min): %.2f; unbalanced spread: %.2f\n",
-		spread(bs), spread(us))
+		spread(balanced), spread(unbalanced))
 	return nil
 }
 
-func collectDurations(c *metrics.CDF) []time.Duration {
-	pts := c.Points(2)
-	if len(pts) == 0 {
-		return nil
-	}
-	// Reconstruct min/max pair for spread reporting.
-	return []time.Duration{pts[0].X, pts[len(pts)-1].X}
-}
-
-func spread(s metrics.Summary) float64 {
-	if s.Min <= 0 {
+// spread is max/min of an ascending sample (0 when empty or min is 0).
+func spread(sorted []time.Duration) float64 {
+	if len(sorted) == 0 || sorted[0] <= 0 {
 		return 0
 	}
-	return float64(s.Max) / float64(s.Min)
+	return float64(sorted[len(sorted)-1]) / float64(sorted[0])
 }
 
-// RunFig11 reproduces Figure 11: speedup from enabling the inter-update
+// runFig11 reproduces Figure 11: speedup from enabling the inter-update
 // mechanism (the update classifier) on the Orkut stand-in, at equal thread
 // count.
-func RunFig11(cfg Config, w io.Writer) error {
+func runFig11(cfg Config, w io.Writer) error {
 	cfg = cfg.Defaults()
 	d := cfg.data(dataset.OrkutSpec)
 	s := cfg.stream(d)
-	tb := metrics.NewTable(
+	tb := newTable(
 		fmt.Sprintf("Figure 11: inter-update mechanism speedup, %d threads (%s stand-in, query size 6)", cfg.Threads, d.Name),
 		"Algorithm", "without (ms)", "with (ms)", "speedup")
 	qs, err := cfg.queriesFor(d, 6)
@@ -478,19 +473,19 @@ func RunFig11(cfg Config, w io.Writer) error {
 		if on > 0 {
 			sp = fmt.Sprintf("%.2f", float64(off)/float64(on))
 		}
-		tb.AddRow(e.Name, float64(off.Microseconds())/1000, float64(on.Microseconds())/1000, sp)
+		tb.addRow(e.Name, float64(off.Microseconds())/1000, float64(on.Microseconds())/1000, sp)
 	}
-	tb.Render(w)
+	tb.render(w)
 	return nil
 }
 
-// RunFig12 reproduces Figure 12: how much of the update stream each
+// runFig12 reproduces Figure 12: how much of the update stream each
 // classifier stage prunes, for the ADS-indexed algorithms.
-func RunFig12(cfg Config, w io.Writer) error {
+func runFig12(cfg Config, w io.Writer) error {
 	cfg = cfg.Defaults()
 	d := cfg.data(dataset.OrkutSpec)
 	s := cfg.stream(d)
-	tb := metrics.NewTable(
+	tb := newTable(
 		fmt.Sprintf("Figure 12: three-stage filtering effectiveness (%s stand-in, query size 6)", d.Name),
 		"Algorithm", "label+degree safe %", "ADS safe % of remainder", "unsafe %")
 	qs, err := cfg.queriesFor(d, 6)
@@ -518,18 +513,18 @@ func RunFig12(cfg Config, w io.Writer) error {
 		if rem > 0 {
 			adsPct = 100 * float64(ads) / float64(rem)
 		}
-		tb.AddRow(name,
+		tb.addRow(name,
 			100*float64(stage12)/float64(total),
 			adsPct,
 			100*float64(unsafe)/float64(total))
 	}
-	tb.Render(w)
+	tb.render(w)
 	return nil
 }
 
-// RunModel prints the §4.3 analytical results next to an empirical γ
+// runModel prints the §4.3 analytical results next to an empirical γ
 // measured on the LiveJournal stand-in.
-func RunModel(cfg Config, w io.Writer) error {
+func runModel(cfg Config, w io.Writer) error {
 	cfg = cfg.Defaults()
 	ads, fm := model.Coefficients(model.Params{Gamma: 0.4, M: 10, N: 10})
 	fmt.Fprintf(w, "Equation 3 (N=M=10, γ=0.4): T = |ΔG|(%.2f·T_ADS + %.2f·T_FM)\n", ads, fm)
@@ -551,12 +546,12 @@ func RunModel(cfg Config, w io.Writer) error {
 	fmt.Fprintf(w, "empirical safe ratio γ on %s stand-in (size-6 query, %d updates): %.4f\n",
 		d.Name, r.Stats.Updates, r.Stats.SafeRatio())
 
-	tb := metrics.NewTable("Model speedup predictions (γ=0.4, T_FM/T_ADS=30)",
+	tb := newTable("Model speedup predictions (γ=0.4, T_FM/T_ADS=30)",
 		"threads", "predicted speedup")
 	for _, n := range []int{1, 2, 4, 8, 16, 32, 64, 128} {
-		tb.AddRow(n, model.Speedup(model.Params{Updates: 1, Gamma: 0.4, M: n, N: n, TADS: 1, TFM: 30}))
+		tb.addRow(n, model.Speedup(model.Params{Updates: 1, Gamma: 0.4, M: n, N: n, TADS: 1, TFM: 30}))
 	}
-	tb.Render(w)
+	tb.render(w)
 	return nil
 }
 

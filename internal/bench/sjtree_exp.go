@@ -12,15 +12,14 @@ import (
 	"paracosm/internal/core"
 	"paracosm/internal/csm"
 	"paracosm/internal/dataset"
-	"paracosm/internal/metrics"
 )
 
-// RunSJTree contrasts the join-based SJ-Tree with the backtracking Symbi:
+// runSJTree contrasts the join-based SJ-Tree with the backtracking Symbi:
 // per-update latency against materialized table memory — the time/space
 // trade-off Table 1 summarizes as O(|E(G)|^|E(Q)|) index cost. SJ-Tree is
 // evaluated at a reduced scale because its offline materialization, not
 // its incremental step, is what explodes.
-func RunSJTree(cfg Config, w io.Writer) error {
+func runSJTree(cfg Config, w io.Writer) error {
 	cfg = cfg.Defaults()
 	if cfg.Scale > 0.002 {
 		cfg.Scale = 0.002 // keep join-table materialization tractable
@@ -31,7 +30,7 @@ func RunSJTree(cfg Config, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	tb := metrics.NewTable(
+	tb := newTable(
 		fmt.Sprintf("SJ-Tree (join-based) vs Symbi (backtracking), %s stand-in, size-5 queries, %d updates",
 			d.Name, len(s)),
 		"Algorithm", "offline build (ms)", "incremental (ms)", "per update (µs)", "table entries")
@@ -77,8 +76,8 @@ func RunSJTree(cfg Config, w io.Writer) error {
 		if c.name != "SJ-Tree" {
 			entries = "n/a"
 		}
-		tb.AddRow(c.name, float64(build.Microseconds())/1000, float64(inc.Microseconds())/1000, perUpd, entries)
+		tb.addRow(c.name, float64(build.Microseconds())/1000, float64(inc.Microseconds())/1000, perUpd, entries)
 	}
-	tb.Render(w)
+	tb.render(w)
 	return nil
 }

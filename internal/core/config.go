@@ -61,7 +61,8 @@ type Config struct {
 	// goroutine, but parallel find times, classification times and
 	// per-worker loads are computed for Threads virtual workers from
 	// measured task times. Use on machines with fewer cores than the
-	// configuration under study.
+	// configuration under study. Only a single Engine simulates: NewMulti
+	// clears the flag, so a MultiEngine always runs its executors for real.
 	Simulate bool
 
 	// Tracer, if non-nil, receives one obs.Event per processed update
@@ -133,9 +134,6 @@ func Simulate(on bool) Option { return func(c *Config) { c.Simulate = on } }
 // WithTracer attaches an observability tracer (nil detaches).
 func WithTracer(t *obs.Tracer) Option { return func(c *Config) { c.Tracer = t } }
 
-// WithOnDelta attaches a match-delta callback (nil detaches).
-func WithOnDelta(f DeltaFunc) Option { return func(c *Config) { c.OnDelta = f } }
-
 // TrackQueries toggles per-query latency histograms in a MultiEngine.
 func TrackQueries(on bool) Option { return func(c *Config) { c.TrackQueries = on } }
 
@@ -180,7 +178,7 @@ func (c *Config) normalize() {
 // UnsafeParallel, FallbackSerial and MaxGroup are left from the deleted
 // wave scheduler only because benchmarks/harness reads them: every
 // survivor is committed alone, in window order. They leave, together
-// with internal/graph/footprint.go, in ROADMAP item 9's benchmark PR.
+// with internal/graph/footprint.go, in ROADMAP item 14's benchmark change.
 type WindowCounters struct {
 	Windows        int // windows executed
 	Coalesced      int // updates removed by window coalescing
@@ -190,8 +188,8 @@ type WindowCounters struct {
 	MaxGroup       int // 1 once a window had a survivor, else 0
 }
 
-// Add accumulates o into w (MaxGroup takes the max).
-func (w *WindowCounters) Add(o WindowCounters) {
+// add accumulates o into w (MaxGroup takes the max).
+func (w *WindowCounters) add(o WindowCounters) {
 	w.Windows += o.Windows
 	w.Coalesced += o.Coalesced
 	w.Annihilated += o.Annihilated
@@ -276,7 +274,7 @@ func (s *Stats) Add(o Stats) {
 	s.Resplits += o.Resplits
 	s.Parks += o.Parks
 	s.Wakeups += o.Wakeups
-	s.Window.Add(o.Window)
+	s.Window.add(o.Window)
 	for len(s.ThreadBusy) < len(o.ThreadBusy) {
 		s.ThreadBusy = append(s.ThreadBusy, 0)
 	}

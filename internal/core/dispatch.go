@@ -46,8 +46,7 @@ type dispatchIndex struct {
 // DispatchCounters is the dispatch index's tally. Visited+Skipped is the
 // number of live standing queries summed over the Updates edge updates
 // routed through the index — under Window(n), the coalesced survivors; the
-// driver routes through it only with the classifier on, and not under
-// Simulate.
+// driver routes through it only with the classifier on.
 type DispatchCounters struct {
 	Updates int    // edge updates routed through the index
 	Visited uint64 // (query, update) pairs handed to the query's engine

@@ -142,13 +142,6 @@ func (e *Engine) Close() {
 	}
 }
 
-// ResetStats zeroes accumulated instrumentation.
-func (e *Engine) ResetStats() {
-	e.statsMu.Lock()
-	e.stats = Stats{}
-	e.statsMu.Unlock()
-}
-
 // SeedStats folds base into the engine's accumulated instrumentation —
 // the recovery path uses it to restore a query's pre-crash stats
 // baseline from a snapshot, so /queries totals stay monotonic across a

@@ -96,10 +96,9 @@ type MultiEngine struct {
 	// and join, during which the driver does not touch it — the same
 	// publication discipline as the shared graph itself.
 	fanCur struct {
-		ctx       context.Context
-		upd       stream.Update
-		i         int
-		simBudget time.Duration
+		ctx context.Context
+		upd stream.Update
+		i   int
 	} // guarded by mu
 
 	// fanPrepare/fanCommit are the pre-apply and post-apply fan-out
@@ -133,12 +132,14 @@ type multiQuery struct {
 }
 
 // NewMulti creates an empty multi-query engine; opts configure every
-// per-query engine identically.
+// per-query engine identically. Simulate is cleared: schedule simulation
+// belongs to a single Engine.
 func NewMulti(opts ...Option) *MultiEngine {
 	cfg := defaultConfig()
 	for _, o := range opts {
 		o(&cfg)
 	}
+	cfg.Simulate = false
 	cfg.normalize()
 	var win *winScratch
 	if cfg.Window > 1 {
@@ -486,7 +487,7 @@ func (m *MultiEngine) ProcessBatchLogged(ctx context.Context, batch stream.Strea
 // anything to collect.
 func (m *MultiEngine) runSharedLocked(ctx context.Context, s stream.Stream, bt *BatchTimes, idx []int) (failed bool) {
 	var pos []int // windowed: each survivor's position in the call's stream
-	if m.cfg.Window > 1 && !m.cfg.Simulate {
+	if m.cfg.Window > 1 {
 		s, pos = m.coalesceLocked(s, bt, idx)
 	}
 	if m.fanPrepare == nil {
@@ -503,30 +504,14 @@ func (m *MultiEngine) runSharedLocked(ctx context.Context, s stream.Stream, bt *
 			mq.eng.pend.t0 = time.Now()
 			if err := mq.eng.commit(cur.ctx, cur.upd); err != nil {
 				mq.err = fmt.Errorf("update %d (%v): %w", cur.i, cur.upd, err)
-			} else if cur.simBudget > 0 && mq.eng.totalElapsed() > cur.simBudget {
-				mq.err = fmt.Errorf("update %d: %w", cur.i, csm.ErrDeadline)
 			}
 		}
-	}
-	// Simulated-time budget, as in Engine.Run: under schedule simulation a
-	// context deadline is interpreted against accumulated simulated time.
-	var simBudget time.Duration
-	if dl, ok := ctx.Deadline(); ok && m.cfg.Simulate {
-		simBudget = time.Until(dl)
-		for _, mq := range m.queries {
-			mq.eng.simBudget = simBudget
-		}
-		defer func() {
-			for _, mq := range m.queries {
-				mq.eng.simBudget = 0
-			}
-		}()
 	}
 	// Every recorded error was cleared when the last call reported it, so
 	// the call starts with every registered query live. all is the list an
 	// update visits when the index does not decide: m.queries itself until
 	// a query fails, its compacted copy after.
-	dispatching := m.cfg.InterUpdate && !m.cfg.Simulate
+	dispatching := m.cfg.InterUpdate
 	vertexVerdict := classDirect
 	if m.cfg.InterUpdate {
 		vertexVerdict = classVertexOp
@@ -540,7 +525,7 @@ func (m *MultiEngine) runSharedLocked(ctx context.Context, s stream.Stream, bt *
 		if pos != nil {
 			i = pos[i]
 		}
-		m.fanCur.ctx, m.fanCur.upd, m.fanCur.i, m.fanCur.simBudget = ctx, upd, i, simBudget
+		m.fanCur.ctx, m.fanCur.upd, m.fanCur.i = ctx, upd, i
 		if live == 0 && len(m.queries) > 0 {
 			// Every query failed; stop early — the remaining updates would
 			// only advance a graph nobody observes, and the serving layer
@@ -813,20 +798,6 @@ func (m *MultiEngine) QuerySnapshots() []QuerySnapshot {
 	return out
 }
 
-// ClosedLatency returns a copy of the merged per-update latency histogram
-// of every deregistered tracked query (the latency counterpart of
-// ClosedStats), or nil when no tracked query has deregistered.
-func (m *MultiEngine) ClosedLatency() *obs.Histogram {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closedLat == nil {
-		return nil
-	}
-	h := obs.NewHistogram()
-	h.Merge(m.closedLat)
-	return h
-}
-
 // TotalStats returns the sum of every query's Stats, live and
 // deregistered alike: the monotonic aggregate view.
 func (m *MultiEngine) TotalStats() Stats {
@@ -841,17 +812,6 @@ func (m *MultiEngine) TotalStats() Stats {
 		}
 	}
 	return total
-}
-
-// QueryNames returns the live query names in registration order.
-func (m *MultiEngine) QueryNames() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]string, len(m.queries))
-	for i, mq := range m.queries {
-		out[i] = mq.name
-	}
-	return out
 }
 
 // Engine returns the per-query engine (e.g. to attach an OnMatch

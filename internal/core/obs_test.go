@@ -61,8 +61,8 @@ func TestTracerReconcilesWithStats(t *testing.T) {
 			if got := tr.Hist(obs.PhaseTotal).Count(); got != uint64(st.Updates) {
 				t.Errorf("latency histogram count %d != updates %d", got, st.Updates)
 			}
-			if tr.Ring().Total() != uint64(st.Updates) {
-				t.Errorf("ring total %d != updates %d", tr.Ring().Total(), st.Updates)
+			if total := uint64(tr.Ring().Len()) + tr.Ring().Dropped(); total != uint64(st.Updates) {
+				t.Errorf("ring total %d != updates %d", total, st.Updates)
 			}
 			if want := uint64(st.Updates) - 64; tr.Ring().Dropped() != want {
 				t.Errorf("ring dropped %d, want %d", tr.Ring().Dropped(), want)

@@ -62,7 +62,7 @@ func (e *Engine) coalesce(raw stream.Stream) (stream.Stream, []int32) {
 	var wc WindowCounters
 	src := w.coalesce(raw, &wc, e.cfg.Tracer)
 	e.statsMu.Lock()
-	e.stats.Window.Add(wc)
+	e.stats.Window.add(wc)
 	e.statsMu.Unlock()
 	return w.buf, src
 }
@@ -117,13 +117,4 @@ func (m *MultiEngine) coalesceLocked(s stream.Stream, bt *BatchTimes, idx []int)
 		}
 	}
 	return w.buf, w.pos
-}
-
-// WindowCounters returns the driver-level Window(n) counters: one tally
-// per shared-graph window, counted once per update rather than per query.
-// Zero-valued unless Config.Window > 1.
-func (m *MultiEngine) WindowCounters() WindowCounters {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.winStats
 }

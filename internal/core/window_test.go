@@ -7,11 +7,13 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"paracosm/internal/algo/algotest"
 	"paracosm/internal/csm"
 	"paracosm/internal/graph"
 	"paracosm/internal/query"
+	"paracosm/internal/refmatch"
 	"paracosm/internal/stream"
 )
 
@@ -254,6 +256,63 @@ func TestMultiWindowedOracle(t *testing.T) {
 	}
 	if wc.Coalesced != len(s)-len(oracle) {
 		t.Fatalf("driver coalesced %d updates away, oracle stream has %d of %d", wc.Coalesced, len(oracle), len(s))
+	}
+}
+
+// TestMultiIgnoresSimulate: schedule simulation belongs to a single
+// Engine, so a MultiEngine built with Simulate(true) windows, dispatches
+// and meets its context deadline exactly as one built without it. Both
+// give the same per-query counts and window counters, and both totals
+// equal the reference over the coalesced stream.
+func TestMultiIgnoresSimulate(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	g := algotest.RandomGraph(rng, 28, 60, 2, 1)
+	qs := []*query.Graph{algotest.RandomQuery(rng, g, 3), algotest.RandomQuery(rng, g, 4)}
+	if qs[0] == nil || qs[1] == nil {
+		t.Skip("no queries")
+	}
+	s := algotest.RandomStream(rng, g, 64, 0.6, 1)
+	const window = 8
+
+	run := func(opts ...Option) (map[string]Stats, WindowCounters) {
+		m := NewMulti(append([]Option{Threads(2), Window(window)}, opts...)...)
+		defer m.Close()
+		for _, f := range algotest.Factories() {
+			for qi, q := range qs {
+				m.Register(fmt.Sprintf("%s/%d", f.Name, qi), f.New(), q)
+			}
+		}
+		if err := m.Init(g); err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		defer cancel()
+		if err := m.Run(ctx, s); err != nil {
+			t.Fatal(err)
+		}
+		return m.Stats(), m.WindowCounters()
+	}
+	simSt, simWC := run(Simulate(true))
+	st, wc := run()
+	if simWC != wc {
+		t.Fatalf("window counters: Simulate(true) %+v, without %+v", simWC, wc)
+	}
+	if wc.Windows != (len(s)+window-1)/window {
+		t.Fatalf("driver counted %d windows over %d updates", wc.Windows, len(s))
+	}
+
+	oracle := coalesceChunks(s, window)
+	for _, f := range algotest.Factories() {
+		for qi, q := range qs {
+			name := fmt.Sprintf("%s/%d", f.Name, qi)
+			if got, want := countsOf(simSt[name]), countsOf(st[name]); got != want {
+				t.Errorf("%s: Simulate(true) %+v\n\twithout %+v", name, got, want)
+			}
+			pos, neg := totalsVsReference(g, q, oracle, refmatch.Options{IgnoreELabels: f.IgnoreELabels})
+			if st[name].Positive != pos || st[name].Negative != neg {
+				t.Errorf("%s: +%d/-%d, reference +%d/-%d", name, st[name].Positive, st[name].Negative, pos, neg)
+			}
+		}
 	}
 }
 

@@ -60,16 +60,6 @@ func (s *State) Set(u query.VertexID, v graph.VertexID) {
 	s.Depth++
 }
 
-// Unset removes the assignment of u and decrements Depth (used by
-// sequential in-place backtracking).
-func (s *State) Unset(u query.VertexID) {
-	if s.Map[u] == graph.NoVertex {
-		panic("csm: unset of unmatched query vertex")
-	}
-	s.Map[u] = graph.NoVertex
-	s.Depth--
-}
-
 // Uses reports whether data vertex v already appears in the embedding
 // (the injectivity test of subgraph isomorphism).
 func (s *State) Uses(v graph.VertexID) bool {

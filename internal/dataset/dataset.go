@@ -111,10 +111,6 @@ func Scale(f float64) Option { return func(c *config) { c.scale = f } }
 // Seed fixes the generator seed (default 1).
 func Seed(s int64) Option { return func(c *config) { c.seed = s } }
 
-// HoldoutFraction sets the fraction of edges diverted to the insertion
-// stream (default 0.1, as in the paper's methodology).
-func HoldoutFraction(f float64) Option { return func(c *config) { c.holdout = f } }
-
 // Dataset is a synthesized data graph plus its insertion stream.
 type Dataset struct {
 	Name   string
@@ -138,11 +134,6 @@ func LSBenchLike(opts ...Option) *Dataset { return Custom(LSBenchSpec, opts...) 
 
 // OrkutLike synthesizes the Orkut social-network stand-in.
 func OrkutLike(opts ...Option) *Dataset { return Custom(OrkutSpec, opts...) }
-
-// All returns the four evaluation datasets in paper order.
-func All(opts ...Option) []*Dataset {
-	return []*Dataset{AmazonLike(opts...), LiveJournalLike(opts...), LSBenchLike(opts...), OrkutLike(opts...)}
-}
 
 // Custom synthesizes a dataset for an arbitrary spec.
 func Custom(spec Spec, opts ...Option) *Dataset {
@@ -328,27 +319,9 @@ func (d *Dataset) RandomQueries(size, count int) ([]*query.Graph, error) {
 	return qs, nil
 }
 
-// MixedStream returns a stream derived from d.Stream where, after every
-// insertion has been emitted, a fraction delFrac of the inserted edges are
-// deleted again (in random order). It models the expired-edge workloads of
-// sliding-window CSM.
-func (d *Dataset) MixedStream(delFrac float64) stream.Stream {
-	out := append(stream.Stream(nil), d.Stream...)
-	nDel := int(float64(len(d.Stream)) * delFrac)
-	idx := d.rng.Perm(len(d.Stream))
-	for i := 0; i < nDel && i < len(idx); i++ {
-		ins := d.Stream[idx[i]]
-		del, err := ins.Invert()
-		if err == nil {
-			out = append(out, del)
-		}
-	}
-	return out
-}
-
 // DeletionHeavyStream returns a churn stream over the holdout edges where
 // delRatio of the updates are deletions, interleaved with the inserts
-// rather than appended after them (contrast MixedStream): edges are
+// rather than appended after them: edges are
 // inserted, randomly deleted while other inserts are still in flight, and
 // about half of the deleted edges are re-inserted later. The interleaving
 // creates the insert/delete proximity the batch-dynamic window coalescer

@@ -58,7 +58,6 @@ type Graph struct {
 	adj     [][]Neighbor // adjacency lists sorted by (neighbor label, neighbor ID)
 	segs    [][]labelSeg // per-vertex label offset tables, parallel to adj
 	alive   []bool       // false once a vertex has been deleted
-	live    int          // number of alive vertices (single-writer, like labels/adj)
 	byLabel map[Label][]VertexID
 	edges   int // current number of edges
 }
@@ -81,7 +80,6 @@ func (g *Graph) AddVertex(l Label) VertexID {
 	g.adj = append(g.adj, nil)
 	g.segs = append(g.segs, nil)
 	g.alive = append(g.alive, true)
-	g.live++
 	g.byLabel[l] = append(g.byLabel[l], id)
 	return id
 }
@@ -96,7 +94,6 @@ func (g *Graph) DeleteVertex(v VertexID) {
 		panic(fmt.Sprintf("graph: DeleteVertex(%d): vertex not isolated (degree %d)", v, len(g.adj[v])))
 	}
 	g.alive[v] = false
-	g.live--
 	l := g.labels[v]
 	s := g.byLabel[l]
 	for i, id := range s {
@@ -116,10 +113,6 @@ func (g *Graph) Alive(v VertexID) bool {
 // NumVertices returns the number of vertex slots ever allocated (including
 // deleted ones); use Alive to test liveness.
 func (g *Graph) NumVertices() int { return len(g.labels) }
-
-// NumLive returns the number of live (not deleted) vertices. Maintained
-// incrementally, so it is O(1).
-func (g *Graph) NumLive() int { return g.live }
 
 // NumEdges returns the current number of edges.
 func (g *Graph) NumEdges() int { return g.edges }
@@ -198,7 +191,7 @@ func (g *Graph) VerticesWithLabel(l Label) []VertexID { return g.byLabel[l] }
 func (g *Graph) findNeighbor(v, u VertexID) int {
 	lo, hi := g.labelRun(v, g.labels[u])
 	a := g.adj[v]
-	i := lo + SearchNeighbors(a[lo:hi], u)
+	i := lo + searchNeighbors(a[lo:hi], u)
 	if i < hi && a[i].ID == u {
 		return i
 	}
@@ -273,7 +266,7 @@ func (g *Graph) insertHalf(v, u VertexID, l Label) bool {
 	} else {
 		lo, hi = len(a), len(a)
 	}
-	i := lo + SearchNeighbors(a[lo:hi], u)
+	i := lo + searchNeighbors(a[lo:hi], u)
 	if i < hi && a[i].ID == u {
 		return false
 	}
@@ -331,7 +324,6 @@ func (g *Graph) Clone() *Graph {
 		adj:     make([][]Neighbor, len(g.adj)),
 		segs:    make([][]labelSeg, len(g.segs)),
 		alive:   append([]bool(nil), g.alive...),
-		live:    g.live,
 		edges:   g.edges,
 		byLabel: make(map[Label][]VertexID, len(g.byLabel)),
 	}
@@ -346,26 +338,3 @@ func (g *Graph) Clone() *Graph {
 	}
 	return c
 }
-
-// AvgDegree returns 2|E|/|V| over live vertices. O(1): the live-vertex
-// count is maintained incrementally by AddVertex/DeleteVertex.
-func (g *Graph) AvgDegree() float64 {
-	if g.live == 0 {
-		return 0
-	}
-	return 2 * float64(g.NumEdges()) / float64(g.live)
-}
-
-// MaxDegree returns the maximum degree over live vertices.
-func (g *Graph) MaxDegree() int {
-	m := 0
-	for v := range g.adj {
-		if g.alive[v] && len(g.adj[v]) > m {
-			m = len(g.adj[v])
-		}
-	}
-	return m
-}
-
-// NumLabels returns the number of distinct vertex labels in use.
-func (g *Graph) NumLabels() int { return len(g.byLabel) }

@@ -6,16 +6,15 @@
 // primitives those loops are built from, so each internal/algo package stops
 // re-implementing scan-and-filter ad hoc:
 //
-//   - point lookups: SearchNeighbors / FindInNeighbors (and the []VertexID
-//     twins SearchIDs),
-//   - monotonic cursor advancement: AdvanceNeighbors / AdvanceIDs — a linear
-//     probe of a few entries that falls back to galloping (doubling then
-//     binary search), which is what makes k-way "zipper" intersection cheap
-//     both when the lists are similar in size and when they are wildly
-//     skewed,
+//   - point lookup: searchNeighbors,
+//   - monotonic cursor advancement: AdvanceNeighbors (advanceIDs over a
+//     []VertexID) — a linear probe of a few entries that falls back to
+//     galloping (doubling then binary search), which is what makes k-way
+//     "zipper" intersection cheap both when the lists are similar in size
+//     and when they are wildly skewed,
 //   - materializing pairwise intersection: IntersectNeighborIDs /
-//     IntersectIDsNeighbors / IntersectIDs, which pick linear merge or
-//     galloping adaptively by size ratio (GallopRatio) and append into a
+//     IntersectIDsNeighbors, which pick linear merge or galloping
+//     adaptively by size ratio (GallopRatio) and append into a
 //     caller-provided buffer so the caller controls allocation.
 //
 // All kernels are allocation-free; KernelStats is a single-writer counter
@@ -24,7 +23,7 @@
 package graph
 
 const (
-	// gallopLinear is the number of entries AdvanceNeighbors/AdvanceIDs
+	// gallopLinear is the number of entries AdvanceNeighbors/advanceIDs
 	// probe linearly before switching to doubling search. Small forward
 	// steps dominate zipper intersection of similar-size runs; the linear
 	// phase keeps those branch-predictable and cache-local.
@@ -38,11 +37,11 @@ const (
 	GallopRatio = 8
 )
 
-// SearchNeighbors returns the smallest index i with a[i].ID >= v, assuming a
+// searchNeighbors returns the smallest index i with a[i].ID >= v, assuming a
 // is sorted by ID (which every NeighborsWithLabel run is).
 //
 //paracosm:noalloc
-func SearchNeighbors(a []Neighbor, v VertexID) int {
+func searchNeighbors(a []Neighbor, v VertexID) int {
 	lo, hi := 0, len(a)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -53,18 +52,6 @@ func SearchNeighbors(a []Neighbor, v VertexID) int {
 		}
 	}
 	return lo
-}
-
-// FindInNeighbors reports whether v occurs in the ID-sorted run a, and the
-// label of the connecting edge if so (NoLabel otherwise).
-//
-//paracosm:noalloc
-func FindInNeighbors(a []Neighbor, v VertexID) (Label, bool) {
-	i := SearchNeighbors(a, v)
-	if i < len(a) && a[i].ID == v {
-		return a[i].ELabel, true
-	}
-	return NoLabel, false
 }
 
 // AdvanceNeighbors returns the smallest index j >= from with a[j].ID >= v
@@ -113,26 +100,10 @@ func AdvanceNeighbors(a []Neighbor, from int, v VertexID) (int, bool) {
 	return lo, true
 }
 
-// SearchIDs returns the smallest index i with a[i] >= v, assuming a sorted.
+// advanceIDs is AdvanceNeighbors over a sorted []VertexID.
 //
 //paracosm:noalloc
-func SearchIDs(a []VertexID, v VertexID) int {
-	lo, hi := 0, len(a)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if a[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// AdvanceIDs is AdvanceNeighbors over a sorted []VertexID.
-//
-//paracosm:noalloc
-func AdvanceIDs(a []VertexID, from int, v VertexID) (int, bool) {
+func advanceIDs(a []VertexID, from int, v VertexID) (int, bool) {
 	n := len(a)
 	end := from + gallopLinear
 	if end > n {
@@ -259,7 +230,7 @@ func IntersectIDsNeighbors(dst, ids []VertexID, b []Neighbor, st *KernelStats) [
 		pos := 0
 		for i := range b {
 			v := b[i].ID
-			j, g := AdvanceIDs(ids, pos, v)
+			j, g := advanceIDs(ids, pos, v)
 			probes++
 			if g {
 				galloped++
@@ -294,61 +265,6 @@ func IntersectIDsNeighbors(dst, ids []VertexID, b []Neighbor, st *KernelStats) [
 	return dst
 }
 
-// IntersectIDs appends to dst every ID present in both sorted slices a and
-// b, in ascending order, choosing merge or gallop by size ratio. dst must
-// not alias b; dst == a[:0] is allowed (same argument as
-// IntersectIDsNeighbors).
-//
-//paracosm:noalloc
-func IntersectIDs(dst, a, b []VertexID, st *KernelStats) []VertexID {
-	if len(a) > len(b) {
-		a, b = b, a
-	}
-	if len(a) == 0 {
-		if st != nil {
-			st.AddIntersection(0, 0)
-		}
-		return dst
-	}
-	var probes, galloped uint64
-	if len(b) >= GallopRatio*len(a) {
-		pos := 0
-		for _, v := range a {
-			j, g := AdvanceIDs(b, pos, v)
-			probes++
-			if g {
-				galloped++
-			}
-			if j == len(b) {
-				break
-			}
-			pos = j
-			if b[j] == v {
-				dst = append(dst, v)
-			}
-		}
-	} else {
-		i, j := 0, 0
-		for i < len(a) && j < len(b) {
-			av, bv := a[i], b[j]
-			switch {
-			case av == bv:
-				dst = append(dst, av)
-				i++
-				j++
-			case av < bv:
-				i++
-			default:
-				j++
-			}
-		}
-	}
-	if st != nil {
-		st.AddIntersection(probes, galloped)
-	}
-	return dst
-}
-
 // KernelCounters are the intersection-kernel counters, monotonically
 // increasing over an engine's lifetime.
 type KernelCounters struct {
@@ -356,7 +272,7 @@ type KernelCounters struct {
 	// pairwise call and one per k-way zipper enumeration (k >= 1 cursored
 	// runs beyond the anchor).
 	Intersections uint64
-	// Probes counts cursor advances (AdvanceNeighbors/AdvanceIDs calls)
+	// Probes counts cursor advances (AdvanceNeighbors/advanceIDs calls)
 	// performed inside kernels; Galloped counts the subset that entered
 	// the doubling phase.
 	Probes   uint64
@@ -399,9 +315,6 @@ func (s *KernelStats) AddCandidateLookup(hit bool) {
 		s.CandHits++
 	}
 }
-
-// Counters snapshots the block (see KernelStats for when that is safe).
-func (s *KernelStats) Counters() KernelCounters { return s.KernelCounters }
 
 // Add accumulates another snapshot into c.
 func (c *KernelCounters) Add(o KernelCounters) {

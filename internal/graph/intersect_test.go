@@ -73,11 +73,8 @@ func TestSearchAndAdvanceAgainstLinearScan(t *testing.T) {
 			for want < len(a) && a[want].ID < v {
 				want++
 			}
-			if got := SearchNeighbors(a, v); got != want {
-				t.Errorf("SearchNeighbors(%v, %d) = %d, want %d", a, v, got, want)
-				return false
-			}
-			if got := SearchIDs(ids, v); got != want {
+			if got := searchNeighbors(a, v); got != want {
+				t.Errorf("searchNeighbors(%v, %d) = %d, want %d", a, v, got, want)
 				return false
 			}
 			from := 0
@@ -92,18 +89,7 @@ func TestSearchAndAdvanceAgainstLinearScan(t *testing.T) {
 				t.Errorf("AdvanceNeighbors(%v, %d, %d) = %d, want %d", a, from, v, got, wantAdv)
 				return false
 			}
-			if got, _ := AdvanceIDs(ids, from, v); got != wantAdv {
-				return false
-			}
-			l, ok := FindInNeighbors(a, v)
-			found := false
-			var wantL Label = NoLabel
-			for _, nb := range a {
-				if nb.ID == v {
-					found, wantL = true, nb.ELabel
-				}
-			}
-			if ok != found || l != wantL {
+			if got, _ := advanceIDs(ids, from, v); got != wantAdv {
 				return false
 			}
 		}
@@ -138,14 +124,16 @@ func TestIntersectKernelsAgree(t *testing.T) {
 			if !sameIDs(got, want) {
 				t.Fatalf("IntersectIDsNeighbors(%v, %v) = %v, want %v", a, b, got, want)
 			}
-			got = IntersectIDs(nil, idsOf(a), idsOf(b), &st)
+			// Swapped sides: the ID slice is the large one, so skewed sizes
+			// gallop over it with advanceIDs.
+			got = IntersectIDsNeighbors(nil, idsOf(b), a, &st)
 			calls++
 			if !sameIDs(got, want) {
-				t.Fatalf("IntersectIDs = %v, want %v", got, want)
+				t.Fatalf("IntersectIDsNeighbors(%v, %v) = %v, want %v", idsOf(b), a, got, want)
 			}
 		}
 	}
-	c := st.Counters()
+	c := st.KernelCounters
 	if c.Intersections != calls {
 		t.Fatalf("Intersections = %d, want %d", c.Intersections, calls)
 	}
@@ -210,12 +198,10 @@ func TestKernelZeroAllocs(t *testing.T) {
 			}
 		}},
 		{"DegreeWithLabel", func() { _ = g.DegreeWithLabel(0, 3) }},
-		{"FindInNeighbors", func() { _, _ = FindInNeighbors(big, 123) }},
 		{"AdvanceNeighbors", func() { _, _ = AdvanceNeighbors(big, 0, 399) }},
 		{"IntersectNeighborIDs/merge", func() { dst = IntersectNeighborIDs(dst[:0], big, big, &st) }},
 		{"IntersectNeighborIDs/gallop", func() { dst = IntersectNeighborIDs(dst[:0], small, big, &st) }},
 		{"IntersectIDsNeighbors", func() { dst = IntersectIDsNeighbors(dst[:0], ids, big, &st) }},
-		{"IntersectIDs", func() { dst = IntersectIDs(dst[:0], ids, ids, &st) }},
 	}
 	for _, c := range cases {
 		c.fn() // warm up

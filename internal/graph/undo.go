@@ -34,9 +34,6 @@ type undoOp struct {
 	l    Label
 }
 
-// Len returns the number of recorded mutations.
-func (u *UndoLog) Len() int { return len(u.ops) }
-
 // Reset empties the log, retaining its capacity for the next batch.
 func (u *UndoLog) Reset() { u.ops = u.ops[:0] }
 
@@ -111,7 +108,6 @@ func (g *Graph) popVertex(v VertexID) {
 		panic("graph: popVertex: vertex not isolated")
 	}
 	if g.alive[v] {
-		g.live--
 		l := g.labels[v]
 		s := g.byLabel[l]
 		for i, id := range s {
@@ -136,7 +132,6 @@ func (g *Graph) reviveVertex(v VertexID) {
 		panic("graph: reviveVertex: vertex alive")
 	}
 	g.alive[v] = true
-	g.live++
 	l := g.labels[v]
 	g.byLabel[l] = append(g.byLabel[l], v)
 }

@@ -12,7 +12,6 @@ type snapshot struct {
 	adj     [][]Neighbor
 	segs    [][]labelSeg
 	alive   []bool
-	live    int
 	edges   int
 	byLabel map[Label]map[VertexID]bool
 }
@@ -21,7 +20,6 @@ func snap(g *Graph) snapshot {
 	s := snapshot{
 		labels:  append([]Label(nil), g.labels...),
 		alive:   append([]bool(nil), g.alive...),
-		live:    g.live,
 		edges:   g.NumEdges(),
 		byLabel: make(map[Label]map[VertexID]bool),
 	}

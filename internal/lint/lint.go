@@ -1,8 +1,8 @@
 // Package lint implements paracosmvet, a project-specific static-analysis
-// suite for ParaCOSM's concurrency invariants. It is built purely on the
-// standard library go/ast, go/parser, go/token and go/types packages
-// (respecting the module's zero-dependency constraint) and checks contracts
-// that go vet cannot express:
+// suite for ParaCOSM's concurrency invariants and its dead exports. It is
+// built purely on the standard library go/ast, go/parser, go/token and
+// go/types packages (respecting the module's zero-dependency constraint)
+// and checks contracts that go vet cannot express:
 //
 //   - lockguard:         fields declared "// guarded by <mutex>" are only
 //     touched while that mutex is held on the same receiver; lock obligations
@@ -26,6 +26,9 @@
 //     matching-order code paths unless the values feed a sort
 //   - lockcopy:          generics-aware detection of by-value copies of types
 //     containing sync.Mutex / sync.RWMutex (covers Pool[T] instantiations)
+//   - deadexport:        an exported function or method in internal/ has a
+//     caller in another package's non-test code (the root package, cmd/,
+//     examples/ and benchmarks/ count)
 //
 // Intentional violations are annotated in-source with the escape hatch
 //
@@ -77,14 +80,15 @@ func DefaultAnalyzers() []Analyzer {
 		NoAlloc{},
 		RangeDeterminism{Paths: []string{"internal/query", "internal/csm", "internal/core"}},
 		LockCopy{},
+		DeadExport{},
 	}
 }
 
-// KnownChecks returns the names of every check in the registry, whether or
+// knownChecks returns the names of every check in the registry, whether or
 // not it is selected for a given run. Strict ignore validation resolves
 // //lint:ignore directives against this set: naming anything else is an
 // error even when the named analyzer is disabled for the run.
-func KnownChecks() map[string]bool {
+func knownChecks() map[string]bool {
 	known := map[string]bool{}
 	for _, a := range DefaultAnalyzers() {
 		known[a.Name()] = true
@@ -172,24 +176,18 @@ func (ix *ignoreIndex) suppressed(d Diagnostic) bool {
 // Options configures a RunAll invocation.
 type Options struct {
 	// StrictIgnores makes the run fail on escape-hatch rot: an ignore
-	// directive naming a check outside KnownChecks (always an error — a
+	// directive naming a check outside knownChecks (always an error — a
 	// typo silences nothing), or one that suppressed zero diagnostics of
 	// an analyzer that actually ran (the code it excused has been fixed,
 	// so the directive is stale and must be deleted).
 	StrictIgnores bool
 }
 
-// Run executes every analyzer over pkgs, filters findings through the
+// RunAll executes every analyzer over pkgs, filters findings through the
 // //lint:ignore directives, and returns the surviving diagnostics in
 // deterministic (file, line, column, check) order. Malformed ignore
-// directives are themselves reported.
-func Run(pkgs []*Package, analyzers []Analyzer) []Diagnostic {
-	diags, _ := RunAll(pkgs, analyzers, Options{})
-	return diags
-}
-
-// RunAll is Run with configurable ignore auditing; it additionally returns
-// every well-formed //lint:ignore directive with its suppression count (in
+// directives are themselves reported. It additionally returns every
+// well-formed //lint:ignore directive with its suppression count (in
 // source order) so callers can report on the escape-hatch inventory.
 func RunAll(pkgs []*Package, analyzers []Analyzer, opts Options) ([]Diagnostic, []IgnoreInfo) {
 	ix := collectIgnores(pkgs)
@@ -204,7 +202,7 @@ func RunAll(pkgs []*Package, analyzers []Analyzer, opts Options) ([]Diagnostic, 
 		}
 	}
 	if opts.StrictIgnores {
-		known := KnownChecks()
+		known := knownChecks()
 		for _, ent := range ix.entries {
 			switch {
 			case !known[ent.Check]:
@@ -246,7 +244,7 @@ func RunAll(pkgs []*Package, analyzers []Analyzer, opts Options) ([]Diagnostic, 
 
 func knownCheckList() string {
 	var names []string
-	for name := range KnownChecks() {
+	for name := range knownChecks() {
 		names = append(names, name)
 	}
 	sort.Strings(names)

@@ -25,11 +25,17 @@ func fixture(t *testing.T, name string) *Package {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := l.LoadDir(dir, "fixture/"+name)
+	p, err := l.loadDir(dir, "fixture/"+name)
 	if err != nil {
 		t.Fatalf("load fixture %s: %v", name, err)
 	}
 	return p
+}
+
+// run is RunAll without ignore auditing.
+func run(pkgs []*Package, analyzers []Analyzer) []Diagnostic {
+	diags, _ := RunAll(pkgs, analyzers, Options{})
+	return diags
 }
 
 // wantRe marks expected diagnostics in fixture sources: "// want <check>"
@@ -42,13 +48,19 @@ type diagKey struct {
 	check string
 }
 
-// checkFixture runs analyzers over the named fixture package (through Run,
+// checkFixture runs analyzers over the named fixture package (through run,
 // so //lint:ignore directives apply) and compares the findings against the
 // fixture's // want markers.
 func checkFixture(t *testing.T, name string, analyzers ...Analyzer) {
 	t.Helper()
-	p := fixture(t, name)
-	diags := Run([]*Package{p}, analyzers)
+	checkPackages(t, []*Package{fixture(t, name)}, analyzers...)
+}
+
+// checkPackages is checkFixture over several loaded packages at once: the
+// want markers of every package's directory are collected.
+func checkPackages(t *testing.T, pkgs []*Package, analyzers ...Analyzer) {
+	t.Helper()
+	diags := run(pkgs, analyzers)
 
 	got := map[diagKey]int{}
 	for _, d := range diags {
@@ -56,21 +68,23 @@ func checkFixture(t *testing.T, name string, analyzers ...Analyzer) {
 	}
 
 	want := map[diagKey]int{}
-	ents, err := os.ReadDir(p.Dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range ents {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(p.Dir, e.Name()))
+	for _, p := range pkgs {
+		ents, err := os.ReadDir(p.Dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, line := range strings.Split(string(data), "\n") {
-			for _, m := range wantRe.FindAllStringSubmatch(line, -1) {
-				want[diagKey{e.Name(), i + 1, m[1]}]++
+		for _, e := range ents {
+			if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
+				continue
+			}
+			data, err := os.ReadFile(filepath.Join(p.Dir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, line := range strings.Split(string(data), "\n") {
+				for _, m := range wantRe.FindAllStringSubmatch(line, -1) {
+					want[diagKey{e.Name(), i + 1, m[1]}]++
+				}
 			}
 		}
 	}
@@ -115,7 +129,7 @@ func TestRangeDeterminism(t *testing.T) {
 // configured suffix list.
 func TestRangeDeterminismScoped(t *testing.T) {
 	p := fixture(t, "rangedeterminism")
-	diags := Run([]*Package{p}, []Analyzer{RangeDeterminism{Paths: []string{"internal/query"}}})
+	diags := run([]*Package{p}, []Analyzer{RangeDeterminism{Paths: []string{"internal/query"}}})
 	if len(diags) != 0 {
 		t.Fatalf("scoped analyzer fired outside its paths: %v", diags)
 	}
@@ -123,12 +137,44 @@ func TestRangeDeterminismScoped(t *testing.T) {
 
 func TestIgnoreDirective(t *testing.T) { checkFixture(t, "ignore", LockGuard{}) }
 
+// TestDeadExport loads the deadexport fixture under its module import path
+// together with a caller package that imports it. Its bench/ directory is
+// not loaded, so the analyzer scans it by name, as it scans a nested
+// module the run leaves out.
+func TestDeadExport(t *testing.T) {
+	l, err := sharedLoader()
+	if err != nil {
+		t.Fatalf("loader: %v", err)
+	}
+	root, err := filepath.Abs(filepath.Join("testdata", "src", "deadexport"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := l.ModPath + "/internal/lint/testdata/src/deadexport"
+	var pkgs []*Package
+	for _, sub := range []string{"", "caller"} {
+		p, err := l.loadDir(filepath.Join(root, sub), strings.TrimSuffix(path+"/"+sub, "/"))
+		if err != nil {
+			t.Fatalf("load fixture %s: %v", sub, err)
+		}
+		pkgs = append(pkgs, p)
+	}
+	checkPackages(t, pkgs, DeadExport{Root: root})
+	// The waiver must suppress a real finding, not sit there stale.
+	diags, _ := RunAll(pkgs, []Analyzer{DeadExport{Root: root}}, Options{StrictIgnores: true})
+	for _, d := range diags {
+		if d.Check == "ignore" {
+			t.Errorf("%s", d)
+		}
+	}
+}
+
 // Strict-ignore mode turns suppression hygiene into findings: a directive
 // naming an unknown check and a directive that no longer suppresses
 // anything both fail the run, while a plain run stays silent.
 func TestStrictIgnores(t *testing.T) {
 	p := fixture(t, "staleignore")
-	if diags := Run([]*Package{p}, []Analyzer{LockGuard{}}); len(diags) != 0 {
+	if diags := run([]*Package{p}, []Analyzer{LockGuard{}}); len(diags) != 0 {
 		t.Fatalf("non-strict run should be silent, got %v", diags)
 	}
 	diags, infos := RunAll([]*Package{p}, []Analyzer{LockGuard{}}, Options{StrictIgnores: true})
@@ -160,9 +206,8 @@ func TestNoAllocPinsHotPath(t *testing.T) {
 		"../core/pipeline.go": {"prepare", "commit", "commitSafe", "findPhase"},
 		"../graph/graph.go":   {"NeighborsWithLabel", "DegreeWithLabel"},
 		"../graph/intersect.go": {
-			"SearchNeighbors", "FindInNeighbors", "AdvanceNeighbors",
-			"SearchIDs", "AdvanceIDs",
-			"IntersectNeighborIDs", "IntersectIDsNeighbors", "IntersectIDs",
+			"searchNeighbors", "AdvanceNeighbors", "advanceIDs",
+			"IntersectNeighborIDs", "IntersectIDsNeighbors",
 		},
 		"../graph/footprint.go": {"Footprint", "labelRelevant"},
 		"../obs/stage.go":       {"Observe", "Start", "Mark", "Lap"},

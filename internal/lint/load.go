@@ -110,11 +110,6 @@ func (l *Loader) loadDir(dir, path string) (*Package, error) {
 	return pkg, err
 }
 
-// LoadDir loads a single directory as a package (used by fixture tests).
-func (l *Loader) LoadDir(dir, path string) (*Package, error) {
-	return l.loadDir(dir, path)
-}
-
 func (l *Loader) check(dir, path string) (*Package, error) {
 	names, err := goSources(dir)
 	if err != nil {

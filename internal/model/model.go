@@ -14,13 +14,13 @@ type Params struct {
 	N       int     // threads for match search
 }
 
-// Runtime evaluates Equation (1)/(2):
+// totalTime evaluates Equation (1)/(2):
 //
 //	T = |ΔG| [ (1 + γ(1/M - 1)) T_ADS + ((1-γ)/N) T_FM ]
 //
 // Unsafe updates pay both T_ADS and T_FM/N; safe updates pay only the
 // M-way-parallel ADS maintenance.
-func Runtime(p Params) float64 {
+func totalTime(p Params) float64 {
 	if p.M < 1 {
 		p.M = 1
 	}
@@ -51,11 +51,11 @@ func Coefficients(p Params) (adsCoef, fmCoef float64) {
 func Speedup(p Params) float64 {
 	seq := p
 	seq.M, seq.N = 1, 1
-	t := Runtime(p)
+	t := totalTime(p)
 	if t == 0 {
 		return 0
 	}
-	return Runtime(seq) / t
+	return totalTime(seq) / t
 }
 
 // SafeProbability estimates P(safe) via uniform-label filtering (§4.3):

@@ -16,10 +16,10 @@ func TestPaperWorkedExample(t *testing.T) {
 	if math.Abs(fm-0.06) > 1e-12 {
 		t.Fatalf("FM coefficient = %v, want 0.06", fm)
 	}
-	rt := Runtime(Params{Updates: 1000, Gamma: 0.4, M: 10, N: 10, TADS: 2, TFM: 50})
+	rt := totalTime(Params{Updates: 1000, Gamma: 0.4, M: 10, N: 10, TADS: 2, TFM: 50})
 	want := 1000 * (0.64*2 + 0.06*50)
 	if math.Abs(rt-want) > 1e-9 {
-		t.Fatalf("Runtime = %v, want %v", rt, want)
+		t.Fatalf("totalTime = %v, want %v", rt, want)
 	}
 }
 
@@ -40,8 +40,8 @@ func TestRuntimeSequentialIdentity(t *testing.T) {
 	// With M = N = 1 the model reduces to |ΔG|(T_ADS + (1-γ)T_FM).
 	p := Params{Updates: 10, Gamma: 0.5, M: 1, N: 1, TADS: 3, TFM: 7}
 	want := 10 * (3 + 0.5*7)
-	if got := Runtime(p); math.Abs(got-want) > 1e-9 {
-		t.Fatalf("Runtime = %v, want %v", got, want)
+	if got := totalTime(p); math.Abs(got-want) > 1e-9 {
+		t.Fatalf("totalTime = %v, want %v", got, want)
 	}
 }
 

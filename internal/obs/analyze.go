@@ -25,7 +25,7 @@ type Analysis struct {
 	ADS, Find, Total time.Duration // summed per-phase time
 
 	// P50/P90/P99/Max are quantiles of per-update Total latency,
-	// computed exactly from the events (no histogram error).
+	// computed exactly from the events by Summarize (no histogram error).
 	P50, P90, P99, Max time.Duration
 
 	// Stragglers holds the k slowest updates by Total, slowest first.
@@ -54,9 +54,9 @@ type StageBreakdown struct {
 	Coalesce                                          time.Duration
 }
 
-// Total returns the summed time across all per-update stages (coalescing
+// total returns the summed time across all per-update stages (coalescing
 // runs ahead of them and is reported separately).
-func (b StageBreakdown) Total() time.Duration {
+func (b StageBreakdown) total() time.Duration {
 	return b.IngestWait + b.Assemble + b.PreApply + b.Commit + b.PostApply
 }
 
@@ -110,19 +110,8 @@ func Analyze(evs []Event, topK int) Analysis {
 	for i := range updates {
 		totals = append(totals, updates[i].Total)
 	}
-	sort.Slice(totals, func(i, j int) bool { return totals[i] < totals[j] })
-	q := func(p float64) time.Duration {
-		idx := int(p*float64(len(totals))+0.5) - 1
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= len(totals) {
-			idx = len(totals) - 1
-		}
-		return totals[idx]
-	}
-	a.P50, a.P90, a.P99 = q(0.50), q(0.90), q(0.99)
-	a.Max = totals[len(totals)-1]
+	sum := Summarize(totals)
+	a.P50, a.P90, a.P99, a.Max = sum.P50, sum.P90, sum.P99, sum.Max
 
 	if topK > 0 {
 		sorted := append([]Event(nil), updates...)
@@ -152,7 +141,7 @@ func (a Analysis) Render(w io.Writer) {
 		fmt.Fprintln(w)
 	}
 	if a.StageEvents > 0 {
-		total := a.Stages.Total()
+		total := a.Stages.total()
 		share := func(d time.Duration) float64 {
 			if total <= 0 {
 				return 0

@@ -88,7 +88,7 @@ func TestAnalyzeSegregatesServerAndStageEvents(t *testing.T) {
 	if a.Stages != want {
 		t.Fatalf("stage breakdown = %+v, want %+v", a.Stages, want)
 	}
-	if got, wantTotal := a.Stages.Total(), 14*time.Microsecond; got != wantTotal {
+	if got, wantTotal := a.Stages.total(), 14*time.Microsecond; got != wantTotal {
 		t.Fatalf("stage total = %v, want %v", got, wantTotal)
 	}
 	// Quantiles and phase totals are over the 10 update events only.

@@ -108,17 +108,12 @@ func (h *Histogram) Count() uint64 {
 }
 
 // Sum returns the total of all observed durations.
+//
+//lint:ignore deadexport test oracle: production reads the tracer over /metrics and /trace, the core and server tests read what the engines recorded in process
 func (h *Histogram) Sum() time.Duration {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return time.Duration(h.sum)
-}
-
-// Min returns the smallest observation (0 when empty).
-func (h *Histogram) Min() time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return time.Duration(h.min)
 }
 
 // Max returns the largest observation (0 when empty).
@@ -126,24 +121,6 @@ func (h *Histogram) Max() time.Duration {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return time.Duration(h.max)
-}
-
-// Mean returns the arithmetic mean (0 when empty).
-func (h *Histogram) Mean() time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
-		return 0
-	}
-	return time.Duration(h.sum / h.count)
-}
-
-// Reset zeroes the histogram.
-func (h *Histogram) Reset() {
-	h.mu.Lock()
-	h.buckets = [numBuckets]uint64{}
-	h.count, h.sum, h.min, h.max = 0, 0, 0, 0
-	h.mu.Unlock()
 }
 
 // Merge adds other's observations into h. Merging a histogram into
@@ -222,10 +199,10 @@ func (h *Histogram) Quantile(p float64) time.Duration {
 	return time.Duration(h.max)
 }
 
-// Snapshot returns the non-empty buckets as (upperBound, count) pairs in
+// snapshot returns the non-empty buckets as (upperBound, count) pairs in
 // ascending order, plus count and sum — the raw material for custom
 // exports.
-func (h *Histogram) Snapshot() (buckets []HistBucket, count uint64, sum time.Duration) {
+func (h *Histogram) snapshot() (buckets []HistBucket, count uint64, sum time.Duration) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	for i, c := range h.buckets {
@@ -243,13 +220,13 @@ type HistBucket struct {
 	Count uint64
 }
 
-// WritePrometheus emits the histogram in Prometheus text exposition
+// writePrometheus emits the histogram in Prometheus text exposition
 // format under the given metric name, with values converted to seconds
 // (the Prometheus base unit). Only non-empty buckets are written
 // (cumulative counts stay correct; Prometheus permits sparse `le`
 // boundaries), followed by the mandatory +Inf bucket, _sum and _count.
-func (h *Histogram) WritePrometheus(w io.Writer, name string) error {
-	buckets, count, sum := h.Snapshot()
+func (h *Histogram) writePrometheus(w io.Writer, name string) error {
+	buckets, count, sum := h.snapshot()
 	if _, err := fmt.Fprintf(w, "# TYPE %s histogram\n", name); err != nil {
 		return err
 	}

@@ -106,8 +106,8 @@ func TestHistogramObserveN(t *testing.T) {
 			single.Observe(c.d)
 		}
 	}
-	bb, bc, bs := bulk.Snapshot()
-	sb, sc, ss := single.Snapshot()
+	bb, bc, bs := bulk.snapshot()
+	sb, sc, ss := single.snapshot()
 	if bc != sc || bs != ss || len(bb) != len(sb) || bulk.Min() != single.Min() || bulk.Max() != single.Max() {
 		t.Fatalf("bulk count %d sum %v min %v max %v; single %d %v %v %v",
 			bc, bs, bulk.Min(), bulk.Max(), sc, ss, single.Min(), single.Max())
@@ -238,7 +238,7 @@ func TestHistogramPrometheus(t *testing.T) {
 	h.Observe(time.Millisecond)
 	h.Observe(2 * time.Millisecond)
 	var sb strings.Builder
-	if err := h.WritePrometheus(&sb, "test_seconds"); err != nil {
+	if err := h.writePrometheus(&sb, "test_seconds"); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()

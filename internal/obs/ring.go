@@ -72,17 +72,17 @@ type Ring struct {
 	total uint64  // guarded by mu — events ever appended
 }
 
-// NewRing returns a ring holding the last capacity events. Capacities
+// newRing returns a ring holding the last capacity events. Capacities
 // below 1 are clamped to 1.
-func NewRing(capacity int) *Ring {
+func newRing(capacity int) *Ring {
 	if capacity < 1 {
 		capacity = 1
 	}
 	return &Ring{buf: make([]Event, capacity)}
 }
 
-// Append records ev, overwriting the oldest event when full.
-func (r *Ring) Append(ev Event) {
+// push records ev, overwriting the oldest event when full.
+func (r *Ring) push(ev Event) {
 	r.mu.Lock()
 	r.buf[r.total%uint64(len(r.buf))] = ev
 	r.total++
@@ -99,21 +99,6 @@ func (r *Ring) Len() int {
 	return len(r.buf)
 }
 
-// Cap returns the ring capacity. The buffer length is fixed after NewRing,
-// but taking the lock keeps the guarded-access invariant checkable.
-func (r *Ring) Cap() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.buf)
-}
-
-// Total returns the number of events ever appended.
-func (r *Ring) Total() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.total
-}
-
 // Dropped returns how many events have been overwritten.
 func (r *Ring) Dropped() uint64 {
 	r.mu.Lock()
@@ -125,6 +110,8 @@ func (r *Ring) Dropped() uint64 {
 }
 
 // Snapshot returns a copy of the retained events, oldest first.
+//
+//lint:ignore deadexport test oracle: production reads the tracer over /metrics and /trace, the core and server tests read what the engines recorded in process
 func (r *Ring) Snapshot() []Event {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -12,12 +12,12 @@ func mkEvent(seq uint64) Event {
 }
 
 func TestRingOverwriteAndDrops(t *testing.T) {
-	r := NewRing(4)
+	r := newRing(4)
 	if r.Cap() != 4 || r.Len() != 0 || r.Dropped() != 0 {
 		t.Fatal("fresh ring state wrong")
 	}
 	for i := uint64(1); i <= 3; i++ {
-		r.Append(mkEvent(i))
+		r.push(mkEvent(i))
 	}
 	if r.Len() != 3 || r.Dropped() != 0 {
 		t.Fatalf("len=%d dropped=%d, want 3/0", r.Len(), r.Dropped())
@@ -27,7 +27,7 @@ func TestRingOverwriteAndDrops(t *testing.T) {
 		t.Fatalf("snapshot = %+v", got)
 	}
 	for i := uint64(4); i <= 10; i++ {
-		r.Append(mkEvent(i))
+		r.push(mkEvent(i))
 	}
 	if r.Len() != 4 || r.Dropped() != 6 || r.Total() != 10 {
 		t.Fatalf("len=%d dropped=%d total=%d, want 4/6/10", r.Len(), r.Dropped(), r.Total())
@@ -42,23 +42,23 @@ func TestRingOverwriteAndDrops(t *testing.T) {
 }
 
 func TestRingClampsCapacity(t *testing.T) {
-	r := NewRing(0)
-	r.Append(mkEvent(1))
-	r.Append(mkEvent(2))
+	r := newRing(0)
+	r.push(mkEvent(1))
+	r.push(mkEvent(2))
 	if r.Cap() != 1 || r.Len() != 1 || r.Snapshot()[0].Seq != 2 {
 		t.Fatalf("cap=%d len=%d", r.Cap(), r.Len())
 	}
 }
 
 func TestRingJSONLRoundTrip(t *testing.T) {
-	r := NewRing(8)
+	r := newRing(8)
 	evs := []Event{
 		{Seq: 1, Op: "+e", U: 5, V: 9, Class: ClassUnsafe, Escalated: true, Nodes: 1234, Resplits: 3, Matches: 7, ADS: time.Microsecond, Find: 2 * time.Millisecond, Total: 3 * time.Millisecond},
 		{Seq: 2, Op: "-v", U: 11, Class: ClassVertex, Total: 40 * time.Nanosecond},
 		{Seq: 3, Op: "-e", U: 1, V: 2, Class: ClassSafeDegree, Timeout: true},
 	}
 	for _, ev := range evs {
-		r.Append(ev)
+		r.push(ev)
 	}
 	var sb strings.Builder
 	if err := r.WriteJSONL(&sb); err != nil {
@@ -88,7 +88,7 @@ func TestReadJSONLMalformed(t *testing.T) {
 }
 
 func TestRingConcurrent(t *testing.T) {
-	r := NewRing(64)
+	r := newRing(64)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	wg.Add(1)
@@ -109,7 +109,7 @@ func TestRingConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 5000; i++ {
-				r.Append(mkEvent(uint64(w*5000 + i)))
+				r.push(mkEvent(uint64(w*5000 + i)))
 			}
 		}(w)
 	}

@@ -17,7 +17,7 @@ import (
 // layer's connection/queue gauges) join the same scrape endpoint.
 type MetricsFunc func(w io.Writer) error
 
-// Handler builds the debug mux for a tracer, stdlib only:
+// NewMuxReady builds the debug mux for a tracer, stdlib only:
 //
 //	/healthz         liveness probe ("ok")
 //	/metrics         Prometheus text: counters + per-phase histograms
@@ -27,24 +27,15 @@ type MetricsFunc func(w io.Writer) error
 //
 // The handler only reads tracer state, so it can serve while engines are
 // mid-stream. Any extra MetricsFuncs are appended to the /metrics payload
-// after the tracer's own series.
-func Handler(t *Tracer, extra ...MetricsFunc) http.Handler {
-	return NewMux(t, extra...)
-}
-
-// NewMux is Handler returning the concrete mux, for callers that mount
-// additional debug routes (e.g. the serving layer's /queries endpoint)
-// before passing it to StartHandler.
-func NewMux(t *Tracer, extra ...MetricsFunc) *http.ServeMux {
-	return NewMuxReady(t, nil, extra...)
-}
-
-// NewMuxReady is NewMux with a readiness gate: while ready is non-nil
-// and returns false, /healthz answers 503 "recovering" — the
-// readiness-vs-liveness split the durability layer needs, since a
-// recovering server is alive (the process responds) but must not be
-// routed traffic until the WAL replay has caught the graph up. A nil
-// ready means always ready (plain liveness).
+// after the tracer's own series. Callers may mount additional debug
+// routes (e.g. the serving layer's /queries endpoint) before passing the
+// mux to StartHandler.
+//
+// ready gates readiness: while it is non-nil and returns false, /healthz
+// answers 503 "recovering" — the readiness-vs-liveness split the
+// durability layer needs, since a recovering server is alive (the process
+// responds) but must not be routed traffic until the WAL replay has
+// caught the graph up. A nil ready means always ready (plain liveness).
 func NewMuxReady(t *Tracer, ready func() bool, extra ...MetricsFunc) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
@@ -58,7 +49,7 @@ func NewMuxReady(t *Tracer, ready func() bool, extra ...MetricsFunc) *http.Serve
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if err := t.WritePrometheus(w); err != nil {
+		if err := t.writePrometheus(w); err != nil {
 			// Headers are gone; all we can do is drop the connection.
 			return
 		}
@@ -102,13 +93,13 @@ type Server struct {
 
 // StartServer listens on addr (e.g. ":8080" or "127.0.0.1:0") and serves
 // the debug mux for t in a background goroutine until Close. Extra
-// MetricsFuncs extend the /metrics payload (see Handler).
+// MetricsFuncs extend the /metrics payload (see NewMuxReady).
 func StartServer(addr string, t *Tracer, extra ...MetricsFunc) (*Server, error) {
-	return StartHandler(addr, Handler(t, extra...))
+	return StartHandler(addr, NewMuxReady(t, nil, extra...))
 }
 
-// StartHandler is StartServer for a caller-built handler (e.g. a NewMux
-// with extra routes mounted).
+// StartHandler is StartServer for a caller-built handler (e.g. a
+// NewMuxReady mux with extra routes mounted).
 func StartHandler(addr string, h http.Handler) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {

@@ -83,13 +83,13 @@ var UpdateStages = [...]Stage{
 
 // StageSet is one latency histogram per pipeline stage, all fixed-memory
 // and safe for concurrent use. The zero value is not ready; use
-// NewStageSet (a Tracer owns one, see Tracer.Stages).
+// newStageSet (a Tracer owns one, see Tracer.Stages).
 type StageSet struct {
 	hists [numStages]*Histogram
 }
 
-// NewStageSet returns a stage set with empty histograms.
-func NewStageSet() *StageSet {
+// newStageSet returns a stage set with empty histograms.
+func newStageSet() *StageSet {
 	s := &StageSet{}
 	for i := range s.hists {
 		s.hists[i] = NewHistogram()
@@ -109,6 +109,8 @@ func (s *StageSet) Observe(st Stage, d time.Duration) {
 }
 
 // Hist returns the histogram for one stage (nil when out of range).
+//
+//lint:ignore deadexport test oracle: production reads the tracer over /metrics and /trace, the core and server tests read what the engines recorded in process
 func (s *StageSet) Hist(st Stage) *Histogram {
 	if st < 0 || st >= numStages {
 		return nil
@@ -116,12 +118,12 @@ func (s *StageSet) Hist(st Stage) *Histogram {
 	return s.hists[st]
 }
 
-// WritePrometheus emits every stage histogram in Prometheus text
+// writePrometheus emits every stage histogram in Prometheus text
 // exposition format as paracosm_stage_<name>_seconds.
-func (s *StageSet) WritePrometheus(w io.Writer) error {
+func (s *StageSet) writePrometheus(w io.Writer) error {
 	for st := Stage(0); st < numStages; st++ {
 		name := "paracosm_stage_" + stageNames[st] + "_seconds"
-		if err := s.hists[st].WritePrometheus(w, name); err != nil {
+		if err := s.hists[st].writePrometheus(w, name); err != nil {
 			return err
 		}
 	}

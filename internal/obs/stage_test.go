@@ -44,7 +44,7 @@ func TestStageNames(t *testing.T) {
 }
 
 func TestStageSetObserve(t *testing.T) {
-	s := NewStageSet()
+	s := newStageSet()
 	s.Observe(StageCommit, time.Millisecond)
 	s.Observe(StageCommit, 3*time.Millisecond)
 	s.Observe(StageFanout, time.Microsecond)
@@ -70,7 +70,7 @@ func TestStageSetObserve(t *testing.T) {
 }
 
 func TestStageClockMarkAndLap(t *testing.T) {
-	s := NewStageSet()
+	s := newStageSet()
 	var clk StageClock
 	clk.Start()
 	time.Sleep(time.Millisecond)
@@ -105,12 +105,12 @@ func TestStageClockMarkAndLap(t *testing.T) {
 }
 
 func TestStageSetWritePrometheus(t *testing.T) {
-	s := NewStageSet()
+	s := newStageSet()
 	for st := Stage(0); int(st) < NumStages; st++ {
 		s.Observe(st, time.Duration(st+1)*time.Millisecond)
 	}
 	var sb strings.Builder
-	if err := s.WritePrometheus(&sb); err != nil {
+	if err := s.writePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()

@@ -124,7 +124,7 @@ func NewTracer(ringCap int) *Tracer {
 	if ringCap <= 0 {
 		ringCap = DefaultRingCap
 	}
-	t := &Tracer{ring: NewRing(ringCap), stages: NewStageSet()}
+	t := &Tracer{ring: newRing(ringCap), stages: newStageSet()}
 	for i := range t.hists {
 		t.hists[i] = NewHistogram()
 	}
@@ -147,20 +147,12 @@ func (t *Tracer) ServerEvent(op ServerOp, n uint64) {
 		return
 	}
 	t.srvCounts[op].Add(n)
-	t.ring.Append(Event{
-		Seq:     t.NextSeq(),
+	t.ring.push(Event{
+		Seq:     t.nextSeq(),
 		Op:      srvOpRingNames[op],
 		Class:   ClassServer,
 		Matches: n,
 	})
-}
-
-// ServerCount returns the cumulative count for one server op.
-func (t *Tracer) ServerCount(op ServerOp) uint64 {
-	if op < 0 || op >= numServerOps {
-		return 0
-	}
-	return t.srvCounts[op].Load()
 }
 
 // Stage records one pipeline stage event in the trace ring (ClassStage,
@@ -172,21 +164,21 @@ func (t *Tracer) ServerCount(op ServerOp) uint64 {
 //paracosm:noalloc
 func (t *Tracer) Stage(ev Event) {
 	if ev.Seq == 0 {
-		ev.Seq = t.NextSeq()
+		ev.Seq = t.nextSeq()
 	}
 	ev.Class = ClassStage
-	t.ring.Append(ev)
+	t.ring.push(ev)
 }
 
-// NextSeq allocates the next update sequence number (1-based).
-func (t *Tracer) NextSeq() uint64 { return t.seq.Add(1) }
+// nextSeq allocates the next update sequence number (1-based).
+func (t *Tracer) nextSeq() uint64 { return t.seq.Add(1) }
 
 // Update records one completed update: the event enters the ring and the
 // phase histograms and counters are updated. If ev.Seq is zero a
 // sequence number is assigned. Safe to call from concurrent engines.
 func (t *Tracer) Update(ev Event) {
 	if ev.Seq == 0 {
-		ev.Seq = t.NextSeq()
+		ev.Seq = t.nextSeq()
 	}
 	t.updates.Add(1)
 	switch ev.Class {
@@ -206,7 +198,7 @@ func (t *Tracer) Update(ev Event) {
 	t.hists[PhaseTotal].Observe(ev.Total)
 	t.hists[PhaseADS].Observe(ev.ADS)
 	t.hists[PhaseFind].Observe(ev.Find)
-	t.ring.Append(ev)
+	t.ring.push(ev)
 }
 
 // SafeN records n updates that were proved label-safe without being looked
@@ -258,11 +250,17 @@ type Counters struct {
 
 	WindowCoalesced   uint64 `json:"window_coalesced"`
 	WindowAnnihilated uint64 `json:"window_annihilated"`
+
+	// Server holds the cumulative serving-layer lifecycle event counts,
+	// indexed by ServerOp.
+	Server [numServerOps]uint64 `json:"server"`
 }
 
 // Counters returns a snapshot of the aggregate counters.
+//
+//lint:ignore deadexport test oracle: production reads the tracer over /metrics and /trace, the core and server tests read what the engines recorded in process
 func (t *Tracer) Counters() Counters {
-	return Counters{
+	c := Counters{
 		Updates:      t.updates.Load(),
 		Safe:         t.safe.Load(),
 		Unsafe:       t.unsafeN.Load(),
@@ -275,11 +273,15 @@ func (t *Tracer) Counters() Counters {
 		WindowCoalesced:   t.winCoalesced.Load(),
 		WindowAnnihilated: t.winAnnihilated.Load(),
 	}
+	for op := range c.Server {
+		c.Server[op] = t.srvCounts[op].Load()
+	}
+	return c
 }
 
-// WritePrometheus emits every counter and per-phase histogram in
+// writePrometheus emits every counter and per-phase histogram in
 // Prometheus text exposition format (the /metrics payload).
-func (t *Tracer) WritePrometheus(w io.Writer) error {
+func (t *Tracer) writePrometheus(w io.Writer) error {
 	c := t.Counters()
 	counters := []struct {
 		name, help string
@@ -308,16 +310,16 @@ func (t *Tracer) WritePrometheus(w io.Writer) error {
 		return err
 	}
 	for op := ServerOp(0); op < numServerOps; op++ {
-		if _, err := fmt.Fprintf(w, "paracosm_server_events_total{op=%q} %d\n", op.String(), t.srvCounts[op].Load()); err != nil {
+		if _, err := fmt.Fprintf(w, "paracosm_server_events_total{op=%q} %d\n", op.String(), c.Server[op]); err != nil {
 			return err
 		}
 	}
 	for p := Phase(0); p < numPhases; p++ {
-		if err := t.hists[p].WritePrometheus(w, "paracosm_update_"+p.String()+"_seconds"); err != nil {
+		if err := t.hists[p].writePrometheus(w, "paracosm_update_"+p.String()+"_seconds"); err != nil {
 			return err
 		}
 	}
-	return t.stages.WritePrometheus(w)
+	return t.stages.writePrometheus(w)
 }
 
 // EscapeLabel escapes a Prometheus label value per the text exposition

@@ -63,7 +63,7 @@ func TestTracerWritePrometheus(t *testing.T) {
 	tr := NewTracer(8)
 	tr.Update(Event{Op: "+e", Class: ClassUnsafe, Matches: 2, Find: time.Millisecond, Total: time.Millisecond})
 	var sb strings.Builder
-	if err := tr.WritePrometheus(&sb); err != nil {
+	if err := tr.writePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()

@@ -99,7 +99,7 @@ func (q *Graph) AddEdge(u, v VertexID, l graph.Label) error {
 	if u == v {
 		return fmt.Errorf("query: self loop on %d", u)
 	}
-	if q.HasEdge(u, v) {
+	if q.hasEdge(u, v) {
 		return fmt.Errorf("query: duplicate edge (%d,%d)", u, v)
 	}
 	if u > v {
@@ -225,8 +225,8 @@ func (q *Graph) Neighbors(u VertexID) []Neighbor { return q.adj[u] }
 // Edges returns the canonical edge list (do not modify).
 func (q *Graph) Edges() []Edge { return q.edges }
 
-// HasEdge reports whether (u,v) is a query edge.
-func (q *Graph) HasEdge(u, v VertexID) bool {
+// hasEdge reports whether (u,v) is a query edge.
+func (q *Graph) hasEdge(u, v VertexID) bool {
 	for _, nb := range q.adj[u] {
 		if nb.ID == v {
 			return true
@@ -243,19 +243,6 @@ func (q *Graph) EdgeLabel(u, v VertexID) (graph.Label, bool) {
 		}
 	}
 	return graph.NoLabel, false
-}
-
-// EdgeIndex returns the position of edge (u,v) in Edges(), or -1.
-func (q *Graph) EdgeIndex(u, v VertexID) int {
-	if u > v {
-		u, v = v, u
-	}
-	for i, e := range q.edges {
-		if e.U == u && e.V == v {
-			return i
-		}
-	}
-	return -1
 }
 
 // MatchingEdges returns the indices of query edges whose endpoint labels

@@ -63,7 +63,7 @@ func TestBasicAccessors(t *testing.T) {
 	if q.Degree(2) != 3 {
 		t.Fatalf("Degree(2) = %d, want 3", q.Degree(2))
 	}
-	if !q.HasEdge(3, 2) || q.HasEdge(3, 0) {
+	if !q.hasEdge(3, 2) || q.hasEdge(3, 0) {
 		t.Fatal("HasEdge wrong")
 	}
 	if l, ok := q.EdgeLabel(0, 2); !ok || l != 0 {
@@ -166,7 +166,7 @@ func TestMatchingEdgesTable(t *testing.T) {
 			q.MustAddEdge(VertexID(rng.Intn(v)), VertexID(v), graph.Label(rng.Intn(2)))
 		}
 		for extra := 0; extra < n; extra++ {
-			if u, v := VertexID(rng.Intn(n)), VertexID(rng.Intn(n)); u != v && !q.HasEdge(u, v) {
+			if u, v := VertexID(rng.Intn(n)), VertexID(rng.Intn(n)); u != v && !q.hasEdge(u, v) {
 				q.MustAddEdge(u, v, graph.Label(rng.Intn(2)))
 			}
 		}
@@ -361,7 +361,7 @@ func TestVertexCover(t *testing.T) {
 	// Shell is an independent set.
 	for _, a := range shell {
 		for _, b := range shell {
-			if a != b && q.HasEdge(a, b) {
+			if a != b && q.hasEdge(a, b) {
 				t.Fatalf("shell vertices %d,%d adjacent", a, b)
 			}
 		}
@@ -382,7 +382,7 @@ func randomConnectedQuery(rng *rand.Rand, n int) *Graph {
 	extra := rng.Intn(n)
 	for i := 0; i < extra; i++ {
 		u, v := VertexID(rng.Intn(n)), VertexID(rng.Intn(n))
-		if u != v && !q.HasEdge(u, v) {
+		if u != v && !q.hasEdge(u, v) {
 			q.MustAddEdge(u, v, graph.Label(rng.Intn(2)))
 		}
 	}

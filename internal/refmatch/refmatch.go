@@ -25,6 +25,8 @@ type Options struct {
 
 // Count returns |M(Q,G)|: the number of injective label- and
 // edge-preserving mappings V(Q) -> V(G) (Definition 2.2).
+//
+//lint:ignore deadexport test oracle: the reference matcher every engine, algorithm and server test checks against
 func Count(g *graph.Graph, q *query.Graph, opt Options) uint64 {
 	var n uint64
 	enumerate(g, q, opt, func([]graph.VertexID) bool { n++; return true })
@@ -33,12 +35,16 @@ func Count(g *graph.Graph, q *query.Graph, opt Options) uint64 {
 
 // Enumerate invokes yield for every match; the mapping slice is reused
 // between calls (copy it to retain). Returning false stops enumeration.
+//
+//lint:ignore deadexport test oracle: the reference matcher every engine, algorithm and server test checks against
 func Enumerate(g *graph.Graph, q *query.Graph, opt Options, yield func(m []graph.VertexID) bool) {
 	enumerate(g, q, opt, yield)
 }
 
 // Matches returns every match as a canonical string key -> count multiset,
 // for exact set comparisons in tests.
+//
+//lint:ignore deadexport test oracle: the reference matcher every engine, algorithm and server test checks against
 func Matches(g *graph.Graph, q *query.Graph, opt Options) map[string]int {
 	out := make(map[string]int)
 	buf := make([]byte, 0, 64)
@@ -55,6 +61,8 @@ func Matches(g *graph.Graph, q *query.Graph, opt Options) map[string]int {
 
 // Delta recomputes the incremental match set ΔM for applying upd to g:
 // pos matches appear, neg matches expire. g is not modified.
+//
+//lint:ignore deadexport test oracle: the reference matcher every engine, algorithm and server test checks against
 func Delta(g *graph.Graph, q *query.Graph, upd stream.Update, opt Options) (pos, neg uint64) {
 	before := Matches(g, q, opt)
 	h := g.Clone()

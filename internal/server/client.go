@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -215,14 +214,8 @@ func (c *Client) rpc(f *Frame) (*Frame, error) {
 // internal/algo for names). The query is owned by this connection and is
 // deregistered automatically when the connection closes.
 func (c *Client) Register(name, algorithm string, q *query.Graph) error {
-	labels, edges := QueryPayload(q)
+	labels, edges := queryPayload(q)
 	_, err := c.rpc(&Frame{Type: TypeRegister, Query: name, Algo: algorithm, Labels: labels, Edges: edges})
-	return err
-}
-
-// Deregister drops a query this connection registered.
-func (c *Client) Deregister(name string) error {
-	_, err := c.rpc(&Frame{Type: TypeDeregister, Query: name})
 	return err
 }
 
@@ -239,25 +232,6 @@ func (c *Client) Subscribe(name string) error {
 // "busy" error describing the refusal.
 func (c *Client) Send(s stream.Stream) (accepted int, err error) {
 	r, err := c.rpc(&Frame{Type: TypeBatch, Updates: EncodeUpdates(s)})
-	if r != nil {
-		accepted = r.Accepted
-	}
-	return accepted, err
-}
-
-// SendText pushes raw stream-codec text (as produced by stream.Write /
-// gendata) without client-side parsing; blank lines and comments are
-// stripped here, per-line validation happens on the server.
-func (c *Client) SendText(text string) (accepted int, err error) {
-	var lines []string
-	for _, ln := range strings.Split(text, "\n") {
-		ln = strings.TrimSpace(ln)
-		if ln == "" || strings.HasPrefix(ln, "#") {
-			continue
-		}
-		lines = append(lines, ln)
-	}
-	r, err := c.rpc(&Frame{Type: TypeBatch, Updates: lines})
 	if r != nil {
 		accepted = r.Accepted
 	}

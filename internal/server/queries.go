@@ -35,9 +35,9 @@ type QueryRow struct {
 	MaxMicros      int64   `json:"max_us"`
 }
 
-// QueryRows snapshots every live query as a QueryRow, in registration
+// queryRows snapshots every live query as a QueryRow, in registration
 // order (sort is the endpoint's job).
-func (s *Server) QueryRows() []QueryRow {
+func (s *Server) queryRows() []QueryRow {
 	snaps := s.multi.QuerySnapshots()
 	rows := make([]QueryRow, 0, len(snaps))
 	for _, qs := range snaps {
@@ -76,7 +76,7 @@ var queriesSortKeys = map[string]func(a, b QueryRow) bool{
 }
 
 // QueriesHandler serves the /queries debug endpoint: a JSON array of
-// QueryRows, sorted by ?by= (updates — the default — matches,
+// queryRows, sorted by ?by= (updates — the default — matches,
 // escalations, latency, nodes, or name; unknown keys are a 400) and
 // optionally truncated by ?n=. Mount it on the debug mux next to
 // /metrics.
@@ -91,7 +91,7 @@ func (s *Server) QueriesHandler() http.Handler {
 			http.Error(w, fmt.Sprintf("unknown sort key %q", by), http.StatusBadRequest)
 			return
 		}
-		rows := s.QueryRows()
+		rows := s.queryRows()
 		sort.Slice(rows, func(i, j int) bool {
 			if less != nil {
 				a, b := rows[i], rows[j]
@@ -128,7 +128,7 @@ func (s *Server) QueriesHandler() http.Handler {
 // counterparts live in WriteMetrics. Query names are client-supplied, so
 // label values are escaped.
 func (s *Server) WriteQueryMetrics(w io.Writer) error {
-	rows := s.QueryRows()
+	rows := s.queryRows()
 	type metric struct {
 		name, help string
 		v          func(QueryRow) string

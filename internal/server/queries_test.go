@@ -92,10 +92,10 @@ drain:
 		}
 	}
 	// Server lifecycle counters reconcile with the metrics snapshot.
-	if got := tr.ServerCount(obs.SrvIngest); got != m.Ingested {
+	if got := tr.Counters().Server[obs.SrvIngest]; got != m.Ingested {
 		t.Errorf("srv:ingest count = %d, want %d", got, m.Ingested)
 	}
-	if got := tr.ServerCount(obs.SrvRegister); got != 1 {
+	if got := tr.Counters().Server[obs.SrvRegister]; got != 1 {
 		t.Errorf("srv:register count = %d, want 1", got)
 	}
 }
@@ -139,7 +139,7 @@ func TestQueriesEndpoint(t *testing.T) {
 		}
 	}
 	// The graph has label 0 only: no update ever reaches this one.
-	idle, err := BuildQuery([]uint32{1, 2}, [][3]uint32{{0, 1, 0}})
+	idle, err := buildQuery([]uint32{1, 2}, [][3]uint32{{0, 1, 0}})
 	if err != nil {
 		t.Fatal(err)
 	}

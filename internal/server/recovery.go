@@ -89,7 +89,7 @@ func (s *Server) restoreQuery(q wal.QueryState) error {
 	if err != nil {
 		return err
 	}
-	qg, err := BuildQuery(q.Labels, q.Edges)
+	qg, err := buildQuery(q.Labels, q.Edges)
 	if err != nil {
 		return err
 	}

@@ -358,9 +358,6 @@ func Start(g *graph.Graph, cfg Config) (*Server, error) {
 // Addr returns the bound listen address (useful with ":0").
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
-// NumQueries returns the number of live registered queries.
-func (s *Server) NumQueries() int { return s.multi.NumQueries() }
-
 // Close gracefully shuts the server down: stop accepting, stop intake,
 // drain updates already admitted to the ingestion queue through the
 // engines (releasing any flush barriers), close every connection, join
@@ -604,7 +601,7 @@ func (s *Server) handle(cn *conn, f *Frame) bool {
 		if f.Query == "" {
 			return s.replyErr(cn, f.ID, 0, fmt.Errorf("empty query name"))
 		}
-		q, err := BuildQuery(f.Labels, f.Edges)
+		q, err := buildQuery(f.Labels, f.Edges)
 		if err != nil {
 			return s.replyErr(cn, f.ID, 0, err)
 		}

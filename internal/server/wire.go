@@ -171,8 +171,8 @@ func ReadFrame(r *bufio.Reader, maxFrame int) (*Frame, error) {
 	return &f, nil
 }
 
-// QueryPayload flattens q into the register frame's Labels/Edges fields.
-func QueryPayload(q *query.Graph) (labels []uint32, edges [][3]uint32) {
+// queryPayload flattens q into the register frame's Labels/Edges fields.
+func queryPayload(q *query.Graph) (labels []uint32, edges [][3]uint32) {
 	labels = make([]uint32, q.NumVertices())
 	for u := 0; u < q.NumVertices(); u++ {
 		labels[u] = uint32(q.Label(query.VertexID(u)))
@@ -183,12 +183,12 @@ func QueryPayload(q *query.Graph) (labels []uint32, edges [][3]uint32) {
 	return labels, edges
 }
 
-// BuildQuery reconstructs a finalized query graph from a register
+// buildQuery reconstructs a finalized query graph from a register
 // frame's Labels/Edges payload. All structural validation (vertex count
 // limit, edge endpoints, duplicate edges, connectivity) is delegated to
 // the query package, so hostile payloads fail with an error, never a
 // panic.
-func BuildQuery(labels []uint32, edges [][3]uint32) (*query.Graph, error) {
+func buildQuery(labels []uint32, edges [][3]uint32) (*query.Graph, error) {
 	ls := make([]graph.Label, len(labels))
 	for i, l := range labels {
 		ls[i] = graph.Label(l)

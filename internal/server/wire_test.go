@@ -75,7 +75,7 @@ func TestReadFrameHostileInput(t *testing.T) {
 }
 
 func TestBuildQueryValidation(t *testing.T) {
-	// Valid triangle round-trips through QueryPayload.
+	// Valid triangle round-trips through queryPayload.
 	q, err := query.New([]graph.Label{0, 1, 2})
 	if err != nil {
 		t.Fatal(err)
@@ -88,8 +88,8 @@ func TestBuildQueryValidation(t *testing.T) {
 	if err := q.Finalize(); err != nil {
 		t.Fatal(err)
 	}
-	labels, edges := QueryPayload(q)
-	q2, err := BuildQuery(labels, edges)
+	labels, edges := queryPayload(q)
+	q2, err := buildQuery(labels, edges)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestBuildQueryValidation(t *testing.T) {
 	}
 	for _, tc := range hostile {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := BuildQuery(tc.labels, tc.edges); err == nil {
+			if _, err := buildQuery(tc.labels, tc.edges); err == nil {
 				t.Fatal("hostile query accepted")
 			}
 		})
@@ -173,8 +173,8 @@ func FuzzWireRoundTrip(f *testing.F) {
 				t.Fatalf("round-trip mismatch:\n got %+v\nwant %+v", fr2, fr)
 			}
 			// Hostile field contents must error, never panic.
-			if q, err := BuildQuery(fr.Labels, fr.Edges); err == nil && q == nil {
-				t.Fatal("BuildQuery returned nil, nil")
+			if q, err := buildQuery(fr.Labels, fr.Edges); err == nil && q == nil {
+				t.Fatal("buildQuery returned nil, nil")
 			}
 			if s, err := DecodeUpdates(fr.Updates); err == nil && len(s) != len(fr.Updates) {
 				t.Fatal("DecodeUpdates dropped lines without error")

@@ -52,9 +52,6 @@ type Update struct {
 // IsEdge reports whether the update mutates an edge.
 func (u Update) IsEdge() bool { return u.Op == AddEdge || u.Op == DeleteEdge }
 
-// IsInsert reports whether the update adds (rather than removes) structure.
-func (u Update) IsInsert() bool { return u.Op == AddEdge || u.Op == AddVertex }
-
 // String formats the update in the codec's line format.
 func (u Update) String() string {
 	switch u.Op {
@@ -154,13 +151,4 @@ func (s Stream) ApplyAll(g *graph.Graph) error {
 		}
 	}
 	return nil
-}
-
-// CountOps returns the number of updates per op kind.
-func (s Stream) CountOps() map[Op]int {
-	m := make(map[Op]int)
-	for _, u := range s {
-		m[u.Op]++
-	}
-	return m
 }

@@ -65,6 +65,12 @@ type Options struct {
 	// Interval is the group-commit fsync cadence under SyncInterval
 	// (50ms when zero).
 	Interval time.Duration
+
+	// holdWrite, when > 0, holds the flusher's first write(2) until that
+	// many records are queued or the log closes: a package-internal seam
+	// that makes one group commit happen by construction, whatever the
+	// scheduler does with the appenders.
+	holdWrite int
 }
 
 func (o *Options) normalize() {
@@ -387,6 +393,11 @@ func (l *Log) flushLoop() {
 func (l *Log) flushOnce(syncDue bool) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if l.opts.holdWrite > 0 && l.flushes.Load() == 0 && !l.closed &&
+		l.nextLSN-1-l.written < uint64(l.opts.holdWrite) {
+		// Every queued append rings the doorbell again.
+		return false
+	}
 	if len(l.pending) > 0 && l.err == nil {
 		if _, err := l.f.Write(l.pending); err != nil {
 			l.err = fmt.Errorf("wal: write: %w", err)

@@ -271,11 +271,11 @@ func TestLogConcurrentAppendGroupCommit(t *testing.T) {
 	if m.Records != appenders*each || m.LastLSN != appenders*each {
 		t.Fatalf("metrics = %+v, want %d records", m, appenders*each)
 	}
-	// Group commit: concurrent appenders share fsyncs, so there must be
-	// strictly fewer fsyncs than records (with 8 goroutines racing, many
-	// appends ride one flush).
-	if m.Fsyncs == 0 || m.Fsyncs >= m.Records {
-		t.Fatalf("fsyncs = %d for %d records; want 0 < fsyncs < records", m.Fsyncs, m.Records)
+	// How many appends share a flush is up to the scheduler (on one core
+	// each appender usually finishes before the next runs), so this smoke
+	// only bounds the count; TestLogGroupCommitOneFsync pins the sharing.
+	if m.Fsyncs == 0 || m.Fsyncs > m.Records {
+		t.Fatalf("fsyncs = %d for %d records; want 0 < fsyncs <= records", m.Fsyncs, m.Records)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
@@ -288,6 +288,33 @@ func TestLogConcurrentAppendGroupCommit(t *testing.T) {
 	defer l2.Close()
 	if recs := replayAll(t, l2, 0); len(recs) != appenders*each {
 		t.Fatalf("replayed %d records, want %d", len(recs), appenders*each)
+	}
+}
+
+// TestLogGroupCommitOneFsync: k appends queued behind one flush are
+// covered by exactly one write(2) and one fsync under SyncAlways. The
+// holdWrite seam keeps the flusher from writing until all k are queued,
+// so the group forms by construction rather than by scheduling luck.
+func TestLogGroupCommitOneFsync(t *testing.T) {
+	const k = 8
+	l, err := Open(t.TempDir(), Options{Policy: SyncAlways, holdWrite: k})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	var wg sync.WaitGroup
+	for a := 0; a < k; a++ {
+		wg.Add(1)
+		go func(a int) {
+			defer wg.Done()
+			if _, err := l.Append([]Record{{Kind: KindUpdate, Payload: []byte(fmt.Sprintf("+e %d 0 1", a))}}); err != nil {
+				t.Error(err)
+			}
+		}(a)
+	}
+	wg.Wait()
+	if m := l.Metrics(); m.Records != k || m.Flushes != 1 || m.Fsyncs != 1 {
+		t.Fatalf("metrics = %+v, want %d records under one write and one fsync", m, k)
 	}
 }
 
