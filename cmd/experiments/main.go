@@ -30,7 +30,7 @@ func main() {
 		budget    = flag.Duration("budget", 2*time.Second, "per-query time budget (paper: 1h)")
 		threads   = flag.Int("threads", 0, "parallel worker count (default GOMAXPROCS; paper headline: 32)")
 		sim       = flag.Bool("simulate", false, "force execution-driven schedule simulation (automatic whenever the machine has fewer CPUs than -threads)")
-		debugAddr = flag.String("debug-addr", "", "serve /metrics, /trace, /healthz and /debug/pprof on this address while experiments run")
+		debugAddr = flag.String("debug-addr", "", "serve /metrics, /trace, /healthz and /debug/pprof on this address while experiments run (the engine counters on /metrics move once per finished run)")
 	)
 	flag.Parse()
 
@@ -52,7 +52,7 @@ func main() {
 	}.Defaults()
 	if *debugAddr != "" {
 		cfg.Tracer = obs.NewTracer(obs.DefaultRingCap)
-		dbg, err := obs.StartServer(*debugAddr, cfg.Tracer)
+		dbg, err := obs.StartServer(*debugAddr, cfg.Tracer, bench.WriteFinishedStats)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "experiments:", err)
 			os.Exit(1)

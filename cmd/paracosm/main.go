@@ -94,22 +94,21 @@ func main() {
 	if *debugAddr != "" || *traceOut != "" {
 		tracer = obs.NewTracer(*traceCap)
 	}
-	var dbg *obs.Server
-	if *debugAddr != "" {
-		dbg, err = obs.StartServer(*debugAddr, tracer)
-		if err != nil {
-			fatal(err)
-		}
-		defer dbg.Close()
-		fmt.Fprintf(os.Stderr, "debug server on http://%s (/metrics /trace /healthz /debug/pprof)\n", dbg.Addr())
-	}
-
 	eng := core.New(entry.New(),
 		core.Threads(*threads),
 		core.InterUpdate(*inter),
 		core.SplitDepth(*split),
 		core.WithTracer(tracer))
 	defer eng.Close()
+	var dbg *obs.Server
+	if *debugAddr != "" {
+		dbg, err = obs.StartServer(*debugAddr, tracer, func(w io.Writer) error { return eng.Stats().WritePrometheus(w) })
+		if err != nil {
+			fatal(err)
+		}
+		defer dbg.Close()
+		fmt.Fprintf(os.Stderr, "debug server on http://%s (/metrics /trace /healthz /debug/pprof)\n", dbg.Addr())
+	}
 	if *verbose {
 		eng.OnMatch = func(st *csm.State, count uint64, positive bool) {
 			sign := "+"

@@ -49,9 +49,10 @@ type Config struct {
 	// speedups are unmeasurable.
 	Simulate bool
 	// Tracer, if non-nil, is attached to every engine the harness runs
-	// (see core.WithTracer): its counters and latency histograms then
+	// (see core.WithTracer): its trace ring and latency histograms then
 	// aggregate across all experiments, which is what the -debug-addr
-	// flag of cmd/experiments serves live.
+	// flag of cmd/experiments serves live, next to the engine counters of
+	// WriteFinishedStats.
 	Tracer *obs.Tracer
 }
 
@@ -155,6 +156,22 @@ func (c Config) stream(d *dataset.Dataset) stream.Stream {
 	return s
 }
 
+// finished is the running total of every finished run's Stats.
+var (
+	finished   core.Stats // guarded by finishedMu
+	finishedMu sync.Mutex
+)
+
+// WriteFinishedStats writes the engine counters summed over every run the
+// harness has finished so far (see core.Stats.WritePrometheus): an
+// obs.MetricsFunc that moves once per finished run.
+func WriteFinishedStats(w io.Writer) error {
+	finishedMu.Lock()
+	st := finished
+	finishedMu.Unlock()
+	return st.WritePrometheus(w)
+}
+
 // RunResult is the outcome of processing one query's stream.
 type RunResult struct {
 	Elapsed time.Duration // incremental matching time (TTotal)
@@ -180,6 +197,9 @@ func (c Config) runOne(entry algo.Entry, d *dataset.Dataset, q *query.Graph, s s
 	ctx, cancel := context.WithTimeout(context.Background(), c.Budget)
 	defer cancel()
 	st, err := eng.Run(ctx, s)
+	finishedMu.Lock()
+	finished.Add(st)
+	finishedMu.Unlock()
 	res := RunResult{Elapsed: st.TTotal, Stats: st, Success: err == nil}
 	if err != nil && !errors.Is(err, csm.ErrDeadline) && !errors.Is(err, context.DeadlineExceeded) {
 		panic(fmt.Sprintf("bench: %s run: %v", entry.Name, err))

@@ -17,6 +17,7 @@
 package core
 
 import (
+	"io"
 	"runtime"
 	"time"
 
@@ -172,8 +173,8 @@ func (c *Config) normalize() {
 
 // WindowCounters instruments Window(n). A standalone Engine accumulates
 // them inside its Stats; a MultiEngine counts at the shared driver level
-// (once per update, not per query) and exposes them through
-// MultiEngine.WindowCounters.
+// (once per update, not per query) and reports them as
+// MultiEngine.TotalStats().Window.
 //
 // UnsafeParallel, FallbackSerial and MaxGroup are left from the deleted
 // wave scheduler only because benchmarks/harness reads them: every
@@ -228,6 +229,7 @@ type Stats struct {
 
 	// Inner-update executor / worker pool counters.
 	Escalations int    // updates that escalated to the parallel phase
+	Timeouts    int    // updates whose find phase the context deadline cut off
 	Resplits    uint64 // subtrees re-split into pool tasks (adaptive sharing)
 	Parks       uint64 // pool worker park events during escalated epochs
 	Wakeups     uint64 // pool worker wakeups from park during epochs
@@ -271,6 +273,7 @@ func (s *Stats) Add(o Stats) {
 	s.SafeByADS += o.SafeByADS
 	s.VertexUpdates += o.VertexUpdates
 	s.Escalations += o.Escalations
+	s.Timeouts += o.Timeouts
 	s.Resplits += o.Resplits
 	s.Parks += o.Parks
 	s.Wakeups += o.Wakeups
@@ -281,6 +284,24 @@ func (s *Stats) Add(o Stats) {
 	for i, d := range o.ThreadBusy {
 		s.ThreadBusy[i] += d
 	}
+}
+
+// WritePrometheus writes s as the engine-work counters of the /metrics
+// payload. It is the only source of those series: each host registers it,
+// as an obs.MetricsFunc, over the total it keeps (a MultiEngine's
+// TotalStats, an Engine's Stats, the bench harness's finished runs).
+func (s Stats) WritePrometheus(w io.Writer) error {
+	return obs.WriteSeries(w, []obs.Series{
+		obs.Counter("paracosm_updates_total", "Updates processed (safe + unsafe + direct).", uint64(s.Updates)),
+		obs.Counter("paracosm_safe_updates_total", "Updates the classifier proved safe (incl. vertex ops).", uint64(s.SafeUpdates)),
+		obs.Counter("paracosm_unsafe_updates_total", "Updates that ran the full inner-parallel path after classification.", uint64(s.UnsafeUpdates)),
+		obs.Counter("paracosm_escalations_total", "Updates whose search escalated to the parallel phase.", uint64(s.Escalations)),
+		obs.Counter("paracosm_timeouts_total", "Updates cut off by the context deadline.", uint64(s.Timeouts)),
+		obs.Counter("paracosm_matches_total", "Incremental matches reported (positive + negative).", s.Positive+s.Negative),
+		obs.Counter("paracosm_search_nodes_total", "Search-tree nodes visited.", s.Nodes),
+		obs.Counter("paracosm_window_coalesced_total", "Updates removed by window coalescing (Window(n)).", uint64(s.Window.Coalesced)),
+		obs.Counter("paracosm_window_annihilated_total", "Exact insert/delete pairs annihilated by window coalescing (2 updates each).", uint64(s.Window.Annihilated)),
+	})
 }
 
 // SafeRatio returns the fraction of updates classified safe (γ of the

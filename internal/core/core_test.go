@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -301,5 +302,64 @@ func TestResetStats(t *testing.T) {
 	eng.ResetStats()
 	if eng.Stats().Updates != 0 {
 		t.Fatal("ResetStats did not clear")
+	}
+}
+
+// TestStatsAddCoversEveryField sets every integer and duration field of a
+// Stats, Window included, to 1 and adds it twice into a zero value: each
+// must read 2 (Window.MaxGroup, a maximum, reads 1). A counter added to
+// Stats but not to Add fails here.
+func TestStatsAddCoversEveryField(t *testing.T) {
+	var one Stats
+	var set func(v reflect.Value)
+	set = func(v reflect.Value) {
+		for i := 0; i < v.NumField(); i++ {
+			switch f := v.Field(i); f.Kind() {
+			case reflect.Int, reflect.Int64:
+				f.SetInt(1)
+			case reflect.Uint64:
+				f.SetUint(1)
+			case reflect.Struct:
+				set(f)
+			}
+		}
+	}
+	set(reflect.ValueOf(&one).Elem())
+	one.ThreadBusy = []time.Duration{1}
+
+	var sum Stats
+	sum.Add(one)
+	sum.Add(one)
+	var check func(v reflect.Value, path string)
+	check = func(v reflect.Value, path string) {
+		for i := 0; i < v.NumField(); i++ {
+			name := path + v.Type().Field(i).Name
+			want := int64(2)
+			if name == "Window.MaxGroup" {
+				want = 1
+			}
+			switch f := v.Field(i); f.Kind() {
+			case reflect.Int, reflect.Int64:
+				if f.Int() != want {
+					t.Errorf("%s = %d after two Adds of 1, want %d", name, f.Int(), want)
+				}
+			case reflect.Uint64:
+				if f.Uint() != uint64(want) {
+					t.Errorf("%s = %d after two Adds of 1, want %d", name, f.Uint(), want)
+				}
+			case reflect.Struct:
+				check(f, name+".")
+			case reflect.Slice:
+				if name != "ThreadBusy" {
+					t.Errorf("%s: unexpected slice field; teach this test how Add merges it", name)
+				}
+			default:
+				t.Errorf("%s: unexpected %v field; teach this test how Add merges it", name, f.Kind())
+			}
+		}
+	}
+	check(reflect.ValueOf(sum), "")
+	if len(sum.ThreadBusy) != 1 || sum.ThreadBusy[0] != 2 {
+		t.Errorf("ThreadBusy = %v after two Adds of [1], want [2]", sum.ThreadBusy)
 	}
 }

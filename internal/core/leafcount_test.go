@@ -247,7 +247,7 @@ func timeoutInsideCountedLevel(t *testing.T) {
 // contract on the two kinds of algorithm that declare it. GraphFlow: a whole
 // ProcessUpdate whose search ends in counted last-position nodes allocates
 // nothing. Symbi: its ProcessUpdate allocates in the DCS upkeep (the
-// worklist of dpindex's propagate, ROADMAP item 4), so the pin is on the
+// worklist of dpindex's propagate, ROADMAP item 6), so the pin is on the
 // find phase alone — zipper, DCS filter, count — run over the standing edge
 // as a deletion's enumeration would.
 func TestCountedLastLevelAllocations(t *testing.T) {

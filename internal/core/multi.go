@@ -70,11 +70,6 @@ type MultiEngine struct {
 	closed  Stats         // guarded by mu — retained tally of deregistered queries' Stats
 	closedN int           // guarded by mu — number of deregistered queries folded into closed
 
-	// closedLat retains the merged per-query latency histograms of
-	// deregistered queries (TrackQueries mode), mirroring closed for
-	// Stats. nil until the first tracked query deregisters.
-	closedLat *obs.Histogram // guarded by mu
-
 	// valid and validIdx are ProcessBatch's reusable validation scratch:
 	// the valid subsequence of the current batch and, for each valid
 	// update, its index in the original batch (for BatchTimes lookup).
@@ -109,7 +104,8 @@ type MultiEngine struct {
 	fanCommit  func(*multiQuery) // guarded by mu
 
 	// Window(n) state (see window.go): the coalescing scratch, nil unless
-	// Config.Window > 1, and the driver-level window counter tally.
+	// Config.Window > 1, and the driver-level window counter tally that
+	// TotalStats reports.
 	win      *winScratch    // guarded by mu
 	winStats WindowCounters // guarded by mu
 }
@@ -264,12 +260,6 @@ func (m *MultiEngine) deregisterLocked(name string) bool {
 				m.dispatch.remove(mq)
 				m.closed.Add(mq.eng.Stats())
 				m.closedN++
-				if mq.eng.lat != nil {
-					if m.closedLat == nil {
-						m.closedLat = obs.NewHistogram()
-					}
-					m.closedLat.Merge(mq.eng.lat)
-				}
 				mq.eng.Close()
 			}
 			m.queries = append(m.queries[:i], m.queries[i+1:]...)
@@ -774,8 +764,7 @@ type QuerySnapshot struct {
 }
 
 // QuerySnapshots returns a snapshot per live query, in registration
-// order. Deregistered queries are excluded; their merged latency
-// histogram is available from ClosedLatency.
+// order. Deregistered queries are excluded.
 func (m *MultiEngine) QuerySnapshots() []QuerySnapshot {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -799,7 +788,9 @@ func (m *MultiEngine) QuerySnapshots() []QuerySnapshot {
 }
 
 // TotalStats returns the sum of every query's Stats, live and
-// deregistered alike: the monotonic aggregate view.
+// deregistered alike: the monotonic aggregate view. Its Window is the
+// shared driver's tally, counted once per update rather than per query
+// (the per-query engines never window).
 func (m *MultiEngine) TotalStats() Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -811,6 +802,7 @@ func (m *MultiEngine) TotalStats() Stats {
 			total.Add(mq.eng.Stats())
 		}
 	}
+	total.Window = m.winStats
 	return total
 }
 

@@ -398,7 +398,7 @@ func sharedOracle(t *testing.T, seed int64, insertP float64, window int) {
 	}
 	if coalesced := len(s) - len(committed[0]) - len(committed[1]) - len(committed[2]); window > 1 && coalesced == 0 {
 		t.Fatal("fixture lost its point: no window coalesced anything")
-	} else if got := m.WindowCounters().Coalesced; got != coalesced {
+	} else if got := m.TotalStats().Window.Coalesced; got != coalesced {
 		t.Errorf("driver coalesced %d updates away, want %d", got, coalesced)
 	}
 	wantDC.Skipped -= wantDC.Visited
@@ -443,20 +443,12 @@ func sharedOracle(t *testing.T, seed int64, insertP float64, window int) {
 	if n != closedN || countsOf(closed) != closedWant {
 		t.Errorf("ClosedStats covers %d queries %+v, want %d %+v", n, countsOf(closed), closedN, closedWant)
 	}
-	if cl := m.ClosedLatency(); cl == nil || cl.Count() != uint64(closed.Updates) {
-		t.Errorf("closed latency samples do not reconcile with %d closed updates", closed.Updates)
-	}
 
 	// The shared tracer saw every pair, one way or the other.
 	total := m.TotalStats()
-	c := tr.Counters()
-	if c.Updates != c.Safe+c.Unsafe || c.Updates != uint64(total.Updates) || c.Safe != uint64(total.SafeUpdates) {
-		t.Errorf("tracer updates %d, safe %d, unsafe %d; TotalStats updates %d, safe %d",
-			c.Updates, c.Safe, c.Unsafe, total.Updates, total.SafeUpdates)
-	}
 	for _, ph := range []obs.Phase{obs.PhaseTotal, obs.PhaseADS, obs.PhaseFind} {
-		if got := tr.Hist(ph).Count(); got != c.Updates {
-			t.Errorf("phase %v holds %d samples for %d updates", ph, got, c.Updates)
+		if got := tr.Hist(ph).Count(); got != uint64(total.Updates) {
+			t.Errorf("phase %v holds %d samples for %d updates", ph, got, total.Updates)
 		}
 	}
 

@@ -16,9 +16,8 @@ import (
 )
 
 // TestTracerReconcilesWithStats runs the full inter-update path with a
-// tracer attached and checks that the tracer's counters agree with
-// Engine.Stats() at end of stream — the invariant the /metrics endpoint
-// relies on.
+// tracer attached and checks that what the tracer holds — phase histogram
+// samples and ring events — agrees with Engine.Stats() at end of stream.
 func TestTracerReconcilesWithStats(t *testing.T) {
 	for _, f := range algotest.Factories()[:2] {
 		f := f
@@ -39,25 +38,6 @@ func TestTracerReconcilesWithStats(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			c := tr.Counters()
-			if c.Updates != uint64(st.Updates) {
-				t.Errorf("tracer updates %d != stats %d", c.Updates, st.Updates)
-			}
-			if c.Safe != uint64(st.SafeUpdates) {
-				t.Errorf("tracer safe %d != stats %d", c.Safe, st.SafeUpdates)
-			}
-			if c.Unsafe != uint64(st.UnsafeUpdates) {
-				t.Errorf("tracer unsafe %d != stats %d", c.Unsafe, st.UnsafeUpdates)
-			}
-			if c.Escalations != uint64(st.Escalations) {
-				t.Errorf("tracer escalations %d != stats %d", c.Escalations, st.Escalations)
-			}
-			if c.Matches != st.Positive+st.Negative {
-				t.Errorf("tracer matches %d != stats %d", c.Matches, st.Positive+st.Negative)
-			}
-			if c.Nodes != st.Nodes {
-				t.Errorf("tracer nodes %d != stats %d", c.Nodes, st.Nodes)
-			}
 			if got := tr.Hist(obs.PhaseTotal).Count(); got != uint64(st.Updates) {
 				t.Errorf("latency histogram count %d != updates %d", got, st.Updates)
 			}
@@ -127,7 +107,7 @@ func TestTracerDirectPath(t *testing.T) {
 }
 
 // TestTracerTimeoutEvent locks in that deadline-aborted updates are
-// flagged in the trace.
+// flagged in the trace and counted in Stats.Timeouts.
 func TestTracerTimeoutEvent(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	g := algotest.RandomGraph(rng, 80, 1200, 1, 1)
@@ -158,8 +138,8 @@ func TestTracerTimeoutEvent(t *testing.T) {
 	if !last.Timeout {
 		t.Fatalf("deadline-aborted update not flagged: %+v", last)
 	}
-	if tr.Counters().Timeouts == 0 {
-		t.Fatal("timeout counter not incremented")
+	if st := eng.Stats(); st.Timeouts != 1 {
+		t.Fatalf("Stats.Timeouts = %d after one deadline-aborted update, want 1", st.Timeouts)
 	}
 }
 

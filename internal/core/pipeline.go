@@ -180,6 +180,9 @@ func (e *Engine) account(p *pending) time.Duration {
 		}
 		e.stats.ThreadBusy[0] += p.seqBusy
 	}
+	if p.r.timeout {
+		e.stats.Timeouts++
+	}
 	switch p.verdict {
 	case classUnsafe:
 		e.stats.UnsafeUpdates++

@@ -47,7 +47,6 @@ func (w *winScratch) coalesce(raw stream.Stream, wc *WindowCounters, tr *obs.Tra
 	}
 	if tr != nil {
 		tr.Stages().Observe(obs.StageCoalesce, cost)
-		tr.Window(uint64(cst.Removed()), uint64(cst.AnnihilatedPairs))
 		tr.Stage(obs.Event{Op: obs.OpWindow, Coalesce: cost, Total: cost})
 	}
 	return w.coal.Src()

@@ -250,7 +250,7 @@ func TestMultiWindowedOracle(t *testing.T) {
 			t.Errorf("%s: shared %+v\n\tprivate %+v", sq.name, got, want)
 		}
 	}
-	wc := m.WindowCounters()
+	wc := m.TotalStats().Window
 	if want := (len(s) + window - 1) / window; wc.Windows != want {
 		t.Fatalf("driver counted %d windows, want %d", wc.Windows, want)
 	}
@@ -290,7 +290,7 @@ func TestMultiIgnoresSimulate(t *testing.T) {
 		if err := m.Run(ctx, s); err != nil {
 			t.Fatal(err)
 		}
-		return m.Stats(), m.WindowCounters()
+		return m.Stats(), m.TotalStats().Window
 	}
 	simSt, simWC := run(Simulate(true))
 	st, wc := run()

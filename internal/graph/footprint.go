@@ -27,7 +27,7 @@ package graph
 //
 // The wave scheduler this served is gone (DESIGN.md §15): the one caller
 // left is benchmarks/harness/micro.go (graph.footprint_ns_per_call), and
-// this file and its test leave with it in ROADMAP item 9's benchmark PR.
+// this file and its test leave with it in ROADMAP item 14's benchmark PR.
 type FootprintScratch struct {
 	stamp []uint32 // stamp[v] == epoch ⇔ v visited in the current call
 	epoch uint32

@@ -2,12 +2,7 @@ package lint
 
 import (
 	"fmt"
-	"go/ast"
-	"go/parser"
-	"go/token"
 	"go/types"
-	"os"
-	"path/filepath"
 	"strings"
 )
 
@@ -18,33 +13,21 @@ import (
 // waived with //lint:ignore deadexport <reason> (reference and oracle
 // APIs whose only callers are tests).
 //
-// Uses are resolved through the type checker across every loaded
-// package. Go sources under Root that the run did not load — the nested
-// benchmarks module when it is not among the patterns, or any package
-// left out of a partial run — are scanned syntactically instead: a
-// selector naming the export counts as a use. A method whose name is a
-// method of any interface type the loaded packages declare or use is
+// Uses are resolved through the type checker across every package the
+// analyzer is given, which for paracosmvet is the whole module, the
+// nested benchmarks module included (see RunAll). A method whose
+// name is a method of any interface type those packages declare or use is
 // exempt, since a call through the interface does not name the concrete
 // method (String, Error, csm.Rebuilder's RebuildADS).
-type DeadExport struct {
-	// Root is the directory scanned for callers outside the loaded
-	// packages. Empty means the module root: the nearest directory
-	// holding go.mod above the first loaded package.
-	Root string
-}
+type DeadExport struct{}
 
 func (DeadExport) Name() string { return "deadexport" }
 
-func (d DeadExport) Check(pkgs []*Package) []Diagnostic {
-	if len(pkgs) == 0 {
-		return nil
-	}
+func (DeadExport) Check(pkgs []*Package) []Diagnostic {
 	used := map[*types.Func]bool{}
 	ifaceMethods := map[string]bool{}
 	seen := map[types.Type]bool{}
-	loaded := map[string]bool{}
 	for _, p := range pkgs {
-		loaded[p.Dir] = true
 		for _, obj := range p.Info.Uses {
 			if fn, ok := obj.(*types.Func); ok && fn.Pkg() != nil && fn.Pkg() != p.Types {
 				used[fn.Origin()] = true
@@ -60,12 +43,6 @@ func (d DeadExport) Check(pkgs []*Package) []Diagnostic {
 			collectIfaceMethods(tv.Type, ifaceMethods, seen)
 		}
 	}
-	root := d.Root
-	if root == "" {
-		root = moduleRoot(pkgs[0].Dir)
-	}
-	scanned := selectorNames(root, loaded)
-
 	var out []Diagnostic
 	for _, p := range pkgs {
 		if !strings.Contains("/"+p.Path+"/", "/internal/") {
@@ -76,7 +53,7 @@ func (d DeadExport) Check(pkgs []*Package) []Diagnostic {
 				continue
 			}
 			fn, ok := p.Info.Defs[fd.Name].(*types.Func)
-			if !ok || used[fn] || scanned[fd.Name.Name] {
+			if !ok || used[fn] {
 				continue
 			}
 			what := "func " + p.Types.Name() + "." + fd.Name.Name
@@ -129,57 +106,4 @@ func collectIfaceMethods(t types.Type, names map[string]bool, seen map[types.Typ
 			}
 		}
 	}
-}
-
-// moduleRoot returns the nearest directory at or above dir holding a
-// go.mod, or dir itself when there is none.
-func moduleRoot(dir string) string {
-	for d := dir; ; {
-		if _, err := os.Stat(filepath.Join(d, "go.mod")); err == nil {
-			return d
-		}
-		parent := filepath.Dir(d)
-		if parent == d {
-			return dir
-		}
-		d = parent
-	}
-}
-
-// selectorNames parses the non-test Go files under root that lie outside
-// the loaded package directories and returns every name they select
-// (x.Name). Directories are skipped as LoadPatterns skips them.
-func selectorNames(root string, loaded map[string]bool) map[string]bool {
-	names := map[string]bool{}
-	fset := token.NewFileSet()
-	_ = filepath.WalkDir(root, func(p string, e os.DirEntry, err error) error {
-		if err != nil || !e.IsDir() {
-			return nil
-		}
-		name := e.Name()
-		if p != root && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
-			return filepath.SkipDir
-		}
-		if loaded[p] {
-			return nil
-		}
-		files, err := goSources(p)
-		if err != nil {
-			return nil
-		}
-		for _, f := range files {
-			af, err := parser.ParseFile(fset, filepath.Join(p, f), nil, parser.SkipObjectResolution)
-			if err != nil {
-				continue
-			}
-			ast.Inspect(af, func(n ast.Node) bool {
-				if sel, ok := n.(*ast.SelectorExpr); ok {
-					names[sel.Sel.Name] = true
-				}
-				return true
-			})
-		}
-		return nil
-	})
-	return names
 }

@@ -183,27 +183,63 @@ type Options struct {
 	StrictIgnores bool
 }
 
-// RunAll executes every analyzer over pkgs, filters findings through the
-// //lint:ignore directives, and returns the surviving diagnostics in
-// deterministic (file, line, column, check) order. Malformed ignore
-// directives are themselves reported. It additionally returns every
-// well-formed //lint:ignore directive with its suppression count (in
-// source order) so callers can report on the escape-hatch inventory.
-func RunAll(pkgs []*Package, analyzers []Analyzer, opts Options) ([]Diagnostic, []IgnoreInfo) {
-	ix := collectIgnores(pkgs)
-	out := append([]Diagnostic(nil), ix.malformed...)
+// RunAll executes every analyzer over module and pkgs together, filters
+// findings through the //lint:ignore directives, and returns the surviving
+// diagnostics in pkgs in deterministic (file, line, column, check) order.
+// Malformed ignore directives are themselves reported. It additionally
+// returns every well-formed //lint:ignore directive of pkgs with its
+// suppression count (in source order) so callers can report on the
+// escape-hatch inventory.
+//
+// The packages of module only widen what the analyzers see: a use there
+// keeps an export alive, and a //paracosm:noalloc root there makes what it
+// reaches checked, but their own findings and directives are left out.
+// paracosmvet passes the whole module, so a package's verdict does not
+// depend on which others were named with it.
+func RunAll(module, pkgs []*Package, analyzers []Analyzer, opts Options) ([]Diagnostic, []IgnoreInfo) {
+	reported := map[string]bool{} // the files of pkgs
+	in := map[*Package]bool{}
+	all := pkgs[:len(pkgs):len(pkgs)]
+	for _, p := range pkgs {
+		in[p] = true
+		for _, f := range p.Files {
+			reported[p.Fset.File(f.Pos()).Name()] = true
+		}
+	}
+	for _, p := range module {
+		if !in[p] {
+			in[p] = true
+			all = append(all, p)
+		}
+	}
+	ix := collectIgnores(all)
+	var out []Diagnostic
+	add := func(d Diagnostic) {
+		if reported[d.Pos.Filename] {
+			out = append(out, d)
+		}
+	}
+	for _, d := range ix.malformed {
+		add(d)
+	}
 	ran := map[string]bool{}
 	for _, a := range analyzers {
 		ran[a.Name()] = true
-		for _, d := range a.Check(pkgs) {
+		for _, d := range a.Check(all) {
 			if !ix.suppressed(d) {
-				out = append(out, d)
+				add(d)
 			}
+		}
+	}
+	var entries []*IgnoreInfo
+	for _, ent := range ix.entries {
+		if reported[ent.Pos.Filename] {
+			entries = append(entries, ent)
 		}
 	}
 	if opts.StrictIgnores {
 		known := knownChecks()
-		for _, ent := range ix.entries {
+		for _, ent := range entries {
 			switch {
 			case !known[ent.Check]:
 				out = append(out, Diagnostic{Pos: ent.Pos, Check: "ignore", Message: fmt.Sprintf(
@@ -228,8 +264,8 @@ func RunAll(pkgs []*Package, analyzers []Analyzer, opts Options) ([]Diagnostic, 
 		}
 		return a.Check < b.Check
 	})
-	infos := make([]IgnoreInfo, len(ix.entries))
-	for i, ent := range ix.entries {
+	infos := make([]IgnoreInfo, len(entries))
+	for i, ent := range entries {
 		infos[i] = *ent
 	}
 	sort.Slice(infos, func(i, j int) bool {

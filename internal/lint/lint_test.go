@@ -33,8 +33,8 @@ func fixture(t *testing.T, name string) *Package {
 }
 
 // run is RunAll without ignore auditing.
-func run(pkgs []*Package, analyzers []Analyzer) []Diagnostic {
-	diags, _ := RunAll(pkgs, analyzers, Options{})
+func run(module, pkgs []*Package, analyzers []Analyzer) []Diagnostic {
+	diags, _ := RunAll(module, pkgs, analyzers, Options{})
 	return diags
 }
 
@@ -53,14 +53,15 @@ type diagKey struct {
 // fixture's // want markers.
 func checkFixture(t *testing.T, name string, analyzers ...Analyzer) {
 	t.Helper()
-	checkPackages(t, []*Package{fixture(t, name)}, analyzers...)
+	checkPackages(t, nil, []*Package{fixture(t, name)}, analyzers...)
 }
 
-// checkPackages is checkFixture over several loaded packages at once: the
-// want markers of every package's directory are collected.
-func checkPackages(t *testing.T, pkgs []*Package, analyzers ...Analyzer) {
+// checkPackages is checkFixture over several loaded packages at once, with
+// the packages of module as context: the want markers of every reported
+// package's directory are collected.
+func checkPackages(t *testing.T, module, pkgs []*Package, analyzers ...Analyzer) {
 	t.Helper()
-	diags := run(pkgs, analyzers)
+	diags := run(module, pkgs, analyzers)
 
 	got := map[diagKey]int{}
 	for _, d := range diags {
@@ -129,7 +130,7 @@ func TestRangeDeterminism(t *testing.T) {
 // configured suffix list.
 func TestRangeDeterminismScoped(t *testing.T) {
 	p := fixture(t, "rangedeterminism")
-	diags := run([]*Package{p}, []Analyzer{RangeDeterminism{Paths: []string{"internal/query"}}})
+	diags := run(nil, []*Package{p}, []Analyzer{RangeDeterminism{Paths: []string{"internal/query"}}})
 	if len(diags) != 0 {
 		t.Fatalf("scoped analyzer fired outside its paths: %v", diags)
 	}
@@ -138,9 +139,9 @@ func TestRangeDeterminismScoped(t *testing.T) {
 func TestIgnoreDirective(t *testing.T) { checkFixture(t, "ignore", LockGuard{}) }
 
 // TestDeadExport loads the deadexport fixture under its module import path
-// together with a caller package that imports it. Its bench/ directory is
-// not loaded, so the analyzer scans it by name, as it scans a nested
-// module the run leaves out.
+// and reports on it alone, with a caller package and its bench/ directory
+// as context: their uses keep exports alive, and bench/'s own dead export
+// goes unreported.
 func TestDeadExport(t *testing.T) {
 	l, err := sharedLoader()
 	if err != nil {
@@ -152,16 +153,16 @@ func TestDeadExport(t *testing.T) {
 	}
 	path := l.ModPath + "/internal/lint/testdata/src/deadexport"
 	var pkgs []*Package
-	for _, sub := range []string{"", "caller"} {
+	for _, sub := range []string{"", "caller", "bench"} {
 		p, err := l.loadDir(filepath.Join(root, sub), strings.TrimSuffix(path+"/"+sub, "/"))
 		if err != nil {
 			t.Fatalf("load fixture %s: %v", sub, err)
 		}
 		pkgs = append(pkgs, p)
 	}
-	checkPackages(t, pkgs, DeadExport{Root: root})
+	checkPackages(t, pkgs[1:], pkgs[:1], DeadExport{})
 	// The waiver must suppress a real finding, not sit there stale.
-	diags, _ := RunAll(pkgs, []Analyzer{DeadExport{Root: root}}, Options{StrictIgnores: true})
+	diags, _ := RunAll(pkgs[1:], pkgs[:1], []Analyzer{DeadExport{}}, Options{StrictIgnores: true})
 	for _, d := range diags {
 		if d.Check == "ignore" {
 			t.Errorf("%s", d)
@@ -174,10 +175,10 @@ func TestDeadExport(t *testing.T) {
 // anything both fail the run, while a plain run stays silent.
 func TestStrictIgnores(t *testing.T) {
 	p := fixture(t, "staleignore")
-	if diags := run([]*Package{p}, []Analyzer{LockGuard{}}); len(diags) != 0 {
+	if diags := run(nil, []*Package{p}, []Analyzer{LockGuard{}}); len(diags) != 0 {
 		t.Fatalf("non-strict run should be silent, got %v", diags)
 	}
-	diags, infos := RunAll([]*Package{p}, []Analyzer{LockGuard{}}, Options{StrictIgnores: true})
+	diags, infos := RunAll(nil, []*Package{p}, []Analyzer{LockGuard{}}, Options{StrictIgnores: true})
 	if len(diags) != 2 {
 		t.Fatalf("want 2 strict-ignore diagnostics, got %d: %v", len(diags), diags)
 	}
@@ -238,6 +239,34 @@ func TestNoAllocPinsHotPath(t *testing.T) {
 	}
 }
 
+// TestLintAlone: a package linted alone, with the rest of the module as
+// context, gets the verdict it gets under ./...: graph's noalloc waivers
+// are reached from core's roots, and concurrent's Pool.Size is called from
+// core.
+func TestLintAlone(t *testing.T) {
+	if testing.Short() {
+		t.Skip("whole-module type-check is slow; skipped with -short")
+	}
+	l, err := sharedLoader()
+	if err != nil {
+		t.Fatalf("loader: %v", err)
+	}
+	module, err := l.LoadPatterns(nil)
+	if err != nil {
+		t.Fatalf("load module: %v", err)
+	}
+	for _, pat := range []string{"./internal/graph", "./internal/concurrent"} {
+		pkgs, err := l.LoadPatterns([]string{pat})
+		if err != nil {
+			t.Fatalf("load %s: %v", pat, err)
+		}
+		diags, _ := RunAll(module, pkgs, DefaultAnalyzers(), Options{StrictIgnores: true})
+		for _, d := range diags {
+			t.Errorf("%s alone: %s", pat, d)
+		}
+	}
+}
+
 // TestRepoClean is the self-hosting gate: the full default suite over the
 // whole module must be silent (any intentional violation carries a
 // //lint:ignore annotation in-source).
@@ -272,7 +301,7 @@ func TestRepoClean(t *testing.T) {
 			t.Errorf("%s not among loaded packages; the analyzers do not cover it", path)
 		}
 	}
-	diags, infos := RunAll(pkgs, DefaultAnalyzers(), Options{StrictIgnores: true})
+	diags, infos := RunAll(nil, pkgs, DefaultAnalyzers(), Options{StrictIgnores: true})
 	for _, d := range diags {
 		t.Errorf("%s", d)
 	}

@@ -1,6 +1,6 @@
 // Package deadexport is the fixture of the deadexport analyzer. It is
 // loaded under its module import path so the sibling caller package can
-// import it; bench/ stands for a nested module the run does not load.
+// import it; bench/ stands for the nested benchmarks module.
 package deadexport
 
 import "fmt"
@@ -20,7 +20,7 @@ func SamePkg() int { return 2 } // want deadexport
 
 func samePkg() int { return SamePkg() }
 
-// BenchOnly is called only from bench/, found by the syntactic scan.
+// BenchOnly is called only from bench/, a context package.
 func BenchOnly() int { return 3 }
 
 // Waived is a reference API kept for tests, waived in-source.

@@ -123,36 +123,6 @@ func (h *Histogram) Max() time.Duration {
 	return time.Duration(h.max)
 }
 
-// Merge adds other's observations into h. Merging a histogram into
-// itself is a no-op rather than a double-count.
-func (h *Histogram) Merge(other *Histogram) {
-	if other == nil || other == h {
-		return
-	}
-	// Snapshot other first so the two locks are never held together
-	// (no ordering to deadlock on).
-	other.mu.Lock()
-	buckets := other.buckets
-	count, sum, mn, mx := other.count, other.sum, other.min, other.max
-	other.mu.Unlock()
-	if count == 0 {
-		return
-	}
-	h.mu.Lock()
-	for i, c := range buckets {
-		h.buckets[i] += c
-	}
-	if h.count == 0 || mn < h.min {
-		h.min = mn
-	}
-	if mx > h.max {
-		h.max = mx
-	}
-	h.count += count
-	h.sum += sum
-	h.mu.Unlock()
-}
-
 // Quantile returns an estimate of the p-quantile (p in [0,1]) using
 // linear interpolation inside the target bucket. Empty histograms return
 // 0. The estimate is exact for values below 2^subBits ns and within one

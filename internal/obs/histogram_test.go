@@ -122,87 +122,6 @@ func TestHistogramObserveN(t *testing.T) {
 	}
 }
 
-func TestHistogramMerge(t *testing.T) {
-	a, b := NewHistogram(), NewHistogram()
-	for i := 1; i <= 100; i++ {
-		a.Observe(time.Duration(i) * time.Microsecond)
-	}
-	for i := 101; i <= 200; i++ {
-		b.Observe(time.Duration(i) * time.Microsecond)
-	}
-	a.Merge(b)
-	if a.Count() != 200 {
-		t.Fatalf("merged count = %d, want 200", a.Count())
-	}
-	if a.Max() != 200*time.Microsecond || a.Min() != time.Microsecond {
-		t.Fatalf("merged min/max = %v/%v", a.Min(), a.Max())
-	}
-	med := a.Quantile(0.5)
-	if med < 85*time.Microsecond || med > 115*time.Microsecond {
-		t.Fatalf("merged median %v far from 100µs", med)
-	}
-	// Self-merge and nil-merge are no-ops.
-	a.Merge(a)
-	a.Merge(nil)
-	if a.Count() != 200 {
-		t.Fatalf("self/nil merge changed count to %d", a.Count())
-	}
-}
-
-// TestHistogramMergeEdgeCases covers the merge paths the serving layer
-// leans on for closed-query latency folding: empty operands on either
-// side, min/max propagation into a fresh histogram, and the
-// merge-equals-concatenation identity (bucket counts add, so quantiles
-// of a merged histogram are EXACTLY those of one histogram fed both
-// sequences).
-func TestHistogramMergeEdgeCases(t *testing.T) {
-	// Empty into empty: still reads as zeros.
-	a, b := NewHistogram(), NewHistogram()
-	a.Merge(b)
-	if a.Count() != 0 || a.Min() != 0 || a.Max() != 0 || a.Quantile(0.5) != 0 {
-		t.Fatalf("empty-merge histogram not zero: count=%d", a.Count())
-	}
-
-	// Populated into empty: count, sum and extrema carry over exactly.
-	b.Observe(3 * time.Millisecond)
-	b.Observe(7 * time.Millisecond)
-	a.Merge(b)
-	if a.Count() != 2 || a.Sum() != 10*time.Millisecond {
-		t.Fatalf("merge into empty: count=%d sum=%v", a.Count(), a.Sum())
-	}
-	if a.Min() != 3*time.Millisecond || a.Max() != 7*time.Millisecond {
-		t.Fatalf("merge into empty extrema: min=%v max=%v", a.Min(), a.Max())
-	}
-
-	// Empty into populated: a no-op, including extrema (an empty
-	// histogram's zero min must not clobber the target's).
-	a.Merge(NewHistogram())
-	if a.Count() != 2 || a.Min() != 3*time.Millisecond {
-		t.Fatalf("empty-operand merge changed state: count=%d min=%v", a.Count(), a.Min())
-	}
-
-	// Merge equals concatenation, bucket for bucket.
-	x, y, both := NewHistogram(), NewHistogram(), NewHistogram()
-	for i := 1; i <= 500; i++ {
-		d := time.Duration(i*i) * time.Microsecond
-		if i%2 == 0 {
-			x.Observe(d)
-		} else {
-			y.Observe(d)
-		}
-		both.Observe(d)
-	}
-	x.Merge(y)
-	for _, p := range []float64{0, 0.25, 0.5, 0.9, 0.99, 1} {
-		if got, want := x.Quantile(p), both.Quantile(p); got != want {
-			t.Errorf("q%.2f: merged %v != concatenated %v", p, got, want)
-		}
-	}
-	if x.Count() != both.Count() || x.Sum() != both.Sum() {
-		t.Errorf("merged count/sum %d/%v != concatenated %d/%v", x.Count(), x.Sum(), both.Count(), both.Sum())
-	}
-}
-
 // TestHistogramQuantileEdgeCases pins the quantile contract at the
 // boundaries: empty histograms read zero everywhere, out-of-range p
 // clamps to the observed extrema, and a single observation answers every

@@ -17,10 +17,45 @@ import (
 // layer's connection/queue gauges) join the same scrape endpoint.
 type MetricsFunc func(w io.Writer) error
 
+// Series is one unlabelled sample of a Prometheus family, built by Counter
+// or Gauge.
+type Series struct {
+	name, typ, help string
+	v               uint64
+}
+
+// Counter is a counter family's one sample.
+func Counter(name, help string, v uint64) Series { return Series{name, "counter", help, v} }
+
+// Gauge is a gauge family's one sample.
+func Gauge(name, help string, v uint64) Series { return Series{name, "gauge", help, v} }
+
+// WriteSeries writes each series as a family of its own: the # HELP and
+// # TYPE lines, then the one sample. Every unlabelled counter and gauge on
+// /metrics is written here.
+func WriteSeries(w io.Writer, series []Series) error {
+	for _, s := range series {
+		if err := WriteFamily(w, s.name, s.typ, s.help); err != nil {
+			return err
+		}
+		if _, err := fmt.Fprintf(w, "%s %d\n", s.name, s.v); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// WriteFamily writes a family's # HELP and # TYPE lines; a labelled
+// family's samples follow them.
+func WriteFamily(w io.Writer, name, typ, help string) error {
+	_, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+	return err
+}
+
 // NewMuxReady builds the debug mux for a tracer, stdlib only:
 //
 //	/healthz         liveness probe ("ok")
-//	/metrics         Prometheus text: counters + per-phase histograms
+//	/metrics         Prometheus text: tracer histograms + the extras' series
 //	/trace           recent ring events as JSONL (?n=K limits to last K)
 //	/debug/vars      expvar (memstats, cmdline)
 //	/debug/pprof/*   runtime profiles

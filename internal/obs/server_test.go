@@ -28,7 +28,10 @@ func TestDebugServerEndpoints(t *testing.T) {
 		Find: time.Millisecond, Total: time.Millisecond})
 	tr.Update(Event{Op: "-e", U: 3, V: 4, Class: ClassSafeADS, Total: time.Microsecond})
 
-	srv, err := StartServer("127.0.0.1:0", tr)
+	extra := func(w io.Writer) error {
+		return WriteSeries(w, []Series{Counter("paracosm_updates_total", "Updates processed.", 2)})
+	}
+	srv, err := StartServer("127.0.0.1:0", tr, extra)
 	if err != nil {
 		t.Fatal(err)
 	}

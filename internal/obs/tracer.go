@@ -41,7 +41,7 @@ const (
 	ClassSafeADS    = "safe:ads"
 	ClassVertex     = "vertex"
 	// ClassServer marks serving-layer lifecycle events (srv:* ops): they
-	// carry no per-update phase times and bypass the update counters.
+	// carry no per-update phase times and bypass the phase histograms.
 	ClassServer = "server"
 	// ClassStage marks pipeline stage events emitted by the lockstep
 	// driver, one per applied update, carrying the stage durations.
@@ -85,13 +85,16 @@ func (o ServerOp) String() string {
 
 // Tracer is the aggregation point the engine emits into (attach one via
 // core.Config.Tracer). It owns a bounded trace ring of recent per-update
-// events plus fixed-memory per-phase latency histograms and a handful of
-// monotonic counters; total memory is constant regardless of stream
-// length, and the observation path performs no allocations.
+// events, fixed-memory per-phase and per-stage latency histograms and the
+// serving layer's lifecycle event counts; total memory is constant
+// regardless of stream length, and the observation path performs no
+// allocations. It counts no engine work: updates, verdicts, nodes and
+// matches are counted once, in each engine's core.Stats, and /metrics
+// renders them from there (see core.Stats.WritePrometheus).
 //
 // One Tracer may be shared by several engines (e.g. a MultiEngine or the
 // bench harness): every method is safe for concurrent use, and the
-// counters then aggregate across all of them.
+// histograms then aggregate across all of them.
 type Tracer struct {
 	seq    atomic.Uint64
 	ring   *Ring
@@ -99,18 +102,6 @@ type Tracer struct {
 	stages *StageSet
 
 	srvCounts [numServerOps]atomic.Uint64
-
-	updates     atomic.Uint64
-	safe        atomic.Uint64
-	unsafeN     atomic.Uint64 // "unsafe" is a keyword-adjacent builtin package name
-	escalations atomic.Uint64
-	timeouts    atomic.Uint64
-	matches     atomic.Uint64
-	nodes       atomic.Uint64
-
-	// Window(n) coalescing counters (see Tracer.Window).
-	winCoalesced   atomic.Uint64
-	winAnnihilated atomic.Uint64
 }
 
 // DefaultRingCap is the trace ring capacity NewTracer uses for
@@ -138,8 +129,8 @@ func (t *Tracer) Stages() *StageSet { return t.stages }
 // ServerEvent records one serving-layer lifecycle event: the per-op
 // counter is incremented by n and one ClassServer event (Op "srv:<op>",
 // Matches = n) enters the trace ring. Server events deliberately bypass
-// Update so the per-update counters and latency histograms stay
-// engine-only. Allocation-free (fixed op set, precomputed Op strings).
+// Update so the phase histograms stay engine-only. Allocation-free (fixed
+// op set, precomputed Op strings).
 //
 //paracosm:noalloc
 func (t *Tracer) ServerEvent(op ServerOp, n uint64) {
@@ -174,27 +165,12 @@ func (t *Tracer) Stage(ev Event) {
 func (t *Tracer) nextSeq() uint64 { return t.seq.Add(1) }
 
 // Update records one completed update: the event enters the ring and the
-// phase histograms and counters are updated. If ev.Seq is zero a
-// sequence number is assigned. Safe to call from concurrent engines.
+// phase histograms observe its durations. If ev.Seq is zero a sequence
+// number is assigned. Safe to call from concurrent engines.
 func (t *Tracer) Update(ev Event) {
 	if ev.Seq == 0 {
 		ev.Seq = t.nextSeq()
 	}
-	t.updates.Add(1)
-	switch ev.Class {
-	case ClassSafeLabel, ClassSafeDegree, ClassSafeADS, ClassVertex:
-		t.safe.Add(1)
-	case ClassUnsafe:
-		t.unsafeN.Add(1)
-	}
-	if ev.Escalated {
-		t.escalations.Add(1)
-	}
-	if ev.Timeout {
-		t.timeouts.Add(1)
-	}
-	t.matches.Add(ev.Matches)
-	t.nodes.Add(ev.Nodes)
 	t.hists[PhaseTotal].Observe(ev.Total)
 	t.hists[PhaseADS].Observe(ev.ADS)
 	t.hists[PhaseFind].Observe(ev.Find)
@@ -203,32 +179,15 @@ func (t *Tracer) Update(ev Event) {
 
 // SafeN records n updates that were proved label-safe without being looked
 // at one by one (the (query, update) pairs core.MultiEngine's dispatch index
-// skips): counters and phase histograms advance exactly as under n Update
-// calls of class ClassSafeLabel with zero durations, so updates == safe +
-// unsafe + direct and the phase sample counts keep reconciling, but no
-// event enters the ring.
+// skips): the phase histograms advance exactly as under n Update calls with
+// zero durations, so their sample counts keep matching the engines'
+// Stats.Updates, but no event enters the ring.
 //
 //paracosm:noalloc
 func (t *Tracer) SafeN(n uint64) {
-	t.updates.Add(n)
-	t.safe.Add(n)
 	t.hists[PhaseTotal].ObserveN(0, n)
 	t.hists[PhaseADS].ObserveN(0, n)
 	t.hists[PhaseFind].ObserveN(0, n)
-}
-
-// Window accumulates one window's coalescing counters: updates removed
-// by coalescing and exact insert/delete pairs annihilated.
-// Allocation-free.
-//
-//paracosm:noalloc
-func (t *Tracer) Window(coalesced, annihilated uint64) {
-	if coalesced != 0 {
-		t.winCoalesced.Add(coalesced)
-	}
-	if annihilated != 0 {
-		t.winAnnihilated.Add(annihilated)
-	}
 }
 
 // Ring returns the trace ring.
@@ -237,80 +196,23 @@ func (t *Tracer) Ring() *Ring { return t.ring }
 // Hist returns the histogram for the given phase.
 func (t *Tracer) Hist(p Phase) *Histogram { return t.hists[p] }
 
-// Counters is a snapshot of the tracer's monotonic counters.
-type Counters struct {
-	Updates      uint64 `json:"updates"`
-	Safe         uint64 `json:"safe"`
-	Unsafe       uint64 `json:"unsafe"`
-	Escalations  uint64 `json:"escalations"`
-	Timeouts     uint64 `json:"timeouts"`
-	Matches      uint64 `json:"matches"`
-	Nodes        uint64 `json:"nodes"`
-	TraceDropped uint64 `json:"trace_dropped"`
-
-	WindowCoalesced   uint64 `json:"window_coalesced"`
-	WindowAnnihilated uint64 `json:"window_annihilated"`
-
-	// Server holds the cumulative serving-layer lifecycle event counts,
-	// indexed by ServerOp.
-	Server [numServerOps]uint64 `json:"server"`
-}
-
-// Counters returns a snapshot of the aggregate counters.
-//
-//lint:ignore deadexport test oracle: production reads the tracer over /metrics and /trace, the core and server tests read what the engines recorded in process
-func (t *Tracer) Counters() Counters {
-	c := Counters{
-		Updates:      t.updates.Load(),
-		Safe:         t.safe.Load(),
-		Unsafe:       t.unsafeN.Load(),
-		Escalations:  t.escalations.Load(),
-		Timeouts:     t.timeouts.Load(),
-		Matches:      t.matches.Load(),
-		Nodes:        t.nodes.Load(),
-		TraceDropped: t.ring.Dropped(),
-
-		WindowCoalesced:   t.winCoalesced.Load(),
-		WindowAnnihilated: t.winAnnihilated.Load(),
-	}
-	for op := range c.Server {
-		c.Server[op] = t.srvCounts[op].Load()
-	}
-	return c
-}
-
-// writePrometheus emits every counter and per-phase histogram in
-// Prometheus text exposition format (the /metrics payload).
+// writePrometheus emits the trace-drop counter, the server-event counts
+// and every per-phase and per-stage histogram in Prometheus text
+// exposition format (the tracer's part of the /metrics payload).
 func (t *Tracer) writePrometheus(w io.Writer) error {
-	c := t.Counters()
-	counters := []struct {
-		name, help string
-		v          uint64
-	}{
-		{"paracosm_updates_total", "Updates processed (safe + unsafe + direct).", c.Updates},
-		{"paracosm_safe_updates_total", "Updates the classifier proved safe (incl. vertex ops).", c.Safe},
-		{"paracosm_unsafe_updates_total", "Updates that ran the full inner-parallel path after classification.", c.Unsafe},
-		{"paracosm_escalations_total", "Updates whose search escalated to the parallel phase.", c.Escalations},
-		{"paracosm_timeouts_total", "Updates cut off by the context deadline.", c.Timeouts},
-		{"paracosm_matches_total", "Incremental matches reported (positive + negative).", c.Matches},
-		{"paracosm_search_nodes_total", "Search-tree nodes visited.", c.Nodes},
-		{"paracosm_trace_dropped_total", "Trace events overwritten in the ring.", c.TraceDropped},
-		{"paracosm_window_coalesced_total", "Updates removed by window coalescing (Window(n)).", c.WindowCoalesced},
-		{"paracosm_window_annihilated_total", "Exact insert/delete pairs annihilated by window coalescing (2 updates each).", c.WindowAnnihilated},
-	}
-	for _, m := range counters {
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", m.name, m.help, m.name, m.name, m.v); err != nil {
-			return err
-		}
+	if err := WriteSeries(w, []Series{Counter("paracosm_trace_dropped_total",
+		"Trace events overwritten in the ring.", t.ring.Dropped())}); err != nil {
+		return err
 	}
 	// Serving-layer lifecycle event counts (srv:* trace events). The full
 	// fixed op set is always emitted, zeros included, so the series exist
 	// before the first event and scrapers can alert on their absence.
-	if _, err := fmt.Fprintf(w, "# HELP paracosm_server_events_total Serving-layer lifecycle events recorded in the trace ring, by op.\n# TYPE paracosm_server_events_total counter\n"); err != nil {
+	if err := WriteFamily(w, "paracosm_server_events_total", "counter",
+		"Serving-layer lifecycle events recorded in the trace ring, by op."); err != nil {
 		return err
 	}
 	for op := ServerOp(0); op < numServerOps; op++ {
-		if _, err := fmt.Fprintf(w, "paracosm_server_events_total{op=%q} %d\n", op.String(), c.Server[op]); err != nil {
+		if _, err := fmt.Fprintf(w, "paracosm_server_events_total{op=%q} %d\n", op.String(), t.srvCounts[op].Load()); err != nil {
 			return err
 		}
 	}

@@ -150,7 +150,7 @@ func (s *Server) WriteQueryMetrics(w io.Writer) error {
 			func(r QueryRow) string { return fmt.Sprintf("%g", float64(r.P99Micros)/1e6) }},
 	}
 	for _, m := range metrics {
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n", m.name, m.help, m.name); err != nil {
+		if err := obs.WriteFamily(w, m.name, "gauge", m.help); err != nil {
 			return err
 		}
 		for _, r := range rows {

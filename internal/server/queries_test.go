@@ -92,11 +92,12 @@ drain:
 		}
 	}
 	// Server lifecycle counters reconcile with the metrics snapshot.
-	if got := tr.Counters().Server[obs.SrvIngest]; got != m.Ingested {
-		t.Errorf("srv:ingest count = %d, want %d", got, m.Ingested)
-	}
-	if got := tr.Counters().Server[obs.SrvRegister]; got != 1 {
-		t.Errorf("srv:register count = %d, want 1", got)
+	text := scrapeText(t, obs.NewMuxReady(tr, nil))
+	for op, want := range map[string]uint64{"ingest": m.Ingested, "register": 1} {
+		series := fmt.Sprintf("paracosm_server_events_total{op=%q}", op)
+		if got := metricValue(t, text, series); got != want {
+			t.Errorf("%s = %d, want %d", series, got, want)
+		}
 	}
 }
 

@@ -984,15 +984,12 @@ type MetricsSnapshot struct {
 	Deltas        uint64
 	DeltasDropped uint64
 
-	// Query-work totals, aggregated over live AND deregistered queries
-	// (MultiEngine retains the tally of every closed engine), so these
-	// counters are monotonic across client disconnects.
-	QueriesClosed  uint64
-	QueryUpdates   uint64
-	QueryPositive  uint64
-	QueryNegative  uint64
-	QuerySafe      uint64
-	QueryNodesSeen uint64
+	// QueriesClosed counts deregistered queries; Stats is the engine work
+	// summed over live AND deregistered ones (MultiEngine retains the tally
+	// of every closed engine), so its counters are monotonic across client
+	// disconnects.
+	QueriesClosed uint64
+	Stats         core.Stats
 
 	// The dispatch index's (query, edge update) pairs: handed to the
 	// query's engine, and accounted in bulk as label-safe without touching
@@ -1010,7 +1007,6 @@ func (s *Server) Metrics() MetricsSnapshot {
 		subsN += len(subs)
 	}
 	s.mu.Unlock()
-	total := s.multi.TotalStats()
 	_, closedN := s.multi.ClosedStats()
 	dc := s.multi.DispatchCounters()
 	return MetricsSnapshot{
@@ -1026,77 +1022,60 @@ func (s *Server) Metrics() MetricsSnapshot {
 		Deltas:        s.deltasTotal.Load(),
 		DeltasDropped: s.deltasDropped.Load(),
 
-		QueriesClosed:  uint64(closedN),
-		QueryUpdates:   uint64(total.Updates),
-		QueryPositive:  total.Positive,
-		QueryNegative:  total.Negative,
-		QuerySafe:      uint64(total.SafeUpdates),
-		QueryNodesSeen: total.Nodes,
+		QueriesClosed: uint64(closedN),
+		Stats:         s.multi.TotalStats(),
 
 		DispatchVisited: dc.Visited,
 		DispatchSkipped: dc.Skipped,
 	}
 }
 
-// WriteMetrics emits the serving-layer gauges and counters in Prometheus
-// text exposition format; pass it to obs.StartServer as an extra
-// MetricsFunc to join the tracer's /metrics payload.
+// WriteMetrics emits the serving-layer gauges and counters, and the
+// engine counters of Metrics().Stats, in Prometheus text exposition
+// format; pass it to obs.StartServer as an extra MetricsFunc to join the
+// tracer's /metrics payload.
 func (s *Server) WriteMetrics(w io.Writer) error {
 	m := s.Metrics()
-	series := []struct {
-		name, typ, help string
-		v               uint64
-	}{
-		{"paracosm_server_connections", "gauge", "Currently served connections.", uint64(m.Connections)},
-		{"paracosm_server_queries", "gauge", "Live registered continuous queries.", uint64(m.Queries)},
-		{"paracosm_server_subscriptions", "gauge", "Active match-delta subscriptions.", uint64(m.Subscriptions)},
-		{"paracosm_server_ingest_queue_depth", "gauge", "Updates waiting in the ingestion queue.", uint64(m.QueueDepth)},
-		{"paracosm_server_conns_total", "counter", "Connections accepted since start.", m.ConnsTotal},
-		{"paracosm_server_conns_rejected_total", "counter", "Connections refused at the connection limit.", m.ConnsRejected},
-		{"paracosm_server_updates_ingested_total", "counter", "Updates applied through the ingestion loop.", m.Ingested},
-		{"paracosm_server_updates_invalid_total", "counter", "Updates rejected as unappliable against the current graph.", m.Invalid},
-		{"paracosm_server_updates_rejected_total", "counter", "Updates refused by the reject backpressure policy.", m.Rejected},
-		{"paracosm_server_deltas_total", "counter", "Nonzero match deltas produced across all queries.", m.Deltas},
-		{"paracosm_server_deltas_dropped_total", "counter", "Match deltas dropped on subscriber-queue overflow.", m.DeltasDropped},
-		{"paracosm_server_queries_closed_total", "counter", "Queries deregistered since start (their work totals are retained below).", m.QueriesClosed},
-		{"paracosm_query_updates_total", "counter", "Updates processed summed over live and deregistered queries.", m.QueryUpdates},
-		{"paracosm_query_matches_positive_total", "counter", "Positive match deltas summed over live and deregistered queries.", m.QueryPositive},
-		{"paracosm_query_matches_negative_total", "counter", "Negative match deltas summed over live and deregistered queries.", m.QueryNegative},
-		{"paracosm_query_safe_updates_total", "counter", "Updates classified safe summed over live and deregistered queries.", m.QuerySafe},
-		{"paracosm_query_nodes_total", "counter", "Search-tree nodes visited summed over live and deregistered queries.", m.QueryNodesSeen},
-		{"paracosm_dispatch_visited_total", "counter", "(query, edge update) pairs the dispatch index handed to the query's engine.", m.DispatchVisited},
-		{"paracosm_dispatch_skipped_total", "counter", "(query, edge update) pairs the dispatch index accounted in bulk as label-safe, engine untouched.", m.DispatchSkipped},
-	}
-	for _, sr := range series {
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %d\n",
-			sr.name, sr.help, sr.name, sr.typ, sr.name, sr.v); err != nil {
-			return err
-		}
+	st := m.Stats
+	series := []obs.Series{
+		obs.Gauge("paracosm_server_connections", "Currently served connections.", uint64(m.Connections)),
+		obs.Gauge("paracosm_server_queries", "Live registered continuous queries.", uint64(m.Queries)),
+		obs.Gauge("paracosm_server_subscriptions", "Active match-delta subscriptions.", uint64(m.Subscriptions)),
+		obs.Gauge("paracosm_server_ingest_queue_depth", "Updates waiting in the ingestion queue.", uint64(m.QueueDepth)),
+		obs.Counter("paracosm_server_conns_total", "Connections accepted since start.", m.ConnsTotal),
+		obs.Counter("paracosm_server_conns_rejected_total", "Connections refused at the connection limit.", m.ConnsRejected),
+		obs.Counter("paracosm_server_updates_ingested_total", "Updates applied through the ingestion loop.", m.Ingested),
+		obs.Counter("paracosm_server_updates_invalid_total", "Updates rejected as unappliable against the current graph.", m.Invalid),
+		obs.Counter("paracosm_server_updates_rejected_total", "Updates refused by the reject backpressure policy.", m.Rejected),
+		obs.Counter("paracosm_server_deltas_total", "Nonzero match deltas produced across all queries.", m.Deltas),
+		obs.Counter("paracosm_server_deltas_dropped_total", "Match deltas dropped on subscriber-queue overflow.", m.DeltasDropped),
+		obs.Counter("paracosm_server_queries_closed_total", "Queries deregistered since start (their work totals are retained below).", m.QueriesClosed),
+		obs.Counter("paracosm_query_updates_total", "Updates processed summed over live and deregistered queries.", uint64(st.Updates)),
+		obs.Counter("paracosm_query_matches_positive_total", "Positive match deltas summed over live and deregistered queries.", st.Positive),
+		obs.Counter("paracosm_query_matches_negative_total", "Negative match deltas summed over live and deregistered queries.", st.Negative),
+		obs.Counter("paracosm_query_safe_updates_total", "Updates classified safe summed over live and deregistered queries.", uint64(st.SafeUpdates)),
+		obs.Counter("paracosm_query_nodes_total", "Search-tree nodes visited summed over live and deregistered queries.", st.Nodes),
+		obs.Counter("paracosm_dispatch_visited_total", "(query, edge update) pairs the dispatch index handed to the query's engine.", m.DispatchVisited),
+		obs.Counter("paracosm_dispatch_skipped_total", "(query, edge update) pairs the dispatch index accounted in bulk as label-safe, engine untouched.", m.DispatchSkipped),
 	}
 	if s.wal != nil {
 		wm := s.wal.Metrics()
-		walSeries := []struct {
-			name, typ, help string
-			v               uint64
-		}{
-			{"paracosm_wal_records_total", "counter", "Records appended to the write-ahead log since start.", wm.Records},
-			{"paracosm_wal_bytes_total", "counter", "Encoded bytes appended to the write-ahead log since start.", wm.Bytes},
-			{"paracosm_wal_flushes_total", "counter", "Group-commit write(2) calls by the WAL flusher.", wm.Flushes},
-			{"paracosm_wal_fsyncs_total", "counter", "fsync calls issued by the WAL.", wm.Fsyncs},
-			{"paracosm_wal_last_lsn", "gauge", "Highest assigned log sequence number.", wm.LastLSN},
-			{"paracosm_wal_segments", "gauge", "Live WAL segment files.", uint64(wm.Segments)},
-			{"paracosm_wal_replayed_records_total", "counter", "Log records applied during recovery replay.", s.walReplayed.Load()},
-			{"paracosm_wal_replay_skipped_total", "counter", "Log records skipped during recovery replay.", s.walReplaySkip.Load()},
-			{"paracosm_wal_snapshots_total", "counter", "Durability snapshots written since start.", s.walSnaps.Load()},
-			{"paracosm_wal_snapshot_errors_total", "counter", "Snapshot attempts that failed.", s.walSnapErrs.Load()},
-			{"paracosm_wal_snapshot_last_lsn", "gauge", "LSN of the newest snapshot written this run.", s.walSnapLSN.Load()},
-		}
-		for _, sr := range walSeries {
-			if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %d\n",
-				sr.name, sr.help, sr.name, sr.typ, sr.name, sr.v); err != nil {
-				return err
-			}
-		}
+		series = append(series,
+			obs.Counter("paracosm_wal_records_total", "Records appended to the write-ahead log since start.", wm.Records),
+			obs.Counter("paracosm_wal_bytes_total", "Encoded bytes appended to the write-ahead log since start.", wm.Bytes),
+			obs.Counter("paracosm_wal_flushes_total", "Group-commit write(2) calls by the WAL flusher.", wm.Flushes),
+			obs.Counter("paracosm_wal_fsyncs_total", "fsync calls issued by the WAL.", wm.Fsyncs),
+			obs.Gauge("paracosm_wal_last_lsn", "Highest assigned log sequence number.", wm.LastLSN),
+			obs.Gauge("paracosm_wal_segments", "Live WAL segment files.", uint64(wm.Segments)),
+			obs.Counter("paracosm_wal_replayed_records_total", "Log records applied during recovery replay.", s.walReplayed.Load()),
+			obs.Counter("paracosm_wal_replay_skipped_total", "Log records skipped during recovery replay.", s.walReplaySkip.Load()),
+			obs.Counter("paracosm_wal_snapshots_total", "Durability snapshots written since start.", s.walSnaps.Load()),
+			obs.Counter("paracosm_wal_snapshot_errors_total", "Snapshot attempts that failed.", s.walSnapErrs.Load()),
+			obs.Gauge("paracosm_wal_snapshot_last_lsn", "LSN of the newest snapshot written this run.", s.walSnapLSN.Load()),
+		)
 	}
-	return nil
+	if err := obs.WriteSeries(w, series); err != nil {
+		return err
+	}
+	return st.WritePrometheus(w)
 }
