@@ -36,7 +36,7 @@ func serveMain(args []string) {
 		readTimeout = fs.Duration("read-timeout", 5*time.Minute, "per-connection idle read deadline (0 = none)")
 		debugAddr   = fs.String("debug-addr", "", "serve /metrics, /trace, /healthz and /debug/pprof on this address")
 		traceCap    = fs.Int("trace-cap", obs.DefaultRingCap, "trace ring capacity")
-		window      = fs.Int("window", 0, "coalescing window size in updates (0/1 = no windows)")
+		window      = fs.Int("window", 0, "coalescing window size in updates (0/1 = no windows); with -wal-dir, Seq watermarks survive a crash exactly only at 0/1")
 		walDir      = fs.String("wal-dir", "", "durability directory: write-ahead log + snapshots; restart recovers from it")
 		snapEvery   = fs.Int("snapshot-every", 0, "snapshot cadence in applied updates (default 65536, negative disables)")
 		fsyncMode   = fs.String("fsync", "interval", "WAL fsync policy: interval | always | off")

@@ -91,6 +91,7 @@ func ExampleNewMulti() {
 	}
 
 	m := paracosm.NewMulti(paracosm.Threads(2))
+	defer m.Close()
 	m.Register("friends", paracosm.GraphFlow(), friends)
 	m.Register("visits", paracosm.TurboFlux(), visit)
 	if err := m.Init(g); err != nil {

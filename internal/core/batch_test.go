@@ -8,6 +8,7 @@ import (
 
 	"paracosm/internal/algo/algotest"
 	"paracosm/internal/algo/graphflow"
+	"paracosm/internal/csm"
 	"paracosm/internal/graph"
 	"paracosm/internal/obs"
 	"paracosm/internal/query"
@@ -190,18 +191,22 @@ func TestInterUpdateDisabledProcessesFully(t *testing.T) {
 	}
 }
 
-// TestProcessUpdateIsRunOfOne: ProcessUpdate is Run's loop over a
-// one-update stream, so calling it once per update — under any classifier,
-// thread and window setting, a window of one coalescing nothing — must give
-// the per-update deltas and the counters of Run over the same stream
-// without a window, and both must equal refmatch update by update. Traced,
-// both sides also show every update classified exactly once: one event per
-// update, and per class as many events as the Stats counter it feeds.
+// TestProcessUpdateIsRunOfOne: a standalone engine is the lockstep driver
+// over a query set of one, so three sides must agree with refmatch update
+// by update — one ProcessUpdate per update (under any classifier, thread
+// and window setting, a window of one coalescing nothing), Engine.Run over
+// the same stream without a window, and a MultiEngine holding that one
+// query — and on every counter. ProcessUpdate returns every update's ΔM;
+// Run's and the MultiEngine's OnDelta fire for the updates the dispatch
+// index lets through, and every update they leave out has an empty ΔM.
+// Traced, the standalone sides also show every update classified exactly
+// once: one event per visited update, and per class as many events as the
+// Stats counter it feeds, less the label-safe updates booked in bulk.
 func TestProcessUpdateIsRunOfOne(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	g := algotest.RandomGraph(rng, 30, 160, 2, 2)
 	s := skewedStream(rng, g, 120, 0.6) // vertex ops included
-	queries := []*query.Graph{pathQuery(t, 0, 1, 0), algotest.RandomQuery(rng, g, 4)}
+	queries := []*query.Graph{pathQuery(t, 0, 1, 0), algotest.RandomQuery(rng, g, 4), pathQuery(t, 0, 0)}
 	// ref[ignoreELabels][qi][i] is refmatch's ΔM of update i.
 	var ref [2][][][2]uint64
 	for ig := range ref {
@@ -221,6 +226,7 @@ func TestProcessUpdateIsRunOfOne(t *testing.T) {
 	threadOpts := [][]Option{{Threads(1)}, {Threads(2), EscalateNodes(1)}}
 	for _, f := range algotest.Factories() {
 		t.Run(f.Name, func(t *testing.T) {
+			var skipped uint64
 			ig := 0
 			if f.IgnoreELabels {
 				ig = 1
@@ -231,29 +237,36 @@ func TestProcessUpdateIsRunOfOne(t *testing.T) {
 						for _, w := range []int{0, 8} {
 							name := fmt.Sprintf("q%d inter=%v threads#%d window=%d", qi, inter, ti, w)
 							opts := append([]Option{InterUpdate(inter)}, th...)
-							st := checkRunOfOne(t, name, f, g, q, s, ref[ig][qi], opts, w)
+							st, sk := checkRunOfOne(t, name, f, g, q, s, ref[ig][qi], opts, w)
 							if inter && st.SafeUpdates == 0 {
 								t.Fatalf("%s: the classifier proved nothing safe; the fixture tests nothing", name)
 							}
+							skipped += sk
 						}
 					}
 				}
+			}
+			if _, ok := f.New().(csm.LabelDispatch); ok && skipped == 0 {
+				t.Fatal("the dispatch index skipped no update; the fixture does not test the skipping")
 			}
 		})
 	}
 }
 
-// checkRunOfOne runs s through Run (opts, no window) and through one
-// ProcessUpdate per update (opts plus Window(window)) on fresh engines,
-// compares both with want, update by update, and returns Run's Stats.
-func checkRunOfOne(t *testing.T, name string, f algotest.Factory, g *graph.Graph, q *query.Graph, s stream.Stream, want [][2]uint64, opts []Option, window int) Stats {
+// checkRunOfOne runs s through one ProcessUpdate per update (opts plus
+// Window(window)), through Run (opts, no window) and through a MultiEngine
+// holding q alone (opts), on fresh engines, compares each with want
+// update by update and their counters with each other, and returns Run's
+// Stats and how many updates its dispatch index skipped.
+func checkRunOfOne(t *testing.T, name string, f algotest.Factory, g *graph.Graph, q *query.Graph, s stream.Stream, want [][2]uint64, opts []Option, window int) (Stats, uint64) {
 	t.Helper()
 	opts = opts[:len(opts):len(opts)] // each append below copies
-	runTr := obs.NewTracer(len(s))
-	runSt, runSeq, _ := runWithDeltas(t, f.New(), g.Clone(), q, s, append(opts, WithTracer(runTr))...)
-	checkClassifiedOnce(t, name+" Run", runTr, runSt)
+	wantSeq := make([]deltaRec, len(s))
+	for i, upd := range s {
+		wantSeq[i] = deltaRec{upd, want[i][0], want[i][1]}
+	}
 
-	oneTr := obs.NewTracer(len(s))
+	oneTr := obs.NewTracer(2 * len(s))
 	eng := New(f.New(), append(opts, Window(window), WithTracer(oneTr))...)
 	defer eng.Close()
 	if err := eng.Init(g.Clone(), q); err != nil {
@@ -264,41 +277,74 @@ func checkRunOfOne(t *testing.T, name string, f algotest.Factory, g *graph.Graph
 		if err != nil {
 			t.Fatalf("%s: update %d (%v): %v", name, i, upd, err)
 		}
-		got := deltaRec{upd, d.Positive, d.Negative}
-		if got != runSeq[i] || got.pos != want[i][0] || got.neg != want[i][1] {
-			t.Fatalf("%s: update %d (%v): ProcessUpdate (+%d,-%d), Run (+%d,-%d), refmatch (+%d,-%d)",
-				name, i, upd, got.pos, got.neg, runSeq[i].pos, runSeq[i].neg, want[i][0], want[i][1])
+		if got := (deltaRec{upd, d.Positive, d.Negative}); got != wantSeq[i] {
+			t.Fatalf("%s: update %d (%v): ProcessUpdate (+%d,-%d), refmatch (+%d,-%d)",
+				name, i, upd, got.pos, got.neg, want[i][0], want[i][1])
 		}
 	}
 	oneSt := eng.Stats()
-	checkClassifiedOnce(t, name+" ProcessUpdate", oneTr, oneSt)
-	if countsOf(oneSt) != countsOf(runSt) || oneSt.Escalations != runSt.Escalations ||
-		oneSt.Reclassified != 0 || runSt.Reclassified != 0 || oneSt.Window != runSt.Window {
-		t.Fatalf("%s: ProcessUpdate stats %+v\n\tRun stats %+v", name, oneSt, runSt)
+	checkClassifiedOnce(t, name+" ProcessUpdate", oneTr, oneSt, eng.DispatchCounters().Skipped)
+
+	runTr := obs.NewTracer(2 * len(s))
+	var runSeq []deltaRec
+	runEng := New(f.New(), append(opts, WithTracer(runTr), WithOnDelta(func(upd stream.Update, d csm.Delta, _ bool) {
+		runSeq = append(runSeq, deltaRec{upd, d.Positive, d.Negative})
+	}))...)
+	defer runEng.Close()
+	if err := runEng.Init(g.Clone(), q); err != nil {
+		t.Fatal(err)
 	}
-	return runSt
+	runSt, err := runEng.Run(context.Background(), s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkSharedDeltas(t, name+" Run", runSeq, wantSeq)
+	checkClassifiedOnce(t, name+" Run", runTr, runSt, runEng.DispatchCounters().Skipped)
+
+	m := NewMulti(opts...)
+	defer m.Close()
+	multi := newDeltaLog()
+	m.OnDelta = func(_ string, upd stream.Update, d csm.Delta, _ bool) { multi.add("q", upd, d) }
+	m.Register("q", f.New(), q)
+	if err := m.Init(g); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Run(context.Background(), s); err != nil {
+		t.Fatal(err)
+	}
+	checkSharedDeltas(t, name+" MultiEngine", multi.seqs["q"], wantSeq)
+	multiSt := m.Stats()["q"]
+
+	if countsOf(oneSt) != countsOf(runSt) || countsOf(multiSt) != countsOf(runSt) ||
+		oneSt.Escalations != runSt.Escalations || multiSt.Escalations != runSt.Escalations ||
+		oneSt.Reclassified != 0 || runSt.Reclassified != 0 || oneSt.Window != runSt.Window {
+		t.Fatalf("%s: ProcessUpdate stats %+v\n\tRun stats %+v\n\tMultiEngine stats %+v", name, oneSt, runSt, multiSt)
+	}
+	return runSt, runEng.DispatchCounters().Skipped
 }
 
-// checkClassifiedOnce checks one run's trace against its Stats: one event
-// per update, and each verdict's events equal to its counter — so every
-// update was classified (or, with the classifier off, passed it by) once.
-func checkClassifiedOnce(t *testing.T, name string, tr *obs.Tracer, st Stats) {
+// checkClassifiedOnce checks one run's trace against its Stats: one update
+// event per update the driver visited the engine with, one stage event per
+// update, and each verdict's events equal to its counter — less, for
+// safe:label, the skipped updates booked in bulk — so every visited update
+// was classified (or, with the classifier off, passed it by) once.
+func checkClassifiedOnce(t *testing.T, name string, tr *obs.Tracer, st Stats, skipped uint64) {
 	t.Helper()
-	evs := tr.Ring().Snapshot()
+	evs, stages := updateEvents(tr)
 	byClass := map[string]int{}
 	for _, ev := range evs {
 		byClass[ev.Class]++
 	}
 	want := map[string]int{
-		obs.ClassSafeLabel:  st.SafeByLabel,
+		obs.ClassSafeLabel:  st.SafeByLabel - int(skipped),
 		obs.ClassSafeDegree: st.SafeByDegree,
 		obs.ClassSafeADS:    st.SafeByADS,
 		obs.ClassVertex:     st.VertexUpdates,
 		obs.ClassUnsafe:     st.UnsafeUpdates,
 		obs.ClassDirect:     st.Updates - st.SafeUpdates - st.UnsafeUpdates,
 	}
-	if len(evs) != st.Updates {
-		t.Fatalf("%s: %d trace events, %d updates", name, len(evs), st.Updates)
+	if len(evs)+int(skipped) != st.Updates || stages != st.Updates {
+		t.Fatalf("%s: %d update events + %d skipped, %d stage events, %d updates", name, len(evs), skipped, stages, st.Updates)
 	}
 	for class, n := range want {
 		if byClass[class] != n {

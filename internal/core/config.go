@@ -12,8 +12,9 @@
 //     on every update against the current state, so that safe updates
 //     skip enumeration (and, at stage 3, ADS maintenance).
 //
-// One per-update pipeline (pipeline.go) serves both drivers: Engine runs
-// it over its own graph, MultiEngine in lockstep over a shared one.
+// One per-update pipeline (pipeline.go) runs under one driver: the
+// MultiEngine's lockstep step, which drives a standalone Engine as a query
+// set of one over its own graph.
 package core
 
 import (
@@ -74,24 +75,17 @@ type Config struct {
 	// aggregate.
 	Tracer *obs.Tracer
 
-	// OnDelta, if non-nil, observes every processed update's incremental
-	// result — the match-delta hook the serving layer subscribes to
-	// instead of polling Stats. It fires after the update is fully
-	// applied (safe updates report an empty ΔM; a timed-out update
-	// reports its partial lower-bound ΔM), from the goroutine driving the
-	// engine, never concurrently with itself. Like Tracer, nil (the
+	// OnDelta, if non-nil, observes the incremental result of every update
+	// the driver visits the engine with — the match-delta hook the serving
+	// layer subscribes to instead of polling Stats. It fires after the
+	// update is fully applied (safe updates report an empty ΔM; a
+	// timed-out update reports its partial lower-bound ΔM), never
+	// concurrently with itself. An edge update the dispatch index keeps
+	// away from the engine has a provably empty ΔM and fires nothing. Like Tracer, nil (the
 	// default) costs one predictable branch per update and zero
 	// allocations; the callback must not block — a slow consumer stalls
 	// the update path.
 	OnDelta DeltaFunc
-
-	// TrackQueries attaches a per-query latency histogram to every engine
-	// a MultiEngine registers, feeding QuerySnapshots and the serving
-	// layer's /queries endpoint. Off by default: each histogram costs a
-	// few KB, which would dominate the per-query memory footprint of
-	// index-only workloads (the bench harness measures bytes/query with
-	// this off). Ignored by standalone engines.
-	TrackQueries bool
 
 	// Window enables update windows when > 1: the stream is cut into
 	// windows of up to Window updates, each window is coalesced (exact
@@ -135,9 +129,6 @@ func Simulate(on bool) Option { return func(c *Config) { c.Simulate = on } }
 // WithTracer attaches an observability tracer (nil detaches).
 func WithTracer(t *obs.Tracer) Option { return func(c *Config) { c.Tracer = t } }
 
-// TrackQueries toggles per-query latency histograms in a MultiEngine.
-func TrackQueries(on bool) Option { return func(c *Config) { c.TrackQueries = on } }
-
 // Window sets the coalescing window size (0 or 1 disables windowing).
 func Window(n int) Option { return func(c *Config) { c.Window = n } }
 
@@ -166,8 +157,8 @@ func (c *Config) normalize() {
 	if c.EscalateNodes < 1 {
 		c.EscalateNodes = 4096
 	}
-	if c.Window < 0 {
-		c.Window = 0
+	if c.Window < 0 || c.Simulate {
+		c.Window = 0 // the simulator models the per-update schedule
 	}
 }
 

@@ -7,8 +7,8 @@ import (
 	"paracosm/internal/stream"
 )
 
-// This file is the MultiEngine's dispatch index (DESIGN.md §13): stage one
-// of the update classifier — the label filter — depends only on the
+// This file is the lockstep driver's dispatch index (DESIGN.md §13): stage
+// one of the update classifier — the label filter — depends only on the
 // update's endpoint labels and a query's static edge set, so the driver
 // decides it for all standing queries at once, from a table, instead of
 // asking each of them. Per edge update it visits only the queries the
@@ -46,7 +46,7 @@ type dispatchIndex struct {
 // DispatchCounters is the dispatch index's tally. Visited+Skipped is the
 // number of live standing queries summed over the Updates edge updates
 // routed through the index — under Window(n), the coalesced survivors; the
-// driver routes through it only with the classifier on.
+// driver routes through it only with the classifier on, outside Simulate.
 type DispatchCounters struct {
 	Updates int    // edge updates routed through the index
 	Visited uint64 // (query, update) pairs handed to the query's engine
@@ -160,7 +160,7 @@ func (m *MultiEngine) visitLocked(upd stream.Update) []*multiQuery {
 		}
 		mq := rows[first][0]
 		rows[first] = rows[first][1:]
-		if mq.err == nil && (len(v) == 0 || v[len(v)-1] != mq) {
+		if mq.fail.err == nil && (len(v) == 0 || v[len(v)-1] != mq) {
 			v = append(v, mq)
 		}
 	}
@@ -170,10 +170,11 @@ func (m *MultiEngine) visitLocked(upd stream.Update) []*multiQuery {
 
 // foldLocked books into mq's engine the label-safe updates the index has
 // kept away from it since the last fold: every routed update it is not yet
-// square with. Every accessor that hands out a query's Stats or latency
-// histogram folds first, so readers see the totals a visit-everything
-// driver would have produced, and the hot path never touches a skipped
-// query.
+// square with. The driver folds every query when a call ends (endLocked),
+// and a failing query when it fails, so whoever reads a query's Stats or
+// latency histogram between calls sees the totals a visit-everything
+// driver would have produced, and the per-update step never touches a
+// skipped query.
 func (m *MultiEngine) foldLocked(mq *multiQuery) {
 	if n := m.dispatch.counters.Updates - mq.squared; n > 0 {
 		mq.eng.accountSafe(classSafeLabel, n, 0, 0)

@@ -18,8 +18,6 @@ import (
 type Engine struct {
 	cfg  Config
 	algo csm.Algorithm
-	g    *graph.Graph
-	q    *query.Graph
 
 	// leaves is algo's csm.LeafCounter capability, nil when it declares
 	// none; drain counts the last level through it while OnMatch is nil.
@@ -51,7 +49,8 @@ type Engine struct {
 	splitDepth int
 
 	// simBudget is the simulated-time budget of the current Run (simulate
-	// mode only; 0 when processing updates outside Run).
+	// mode only; 0 when processing updates outside Run): commit fails the
+	// update that takes the run's simulated time past it.
 	simBudget time.Duration
 	// simTasks and simFrontier are the simulator's reusable scratch: the
 	// task costs of the escalated update being profiled, and (unbalanced
@@ -69,17 +68,17 @@ type Engine struct {
 	// needs no lock.
 	pend pending
 
-	// win is Window(n)'s reusable coalescing scratch (see window.go): nil
-	// unless Config.Window > 1 outside Simulate, and always nil in a
-	// MultiEngine's per-query engines, whose driver windows for them.
-	win *winScratch
+	// solo is a standalone engine's driver (Run, ProcessUpdate): a
+	// MultiEngine holding this engine as its one query, over the graph
+	// Init was given, not a clone. nil in the engines a MultiEngine drives.
+	solo *MultiEngine
 
 	// lat, if non-nil, observes every processed update's latency — the
 	// exact value accumulated into Stats.TTotal, at the same sites that
 	// increment Stats.Updates, so lat.Count() == Stats.Updates by
-	// construction. MultiEngine attaches it at registration when
-	// Config.TrackQueries is set (see QuerySnapshots); nil otherwise,
-	// costing one predictable branch per update.
+	// construction. MultiEngine attaches one to every engine it registers
+	// (see QuerySnapshots); a standalone engine carries none, costing one
+	// predictable branch per update.
 	lat *obs.Histogram
 }
 
@@ -90,11 +89,7 @@ func New(algo csm.Algorithm, opts ...Option) *Engine {
 		o(&cfg)
 	}
 	cfg.normalize()
-	e := newEngine(algo, cfg)
-	if cfg.Window > 1 && !cfg.Simulate {
-		e.win = newWinScratch()
-	}
-	return e
+	return newEngine(algo, cfg)
 }
 
 // newEngine builds an engine from a normalized configuration.
@@ -122,9 +117,9 @@ func (e *Engine) Stats() Stats {
 }
 
 // totalElapsed reads Stats.TTotal alone. Hot loops (the per-update
-// simulate-budget check in Run, the budget probe in findMatchesSimulated)
-// use it instead of Stats(), which copies the whole struct plus the
-// ThreadBusy slice on every call.
+// simulate-budget check in commit, the budget probe in
+// findMatchesSimulated) use it instead of Stats(), which copies the whole
+// struct plus the ThreadBusy slice on every call.
 func (e *Engine) totalElapsed() time.Duration {
 	e.statsMu.Lock()
 	defer e.statsMu.Unlock()
@@ -152,12 +147,19 @@ func (e *Engine) SeedStats(base Stats) {
 	e.statsMu.Unlock()
 }
 
-// Init runs the offline stage of the wrapped algorithm on (g, q).
+// addWindow books a driver call's windows into the engine's Stats.
+func (e *Engine) addWindow(wc WindowCounters) {
+	e.statsMu.Lock()
+	e.stats.Window.add(wc)
+	e.statsMu.Unlock()
+}
+
+// Init runs the offline stage of the wrapped algorithm on (g, q) and gives
+// the engine its driver, which applies every update to g itself.
 func (e *Engine) Init(g *graph.Graph, q *query.Graph) error {
 	if g == nil || q == nil {
 		return fmt.Errorf("core: nil graph or query")
 	}
-	e.g, e.q = g, q
 	e.splitDepth = e.cfg.SplitDepth
 	if e.splitDepth <= 0 {
 		e.splitDepth = q.NumVertices() - 2
@@ -165,17 +167,29 @@ func (e *Engine) Init(g *graph.Graph, q *query.Graph) error {
 	if e.splitDepth < 2 {
 		e.splitDepth = 2
 	}
-	return e.algo.Build(g, q)
+	if err := e.algo.Build(g, q); err != nil {
+		return err
+	}
+	m, mq := newDriver(e.cfg, g), &multiQuery{algo: e.algo, q: q, eng: e}
+	m.mu.Lock()
+	m.queries = append(m.queries, mq)
+	m.dispatch.add(mq)
+	m.mu.Unlock()
+	e.solo = m
+	return nil
 }
 
-// ProcessUpdate runs one update through the engine's pipeline (see
-// pipeline.go): prepare — classify it against the current state when
-// InterUpdate is on, and for a deletion on the full path enumerate the
-// expiring matches while the edge still exists — then apply the mutation,
-// then commit — ADS maintenance, new matches for an insertion, accounting,
-// trace and OnDelta. A safe update skips both enumerations. Run is this
-// call in a loop, so one ProcessUpdate per update is a Run without a
-// window: same deltas, same Stats.
+// ProcessUpdate runs one update through the engine's driver, the lockstep
+// step over a query set of one (MultiEngine.stepLocked), and returns its
+// delta. The step runs the pipeline (pipeline.go): prepare — classify the
+// update when InterUpdate is on, and for a deletion on the full path
+// enumerate the expiring matches while the edge still exists — then the
+// mutation, then commit — ADS maintenance, new matches for an insertion,
+// accounting, trace and OnDelta. A safe update skips both enumerations;
+// an edge update the dispatch index rules out never reaches the engine
+// and returns an empty Delta (DESIGN.md §13). Run is the same step in a
+// loop, so one ProcessUpdate per update is a Run without a window: same
+// deltas, same Stats.
 //
 // Timeout contract: when the context deadline expires mid-search,
 // ProcessUpdate returns csm.ErrDeadline with the graph mutation and ADS
@@ -192,49 +206,40 @@ func (e *Engine) Init(g *graph.Graph, q *query.Graph) error {
 //
 //paracosm:noalloc
 func (e *Engine) ProcessUpdate(ctx context.Context, upd stream.Update) (csm.Delta, error) {
-	e.prepare(ctx, upd)
-	if err := upd.Apply(e.g); err != nil {
-		return e.pend.d, err
-	}
-	err := e.commit(ctx, upd)
+	m := e.solo
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	e.pend.d = csm.Delta{} // what a skipped update returns
+	m.all, m.live = m.queries, len(m.queries)
+	m.stepLocked(ctx, upd, 0, 0, 0)
+	m.endLocked()
+	mq := m.queries[0]
+	err := mq.fail.err
+	mq.fail = failure{}
 	return e.pend.d, err
 }
 
-// Run processes the whole stream: ProcessUpdate in one loop, over each
-// window's coalesced survivors under Window(n) (window.go). In simulate
-// mode the context deadline is interpreted against simulated time: the run
-// is aborted once accumulated simulated time exceeds the budget remaining
-// at the first update.
+// Run processes the whole stream through the engine's driver, over each
+// window's coalesced survivors under Window(n) (window.go). An error names
+// the failing update by its position in s. In simulate mode the context
+// deadline is interpreted against simulated time: the run is aborted once
+// accumulated simulated time exceeds the budget remaining at the first
+// update.
 func (e *Engine) Run(ctx context.Context, s stream.Stream) (Stats, error) {
-	var simBudget time.Duration
+	m := e.solo
 	if dl, ok := ctx.Deadline(); ok && e.cfg.Simulate {
-		simBudget = time.Until(dl)
-		e.simBudget = simBudget
+		e.simBudget = time.Until(dl)
 		defer func() { e.simBudget = 0 }()
 	}
-	step := len(s)
-	if e.win != nil {
-		step = e.cfg.Window
+	var err error
+	m.mu.Lock()
+	if m.runSharedLocked(ctx, s, nil, nil) {
+		mq := m.queries[0]
+		err = mq.fail.wrap()
+		mq.fail = failure{}
 	}
-	for off := 0; off < len(s); off += step {
-		run, src := s[off:min(off+step, len(s))], []int32(nil)
-		if e.win != nil {
-			run, src = e.coalesce(run)
-		}
-		for j, upd := range run {
-			i := off + j // the update's position in s
-			if src != nil {
-				i = off + int(src[j])
-			}
-			if _, err := e.ProcessUpdate(ctx, upd); err != nil {
-				return e.Stats(), fmt.Errorf("update %d (%v): %w", i, upd, err)
-			}
-			if simBudget > 0 && e.totalElapsed() > simBudget {
-				return e.Stats(), fmt.Errorf("update %d: %w", i, csm.ErrDeadline)
-			}
-		}
-	}
-	return e.Stats(), nil
+	m.mu.Unlock()
+	return e.Stats(), err
 }
 
 // classification is the verdict of the three-stage update type classifier.

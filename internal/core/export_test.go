@@ -22,3 +22,7 @@ func (m *MultiEngine) QueryNames() []string {
 	}
 	return out
 }
+
+// DispatchCounters returns the dispatch index's tally of a standalone
+// engine's driver.
+func (e *Engine) DispatchCounters() DispatchCounters { return e.solo.DispatchCounters() }

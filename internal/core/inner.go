@@ -226,7 +226,7 @@ func (e *Engine) beginPhase(deadline time.Time, hasDeadline, positive bool) {
 //paracosm:noalloc
 func (e *Engine) findMatchesParallel(deadline time.Time, hasDeadline bool, upd stream.Update, positive bool) innerResult {
 	var res innerResult
-	tSeq := time.Now()
+	tSeq := clockNow()
 	e.beginPhase(deadline, hasDeadline, positive)
 	sr := e.searchers[0]
 	sr.reset()
@@ -239,7 +239,7 @@ func (e *Engine) findMatchesParallel(deadline time.Time, hasDeadline bool, upd s
 	stop := sr.drain(budget, false)
 	res.matches, res.nodes = sr.matches, sr.nodes
 	res.timeout = stop == stopAborted
-	res.seqBusy = time.Since(tSeq)
+	res.seqBusy = clockNow() - tSeq
 	if stop == stopBudget {
 		par := e.runEpoch(sr.stack)
 		res.matches += par.matches

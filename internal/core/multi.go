@@ -6,9 +6,9 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
+	"paracosm/internal/concurrent"
 	"paracosm/internal/csm"
 	"paracosm/internal/graph"
 	"paracosm/internal/obs"
@@ -34,6 +34,10 @@ import (
 // (pipeline.go) with the mutation shared. The phases only read the graph,
 // so queries never contend beyond the two fan-out barriers per update. See
 // DESIGN.md §13 for the full contract.
+//
+// Its lockstep loop is the package's only driver: a standalone Engine runs
+// through a MultiEngine of its own, holding that one query, over the
+// engine's own graph (see Engine.Init).
 //
 // Two operating modes coexist:
 //
@@ -77,31 +81,34 @@ type MultiEngine struct {
 	valid    stream.Stream // guarded by mu
 	validIdx []int         // guarded by mu
 
-	// active is the driver's reusable list of the queries still live in
-	// the current call, built once one has failed mid-call.
+	// The driver call in flight (see runSharedLocked): all is the list an
+	// update visits when the dispatch index does not decide — m.queries
+	// until a query fails, its compacted copy in active after — live counts
+	// it, cur is the update the phase bodies read (written before each
+	// phase, read while the driver waits for it), callWin the call's
+	// window tally.
+	all    []*multiQuery // guarded by mu
 	active []*multiQuery // guarded by mu
+	live   int           // guarded by mu
+	cur    struct {
+		ctx context.Context
+		upd stream.Update
+		i   int
+	} // guarded by mu
+	callWin WindowCounters // guarded by mu
+	yielded time.Duration  // guarded by mu
 
 	// dispatch routes each edge update to the queries it can touch and
 	// keeps the bulk accounting of the rest (see dispatch.go).
 	dispatch dispatchIndex // guarded by mu
 
-	// fanCur is the current lockstep task, read by the persistent fan-out
-	// closures below. The driver writes it under mu before each fanOut
-	// barrier; worker goroutines read it only between the barrier's spawn
-	// and join, during which the driver does not touch it — the same
-	// publication discipline as the shared graph itself.
-	fanCur struct {
-		ctx context.Context
-		upd stream.Update
-		i   int
-	} // guarded by mu
-
-	// fanPrepare/fanCommit are the pre-apply and post-apply fan-out
-	// bodies, built once (lazily, under mu) so the per-update lockstep
-	// loop allocates no closures — part of the serving path's
-	// zero-allocation contract (see TestSharedPathAllocations).
-	fanPrepare func(*multiQuery) // guarded by mu
-	fanCommit  func(*multiQuery) // guarded by mu
+	// fan is the parked pool that runs a phase over a visit list of two or
+	// more queries: started by the first call with two queries to drive,
+	// joined by Close. fanPrepare and fanCommit are the phase bodies, bound
+	// once so that handing them to the pool allocates nothing.
+	fan        *concurrent.Pool[*multiQuery] // guarded by mu
+	fanPrepare func(int, *multiQuery)
+	fanCommit  func(int, *multiQuery)
 
 	// Window(n) state (see window.go): the coalescing scratch, nil unless
 	// Config.Window > 1, and the driver-level window counter tally that
@@ -110,12 +117,23 @@ type MultiEngine struct {
 	winStats WindowCounters // guarded by mu
 }
 
+// failure is where a query's engine failed in the current driver call:
+// the error and the update, by its position in the call's stream. It
+// becomes an error value when collected: the per-update step formats none.
+type failure struct {
+	err error
+	i   int
+	upd stream.Update
+}
+
+func (f failure) wrap() error { return fmt.Errorf("update %d (%v): %w", f.i, f.upd, f.err) }
+
 type multiQuery struct {
 	name string
 	algo csm.Algorithm
 	q    *query.Graph
 	eng  *Engine
-	err  error
+	fail failure
 
 	// Bulk accounting against dispatch.counters.Updates (see foldLocked):
 	// squared is how many of those updates the query is square with — they
@@ -137,11 +155,19 @@ func NewMulti(opts ...Option) *MultiEngine {
 	}
 	cfg.Simulate = false
 	cfg.normalize()
+	return newDriver(cfg, nil)
+}
+
+// newDriver builds the lockstep driver for a normalized configuration: a
+// MultiEngine's, whose Init supplies g, or a standalone Engine's over g.
+func newDriver(cfg Config, g *graph.Graph) *MultiEngine {
 	var win *winScratch
 	if cfg.Window > 1 {
 		win = newWinScratch()
 	}
-	return &MultiEngine{cfg: cfg, dispatch: newDispatchIndex(), win: win}
+	m := &MultiEngine{cfg: cfg, g: g, dispatch: newDispatchIndex(), win: win}
+	m.fanPrepare, m.fanCommit = m.prepareLocked, m.commitLocked
+	return m
 }
 
 // Register adds a continuous query under a display name. Must be called
@@ -189,9 +215,7 @@ func (m *MultiEngine) initQueryLocked(mq *multiQuery) error {
 		}
 	}
 	mq.eng = newEngine(mq.algo, cfg)
-	if m.cfg.TrackQueries {
-		mq.eng.lat = obs.NewHistogram()
-	}
+	mq.eng.lat = obs.NewHistogram()
 	if err := mq.eng.Init(m.g, mq.q); err != nil {
 		return fmt.Errorf("query %q: %w", mq.name, err)
 	}
@@ -256,7 +280,6 @@ func (m *MultiEngine) deregisterLocked(name string) bool {
 	for i, mq := range m.queries {
 		if mq.name == name {
 			if mq.eng != nil {
-				m.foldLocked(mq)
 				m.dispatch.remove(mq)
 				m.closed.Add(mq.eng.Stats())
 				m.closedN++
@@ -406,223 +429,233 @@ func (m *MultiEngine) ProcessBatchLogged(ctx context.Context, batch stream.Strea
 	if m.g == nil {
 		return 0, fmt.Errorf("core: ProcessBatch before Init")
 	}
-	m.undo.Reset()
 	m.valid = m.valid[:0]
 	m.validIdx = m.validIdx[:0]
-	// With zero queries the speculative apply below IS the commit (the
-	// batch state is kept, see the zero-query branch), so the stage
-	// observation happens here rather than in runSharedLocked.
-	tr := m.cfg.Tracer
-	stageHere := tr != nil && len(m.queries) == 0
-	var clk obs.StageClock
 	for i, upd := range batch {
-		if stageHere {
-			clk.Start()
-		}
 		if upd.ApplyLogged(m.g, &m.undo) == nil {
-			if stageHere {
-				commit := clk.Lap()
-				wait, assemble := bt.stageWaits(i)
-				observeUpdateStages(tr, upd, wait, assemble, 0, commit, 0)
-			}
 			m.valid = append(m.valid, upd)
 			m.validIdx = append(m.validIdx, i)
 		}
 	}
+	m.undo.Rollback(m.g)
 	if len(m.valid) == 0 {
 		return 0, nil
 	}
 	if persist != nil {
 		if perr := persist(m.valid); perr != nil {
-			m.undo.Rollback(m.g)
 			return 0, fmt.Errorf("core: persist batch: %w", perr)
 		}
 	}
-	if len(m.queries) == 0 {
-		// No queries to drive: the speculative apply already left the
-		// shared graph at the post-batch state, so keep it.
-		m.undo.Reset()
-		return len(m.valid), nil
-	}
-	m.undo.Rollback(m.g)
 	if m.runSharedLocked(ctx, m.valid, bt, m.validIdx) {
 		err = m.collectErrsLocked()
 	}
 	return len(m.valid), err
 }
 
-// runSharedLocked drives s through the registered queries in lockstep: per
-// update, fan out the read-only pre-apply phase, apply the update to the
-// shared graph exactly once, then fan out the post-apply phase. All
-// queries therefore observe the identical graph state around every
-// update — the apply-once/fan-out contract of DESIGN.md §13. With the
-// classifier on, an edge update fans out only over the queries the
-// dispatch index lists for its endpoint labels (none: no barrier at all);
-// the others are accounted in bulk as the safe:label updates they are
-// (dispatch.go). A query whose engine reports an error is skipped for the
-// remainder of the call (its index no longer tracks the shared graph);
-// the error is left in mq.err for collectErrsLocked. Under Window(n) the
-// loop runs the call's coalesced survivors (coalesceLocked) — same loop,
-// same index, fewer updates — and names them by their position in s.
-//
-// With a Tracer configured, the driver observes each fully-applied
-// update's pipeline stages (ingest wait and assembly dwell from bt/idx,
-// pre-apply, commit, post-apply measured here) and emits one ClassStage
-// ring event. All five stages are observed together after the post-apply
-// fan-out, so their sample counts are identical by construction — an
-// update aborted mid-loop (trusted-stream apply error) observes nothing.
-// bt may be nil (waits observe as zero); idx maps s's positions to
-// original batch indices for bt lookup (nil means identity). It reports
-// whether a query may have recorded an error, i.e. whether the caller has
-// anything to collect.
+// runSharedLocked drives s through the registered queries, one stepLocked
+// per update, and reports whether a query failed, i.e. whether the caller
+// has an error to collect. Under Window(n) the loop runs the call's
+// coalesced survivors (coalesceLocked) — same loop, same index, fewer
+// updates — and names them by their position in s. Traced, each update's
+// ingest wait and assembly dwell come from bt at idx's mapping of s's
+// positions to batch indices (bt nil: zero waits; idx nil: identity).
 func (m *MultiEngine) runSharedLocked(ctx context.Context, s stream.Stream, bt *BatchTimes, idx []int) (failed bool) {
+	if len(m.queries) > 1 && m.fan == nil {
+		m.fan = concurrent.NewPool[*multiQuery](runtime.GOMAXPROCS(0))
+	}
 	var pos []int // windowed: each survivor's position in the call's stream
-	if m.cfg.Window > 1 {
+	if m.win != nil {
 		s, pos = m.coalesceLocked(s, bt, idx)
 	}
-	if m.fanPrepare == nil {
-		// Built once per MultiEngine: the closures read the current task
-		// from m.fanCur, so the lockstep loop below never allocates.
-		// The update's clock stops between the two phases: the barrier
-		// waits and the shared apply are not this query's time.
-		m.fanPrepare = func(mq *multiQuery) {
-			mq.eng.prepare(m.fanCur.ctx, m.fanCur.upd)
-			mq.eng.pend.prior = time.Since(mq.eng.pend.t0)
-		}
-		m.fanCommit = func(mq *multiQuery) {
-			cur := &m.fanCur
-			mq.eng.pend.t0 = time.Now()
-			if err := mq.eng.commit(cur.ctx, cur.upd); err != nil {
-				mq.err = fmt.Errorf("update %d (%v): %w", cur.i, cur.upd, err)
-			}
-		}
-	}
-	// Every recorded error was cleared when the last call reported it, so
-	// the call starts with every registered query live. all is the list an
-	// update visits when the index does not decide: m.queries itself until
-	// a query fails, its compacted copy after.
-	dispatching := m.cfg.InterUpdate
-	vertexVerdict := classDirect
-	if m.cfg.InterUpdate {
-		vertexVerdict = classVertexOp
-	}
-	dc := &m.dispatch.counters
-	all, live := m.queries, len(m.queries)
+	m.all, m.live, m.yielded = m.queries, len(m.queries), clockNow()
 	tr := m.cfg.Tracer
-	var clk obs.StageClock
-	yielded := time.Now()
-	for i, upd := range s {
+	for k, upd := range s {
+		i := k
 		if pos != nil {
-			i = pos[i]
+			i = pos[k]
 		}
-		m.fanCur.ctx, m.fanCur.upd, m.fanCur.i = ctx, upd, i
-		if live == 0 && len(m.queries) > 0 {
-			// Every query failed; stop early — the remaining updates would
-			// only advance a graph nobody observes, and the serving layer
-			// discards the MultiEngine on error anyway.
-			break
-		}
+		var wait, assemble time.Duration
 		if tr != nil {
-			clk.Start()
-		}
-		visit, routed := all, dispatching && upd.IsEdge()
-		if routed {
-			visit = m.visitLocked(upd)
-		}
-		if upd.IsEdge() {
-			fanOut(visit, m.fanPrepare)
-		} else {
-			// A vertex op's prepare is its verdict alone (no enumeration);
-			// skip the fan-out barrier for it.
-			for _, mq := range visit {
-				mq.eng.pend = pending{verdict: vertexVerdict}
-			}
-		}
-		var preApply time.Duration
-		if tr != nil {
-			preApply = clk.Lap()
-		}
-		if err := upd.Apply(m.g); err != nil {
-			for _, mq := range all {
-				m.foldLocked(mq)
-				mq.err = fmt.Errorf("update %d (%v): %w", i, upd, err)
-			}
-			failed = true
-			break
-		}
-		var commit time.Duration
-		if tr != nil {
-			commit = clk.Lap()
-		}
-		fanOut(visit, m.fanCommit)
-		if routed {
-			// One count per update stands for every query not visited; a
-			// query's own share is worked out when somebody reads it.
-			skipped := uint64(live - len(visit))
-			dc.Updates++
-			dc.Visited += uint64(len(visit))
-			dc.Skipped += skipped
-			if tr != nil && skipped > 0 {
-				tr.SafeN(skipped)
-			}
-		}
-		if tr != nil {
-			postApply := clk.Lap()
 			orig := i
 			if idx != nil {
 				orig = idx[i]
 			}
-			wait, assemble := bt.stageWaits(orig)
-			observeUpdateStages(tr, upd, wait, assemble, preApply, commit, postApply)
+			wait, assemble = bt.stageWaits(orig)
 		}
-		if len(visit) > 0 && m.OnDelta != nil {
-			// The barriers of a visit-everything driver were also where the
-			// goroutines an OnDelta wakes (the serving layer's connection
-			// writers) got a processor. Most updates now run no barrier, and
-			// a woken goroutine could sit behind this loop until the
-			// scheduler's 10 ms preemption tick; so step aside at a bounded
-			// rate, after an update that did work.
-			if now := time.Now(); now.Sub(yielded) >= yieldEvery {
-				yielded = now
-				runtime.Gosched()
-			}
+		if !m.stepLocked(ctx, upd, i, wait, assemble) {
+			break
 		}
-		was := live
+	}
+	return m.endLocked()
+}
+
+// stepLocked is the package's one per-update step (DESIGN.md §13): the
+// read-only pre-apply phase over the visited queries, the one apply of upd
+// (position i in the call's stream) to the shared graph, the post-apply
+// phase over them. With the classifier on, and never under Simulate,
+// whose simulator prices every update it measures, an edge update visits
+// only the queries the dispatch index lists (dispatch.go). A query whose
+// engine fails sits out the rest of the call, its failure in mq.fail.
+// Traced, the step observes the update's five pipeline stages and emits
+// one ClassStage event, all after the post-apply phase, so their counts
+// are equal by construction. It reports whether the call goes on: not
+// once the apply or every query has failed (the remaining updates would
+// only advance a graph nobody observes).
+//
+//paracosm:noalloc
+func (m *MultiEngine) stepLocked(ctx context.Context, upd stream.Update, i int, wait, assemble time.Duration) bool {
+	tr := m.cfg.Tracer
+	var clk obs.StageClock
+	if tr != nil {
+		clk.Start()
+	}
+	m.cur.ctx, m.cur.upd, m.cur.i = ctx, upd, i
+	visit, routed := m.all, m.cfg.InterUpdate && !m.cfg.Simulate && upd.IsEdge()
+	if routed {
+		visit = m.visitLocked(upd)
+	}
+	if upd.IsEdge() {
+		m.fanOutLocked(visit, m.fanPrepare)
+	} else {
+		// A vertex op's prepare is its verdict alone (no enumeration).
+		verdict := classDirect
+		if m.cfg.InterUpdate {
+			verdict = classVertexOp
+		}
 		for _, mq := range visit {
-			if routed {
-				mq.squared++
-			}
-			if mq.err != nil {
-				// It sits out the rest of the call: settle what it was
-				// spared so far, the rest is written off below.
-				m.foldLocked(mq)
-				live--
-			}
-		}
-		if live < was {
-			// Compact out queries that just failed.
-			m.active = m.active[:0]
-			for _, mq := range all {
-				if mq.err == nil {
-					m.active = append(m.active, mq)
-				}
-			}
-			all = m.active
+			mq.eng.pend = pending{verdict: verdict}
 		}
 	}
-	if failed = failed || live < len(m.queries); failed {
-		// The updates a failed query sat out are neither visited nor
-		// skipped for it.
-		for _, mq := range m.queries {
-			if mq.err != nil {
-				mq.squared = dc.Updates
-			}
+	var preApply time.Duration
+	if tr != nil {
+		preApply = clk.Lap()
+	}
+	if err := upd.Apply(m.g); err != nil {
+		for _, mq := range m.all {
+			m.foldLocked(mq)
+			mq.fail = failure{err: err, i: i, upd: upd}
+		}
+		m.live = 0
+		return false
+	}
+	var commit time.Duration
+	if tr != nil {
+		commit = clk.Lap()
+	}
+	m.fanOutLocked(visit, m.fanCommit)
+	if routed {
+		// One count per update stands for every query not visited; a
+		// query's own share is booked when the call ends (foldLocked).
+		skipped := uint64(m.live - len(visit))
+		dc := &m.dispatch.counters
+		dc.Updates++
+		dc.Visited += uint64(len(visit))
+		dc.Skipped += skipped
+		if tr != nil && skipped > 0 {
+			tr.SafeN(skipped)
 		}
 	}
+	if tr != nil {
+		observeUpdateStages(tr, upd, wait, assemble, preApply, commit, clk.Lap())
+	}
+	if len(visit) > 0 && m.OnDelta != nil {
+		// The barriers of a visit-everything driver were also where the
+		// goroutines an OnDelta wakes (the serving layer's connection
+		// writers) got a processor. Most updates now run no barrier, and
+		// a woken goroutine could sit behind this loop until the
+		// scheduler's 10 ms preemption tick; so step aside at a bounded
+		// rate, after an update that did work.
+		if now := clockNow(); now-m.yielded >= yieldEvery {
+			m.yielded = now
+			runtime.Gosched()
+		}
+	}
+	was := m.live
+	for _, mq := range visit {
+		if routed {
+			mq.squared++
+		}
+		if mq.fail.err != nil {
+			// It sits out the rest of the call: settle what it was spared
+			// so far; endLocked writes off the rest.
+			m.foldLocked(mq)
+			m.live--
+		}
+	}
+	if m.live < was {
+		// Compact out queries that just failed.
+		m.active = m.active[:0]
+		for _, mq := range m.all {
+			if mq.fail.err == nil {
+				m.active = append(m.active, mq)
+			}
+		}
+		m.all = m.active
+	}
+	return m.live > 0 || len(m.queries) == 0
+}
+
+// endLocked closes a driver call and reports whether a query failed in it.
+// It folds every query (the one fold rule: whenever the driver lock is
+// free, every engine's Stats are square with the dispatch index) and
+// books the call's windows into the driver's tally and every engine. The
+// updates a failed query sat out are neither visited nor skipped for it.
+//
+//paracosm:noalloc
+func (m *MultiEngine) endLocked() (failed bool) {
+	for _, mq := range m.queries {
+		if mq.fail.err != nil {
+			failed = true
+			mq.squared = m.dispatch.counters.Updates
+		} else {
+			m.foldLocked(mq)
+		}
+		if m.callWin.Windows > 0 {
+			mq.eng.addWindow(m.callWin)
+		}
+	}
+	m.winStats.add(m.callWin)
+	m.callWin = WindowCounters{}
 	return failed
 }
 
-// yieldEvery bounds how long runSharedLocked keeps its processor without
+// fanOutLocked runs one phase over the visit list — inline for one query,
+// on the parked fan-out pool, one query per trip (per-query cost is
+// heavy-tailed), for more — and returns when all have run it: the barrier
+// that keeps every query on one side of each graph mutation.
+//
+//paracosm:noalloc
+func (m *MultiEngine) fanOutLocked(visit []*multiQuery, phase func(int, *multiQuery)) {
+	switch {
+	case len(visit) == 1:
+		phase(0, visit[0])
+	case len(visit) > 1:
+		m.fan.Submit(visit, phase)
+	}
+}
+
+// prepareLocked is the pre-apply phase body, run while the driver holds
+// mu. The update's clock stops at the barrier: the wait and the shared
+// apply are not this query's time.
+//
+//paracosm:noalloc
+func (m *MultiEngine) prepareLocked(_ int, mq *multiQuery) {
+	mq.eng.prepare(m.cur.ctx, m.cur.upd)
+	mq.eng.pend.prior = clockNow() - mq.eng.pend.t0
+}
+
+// commitLocked is the post-apply phase body, run while the driver holds
+// mu.
+//
+//paracosm:noalloc
+func (m *MultiEngine) commitLocked(_ int, mq *multiQuery) {
+	mq.eng.pend.t0 = clockNow()
+	if err := mq.eng.commit(m.cur.ctx, m.cur.upd); err != nil {
+		mq.fail = failure{err: err, i: m.cur.i, upd: m.cur.upd}
+	}
+}
+
+// yieldEvery bounds how long the driver keeps its processor without
 // offering it to other goroutines: long enough that a batch of cheap updates
 // runs through undisturbed and its deltas leave in one write, short against
 // the milliseconds a heavy update's search takes.
@@ -648,67 +681,31 @@ func observeUpdateStages(tr *obs.Tracer, upd stream.Update, wait, assemble, preA
 	})
 }
 
-// fanOut runs fn over every query from min(GOMAXPROCS, len(qs)) worker
-// goroutines (work-stealing by atomic index, since per-query cost is
-// heavy-tailed) and joins them: the barrier that keeps all queries on the
-// same side of each graph mutation. The caller runs one worker itself, so
-// a single query never pays a goroutine switch.
-func fanOut(qs []*multiQuery, fn func(*multiQuery)) {
-	if len(qs) == 0 {
-		return
-	}
-	if len(qs) == 1 {
-		fn(qs[0])
-		return
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(qs) {
-		workers = len(qs)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 1; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(qs) {
-					return
-				}
-				fn(qs[i])
-			}
-		}()
-	}
-	for {
-		i := int(next.Add(1)) - 1
-		if i >= len(qs) {
-			break
-		}
-		fn(qs[i])
-	}
-	wg.Wait()
-}
-
 // collectErrsLocked joins every failed query's error into one combined
-// error (nil when none failed) and clears the recorded errors, so a
+// error (nil when none failed) and clears the recorded failures, so a
 // reported failure never resurfaces from a later Run or ProcessBatch.
 func (m *MultiEngine) collectErrsLocked() error {
 	var errs []error
 	for _, mq := range m.queries {
-		if mq.err != nil {
-			errs = append(errs, fmt.Errorf("query %q: %w", mq.name, mq.err))
-			mq.err = nil
+		if mq.fail.err != nil {
+			errs = append(errs, fmt.Errorf("query %q: %w", mq.name, mq.fail.wrap()))
+			mq.fail = failure{}
 		}
 	}
 	return errors.Join(errs...)
 }
 
-// Close releases every per-query engine's worker pool (see Engine.Close).
-// Idempotent; the engines stay usable afterwards.
+// Close joins the fan-out pool and releases every per-query engine's
+// worker pool (see Engine.Close). Idempotent; the engines stay usable
+// afterwards, and the next call with two queries to drive restarts the
+// fan-out pool.
 func (m *MultiEngine) Close() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if m.fan != nil {
+		m.fan.Close()
+		m.fan = nil
+	}
 	for _, mq := range m.queries {
 		if mq.eng != nil {
 			mq.eng.Close()
@@ -725,7 +722,6 @@ func (m *MultiEngine) Stats() map[string]Stats {
 	out := make(map[string]Stats, len(m.queries))
 	for _, mq := range m.queries {
 		if mq.eng != nil {
-			m.foldLocked(mq)
 			out[mq.name] = mq.eng.Stats()
 		}
 	}
@@ -746,8 +742,8 @@ func (m *MultiEngine) ClosedStats() (Stats, int) {
 }
 
 // QuerySnapshot is one live query's observability view: its cumulative
-// Stats plus latency quantiles from the per-query histogram (zeros unless
-// the engine was built with TrackQueries). The serving layer's /queries
+// Stats plus latency quantiles from the per-query histogram every
+// registered engine carries. The serving layer's /queries
 // endpoint and labeled /metrics series are rendered from these.
 type QuerySnapshot struct {
 	Name  string
@@ -773,7 +769,6 @@ func (m *MultiEngine) QuerySnapshots() []QuerySnapshot {
 		if mq.eng == nil {
 			continue
 		}
-		m.foldLocked(mq)
 		qs := QuerySnapshot{Name: mq.name, Stats: mq.eng.Stats()}
 		qs.Visited = qs.Stats.Updates - mq.folded
 		if h := mq.eng.lat; h != nil && h.Count() > 0 {
@@ -789,8 +784,8 @@ func (m *MultiEngine) QuerySnapshots() []QuerySnapshot {
 
 // TotalStats returns the sum of every query's Stats, live and
 // deregistered alike: the monotonic aggregate view. Its Window is the
-// shared driver's tally, counted once per update rather than per query
-// (the per-query engines never window).
+// shared driver's tally, counted once per window rather than once per
+// query.
 func (m *MultiEngine) TotalStats() Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -798,7 +793,6 @@ func (m *MultiEngine) TotalStats() Stats {
 	total.ThreadBusy = append([]time.Duration(nil), m.closed.ThreadBusy...)
 	for _, mq := range m.queries {
 		if mq.eng != nil {
-			m.foldLocked(mq)
 			total.Add(mq.eng.Stats())
 		}
 	}
@@ -808,17 +802,13 @@ func (m *MultiEngine) TotalStats() Stats {
 
 // Engine returns the per-query engine (e.g. to attach an OnMatch
 // callback), or nil if the name is unknown. Must be called after Init.
-// The pointer is invalidated by Deregister of the same name. The engine's
-// own Stats are current as of this call only: updates the dispatch index
-// accounts in bulk reach them when a MultiEngine accessor folds them in,
-// so read per-query totals from Stats or QuerySnapshots.
+// The pointer is invalidated by Deregister of the same name. The engine
+// is the MultiEngine's to drive: its Stats are exact between calls, and
+// its own Run and ProcessUpdate must not be called.
 func (m *MultiEngine) Engine(name string) *Engine {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if mq := m.findLocked(name); mq != nil {
-		if mq.eng != nil {
-			m.foldLocked(mq)
-		}
 		return mq.eng
 	}
 	return nil
@@ -847,7 +837,6 @@ func (m *MultiEngine) ExportState(fn func(g *graph.Graph, queries []QueryExport)
 	qs := make([]QueryExport, 0, len(m.queries))
 	for _, mq := range m.queries {
 		if mq.eng != nil {
-			m.foldLocked(mq)
 			qs = append(qs, QueryExport{Name: mq.name, Stats: mq.eng.Stats()})
 		}
 	}

@@ -41,7 +41,8 @@ func (l *deltaLog) add(name string, upd stream.Update, d csm.Delta) {
 
 // privateReplay runs q alone over a private clone of base through s —
 // the pre-shared-graph execution model — returning its Stats and OnDelta
-// sequence (one record per update). This is the oracle the shared-graph
+// sequence (one record per update its dispatch index let through; every
+// other update has an empty ΔM). This is the oracle the shared-graph
 // MultiEngine must match. Both drivers classify every update against the
 // current state, so the per-stage safe counters are comparable and not
 // only the totals.
@@ -310,7 +311,7 @@ func sharedOracle(t *testing.T, seed int64, insertP float64, window int) {
 
 	tr := obs.NewTracer(1 << 12)
 	shared := newDeltaLog()
-	m := NewMulti(Threads(2), TrackQueries(true), WithTracer(tr), Window(window))
+	m := NewMulti(Threads(2), WithTracer(tr), Window(window))
 	defer m.Close()
 	m.OnDelta = func(name string, upd stream.Update, d csm.Delta, timeout bool) {
 		shared.add(name, upd, d)

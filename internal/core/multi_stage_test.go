@@ -177,9 +177,9 @@ func stageCountsReconcile(t *testing.T, window int) {
 	}
 }
 
-// TestMultiStageZeroQueryPath: with no registered queries the speculative
-// apply IS the commit, and stage counts must still reconcile with the
-// applied count (pre/post-apply observed as zero-duration samples).
+// TestMultiStageZeroQueryPath: with no registered queries a batch runs
+// through the driver's loop like any other, and stage counts must still
+// reconcile with the applied count.
 func TestMultiStageZeroQueryPath(t *testing.T) {
 	g := graph.New(0)
 	for i := 0; i < 6; i++ {
@@ -210,15 +210,10 @@ func TestMultiStageZeroQueryPath(t *testing.T) {
 			t.Errorf("stage %v count = %d, want %d", stg, got, applied)
 		}
 	}
-	// No queries: the fan-out stages are zero-duration placeholders.
-	if st.Hist(obs.StagePreApply).Sum() != 0 || st.Hist(obs.StagePostApply).Sum() != 0 {
-		t.Errorf("zero-query path recorded fan-out time: pre=%v post=%v",
-			st.Hist(obs.StagePreApply).Sum(), st.Hist(obs.StagePostApply).Sum())
-	}
 }
 
 // TestQuerySnapshotLatency covers the per-query latency view:
-// TrackQueries engines expose latency quantiles through QuerySnapshots,
+// registered engines expose latency quantiles through QuerySnapshots,
 // and a deregistered query leaves them. Updates the dispatch index keeps
 // away from a query are zero-duration samples, added in bulk when the
 // histogram is read: query "idle", whose labels the stream never touches,
@@ -232,7 +227,7 @@ func TestQuerySnapshotLatency(t *testing.T) {
 	}
 	s := algotest.RandomStream(rng, g, 80, 0.7, 1)
 
-	m := NewMulti(Threads(1), TrackQueries(true))
+	m := NewMulti(Threads(1))
 	defer m.Close()
 	if err := m.Init(g); err != nil {
 		t.Fatal(err)
@@ -272,7 +267,7 @@ func TestQuerySnapshotLatency(t *testing.T) {
 			continue
 		}
 		if qs.Max <= 0 {
-			t.Errorf("query %q has no latency quantiles despite TrackQueries", qs.Name)
+			t.Errorf("query %q has no latency quantiles", qs.Name)
 		}
 		if qs.P50 > qs.P90 || qs.P90 > qs.P99 || qs.P99 > qs.Max {
 			t.Errorf("query %q quantiles not monotone: %v %v %v %v", qs.Name, qs.P50, qs.P90, qs.P99, qs.Max)
@@ -289,10 +284,10 @@ func TestQuerySnapshotLatency(t *testing.T) {
 
 // sharedAllocsPerUpdate measures steady-state allocations per update of
 // batch — which must leave the 6-vertex graph as it found it — through the
-// full serving-mode path (ProcessBatchLogged over a MultiEngine with one
-// registered query), with the allocation-free probe algorithm isolating
-// the driver's own cost.
-func sharedAllocsPerUpdate(t *testing.T, batch stream.Stream, bt *BatchTimes, opts ...Option) float64 {
+// full serving-mode path (ProcessBatchLogged over a MultiEngine with nq
+// registered queries, every one visited by every update), with the
+// allocation-free probe algorithm isolating the driver's own cost.
+func sharedAllocsPerUpdate(t *testing.T, nq int, batch stream.Stream, bt *BatchTimes, opts ...Option) float64 {
 	t.Helper()
 	g := graph.New(0)
 	for i := 0; i < 6; i++ {
@@ -317,8 +312,10 @@ func sharedAllocsPerUpdate(t *testing.T, batch stream.Stream, bt *BatchTimes, op
 	if err := q.Finalize(); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.RegisterLive("probe", &allocProbeAlgo{roots: 4}, q); err != nil {
-		t.Fatal(err)
+	for i := 0; i < nq; i++ {
+		if err := m.RegisterLive(fmt.Sprintf("probe%d", i), &allocProbeAlgo{roots: 4}, q); err != nil {
+			t.Fatal(err)
+		}
 	}
 	ctx := context.Background()
 	cycle := func() {
@@ -329,15 +326,23 @@ func sharedAllocsPerUpdate(t *testing.T, batch stream.Stream, bt *BatchTimes, op
 	for i := 0; i < 16; i++ {
 		cycle()
 	}
-	return testing.AllocsPerRun(200, cycle) / float64(len(batch))
+	allocs := testing.AllocsPerRun(200, cycle) / float64(len(batch))
+	for name, st := range m.Stats() {
+		if st.Positive == 0 || st.Positive != st.Negative {
+			t.Fatalf("%s was not visited: %+v", name, countsOf(st))
+		}
+	}
+	if (m.fan != nil) != (nq > 1) {
+		t.Fatalf("%d queries: fan-out pool started = %v", nq, m.fan != nil)
+	}
+	return allocs
 }
 
 // dispatchedAllocsPerUpdate is sharedAllocsPerUpdate for the dispatch index:
 // 64 standing GraphFlow and NewSP queries over disjoint label pairs, with
 // the classifier on, and a batch two thirds of whose edges reach one query
 // and the rest none — so nearly every (query, update) pair is accounted in
-// bulk. (An update that reaches several queries pays fanOut's goroutines,
-// which are not the index's to save.)
+// bulk.
 func dispatchedAllocsPerUpdate(t *testing.T, opts ...Option) float64 {
 	t.Helper()
 	const nq = 64
@@ -345,7 +350,7 @@ func dispatchedAllocsPerUpdate(t *testing.T, opts ...Option) float64 {
 	for l := 0; l < 2*nq; l++ {
 		g.AddVertex(graph.Label(l)) // vertex v carries label v
 	}
-	m := NewMulti(append([]Option{Threads(1), TrackQueries(true)}, opts...)...)
+	m := NewMulti(append([]Option{Threads(1)}, opts...)...)
 	defer m.Close()
 	if err := m.Init(g); err != nil {
 		t.Fatal(err)
@@ -392,7 +397,8 @@ func dispatchedAllocsPerUpdate(t *testing.T, opts ...Option) float64 {
 // timestamps — adds none. Nor does the dispatch index: building an update's
 // visit list and accounting the 60-odd queries it leaves out allocate
 // nothing, traced or not. Nor does Window(8), whose pre-pass coalesces
-// into reused buffers: two windows, one annihilated pair in each.
+// into reused buffers: two windows, one annihilated pair in each. Nor does
+// an update that visits two queries: the fan-out runs on parked workers.
 func TestSharedPathAllocations(t *testing.T) {
 	if n := dispatchedAllocsPerUpdate(t); n != 0 {
 		t.Errorf("dispatched shared path allocates %.2f per update, want 0", n)
@@ -404,14 +410,16 @@ func TestSharedPathAllocations(t *testing.T) {
 	del := func(u, v graph.VertexID) stream.Update { return stream.Update{Op: stream.DeleteEdge, U: u, V: v} }
 	for _, tc := range []struct {
 		name  string
+		nq    int
 		batch stream.Stream
 		opts  []Option
 	}{
-		{"per-update", stream.Stream{add(0, 1), del(0, 1)}, nil},
-		{"Window(8)", stream.Stream{
+		{"per-update", 1, stream.Stream{add(0, 1), del(0, 1)}, nil},
+		{"Window(8)", 1, stream.Stream{
 			add(0, 1), add(1, 2), add(2, 3), del(0, 1), add(3, 4), add(4, 5), add(0, 2), add(1, 3),
 			del(1, 2), del(2, 3), del(3, 4), del(4, 5), del(0, 2), del(1, 3), add(0, 5), del(0, 5),
 		}, []Option{Window(8)}},
+		{"two visited queries", 2, stream.Stream{add(0, 1), del(0, 1)}, []Option{Threads(2)}},
 	} {
 		now := time.Now()
 		bt := &BatchTimes{Flushed: now}
@@ -420,13 +428,13 @@ func TestSharedPathAllocations(t *testing.T) {
 			bt.Dequeued = append(bt.Dequeued, now)
 		}
 		traced := func() []Option { return append([]Option{WithTracer(obs.NewTracer(64))}, tc.opts...) }
-		if n := sharedAllocsPerUpdate(t, tc.batch, nil, tc.opts...); n != 0 {
+		if n := sharedAllocsPerUpdate(t, tc.nq, tc.batch, nil, tc.opts...); n != 0 {
 			t.Errorf("%s: nil-tracer shared path allocates %.2f per update, want 0", tc.name, n)
 		}
-		if n := sharedAllocsPerUpdate(t, tc.batch, nil, traced()...); n != 0 {
+		if n := sharedAllocsPerUpdate(t, tc.nq, tc.batch, nil, traced()...); n != 0 {
 			t.Errorf("%s: traced shared path allocates %.2f per update, want 0", tc.name, n)
 		}
-		if n := sharedAllocsPerUpdate(t, tc.batch, bt, traced()...); n != 0 {
+		if n := sharedAllocsPerUpdate(t, tc.nq, tc.batch, bt, traced()...); n != 0 {
 			t.Errorf("%s: traced+timed shared path allocates %.2f per update, want 0", tc.name, n)
 		}
 	}

@@ -15,9 +15,26 @@ import (
 	"paracosm/internal/stream"
 )
 
+// updateEvents splits the ring into the per-update events the engines
+// emit, which it returns, and the driver's per-update ClassStage events
+// (window events aside), which it counts.
+func updateEvents(tr *obs.Tracer) (evs []obs.Event, stages int) {
+	for _, ev := range tr.Ring().Snapshot() {
+		switch {
+		case ev.Class != obs.ClassStage:
+			evs = append(evs, ev)
+		case ev.Op != obs.OpWindow:
+			stages++
+		}
+	}
+	return evs, stages
+}
+
 // TestTracerReconcilesWithStats runs the full inter-update path with a
 // tracer attached and checks that what the tracer holds — phase histogram
-// samples and ring events — agrees with Engine.Stats() at end of stream.
+// samples and ring events — agrees with Engine.Stats() at end of stream:
+// one update event per update the dispatch index let through, and one
+// stage event per update.
 func TestTracerReconcilesWithStats(t *testing.T) {
 	for _, f := range algotest.Factories()[:2] {
 		f := f
@@ -41,17 +58,18 @@ func TestTracerReconcilesWithStats(t *testing.T) {
 			if got := tr.Hist(obs.PhaseTotal).Count(); got != uint64(st.Updates) {
 				t.Errorf("latency histogram count %d != updates %d", got, st.Updates)
 			}
-			if total := uint64(tr.Ring().Len()) + tr.Ring().Dropped(); total != uint64(st.Updates) {
-				t.Errorf("ring total %d != updates %d", total, st.Updates)
+			events := 2*uint64(st.Updates) - eng.DispatchCounters().Skipped
+			if total := uint64(tr.Ring().Len()) + tr.Ring().Dropped(); total != events {
+				t.Errorf("ring total %d != %d updates, twice, less the skipped ones", total, st.Updates)
 			}
-			if want := uint64(st.Updates) - 64; tr.Ring().Dropped() != want {
+			if want := events - 64; tr.Ring().Dropped() != want {
 				t.Errorf("ring dropped %d, want %d", tr.Ring().Dropped(), want)
 			}
 			// Every retained event carries a real class and phase times
 			// that sum into the histograms.
 			for _, ev := range tr.Ring().Snapshot() {
 				switch ev.Class {
-				case obs.ClassUnsafe, obs.ClassSafeLabel, obs.ClassSafeDegree, obs.ClassSafeADS, obs.ClassVertex:
+				case obs.ClassUnsafe, obs.ClassSafeLabel, obs.ClassSafeDegree, obs.ClassSafeADS, obs.ClassVertex, obs.ClassStage:
 				default:
 					t.Fatalf("unexpected class %q on batch path", ev.Class)
 				}
@@ -82,9 +100,9 @@ func TestTracerDirectPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	evs := tr.Ring().Snapshot()
-	if len(evs) != st.Updates {
-		t.Fatalf("ring has %d events, want %d", len(evs), st.Updates)
+	evs, stages := updateEvents(tr)
+	if len(evs) != st.Updates || stages != st.Updates {
+		t.Fatalf("ring has %d update and %d stage events, want %d each", len(evs), stages, st.Updates)
 	}
 	escalated := 0
 	for _, ev := range evs {
@@ -133,7 +151,7 @@ func TestTracerTimeoutEvent(t *testing.T) {
 	if !sawTimeout {
 		t.Skip("workload produced no search work before the deadline")
 	}
-	evs := tr.Ring().Snapshot()
+	evs, _ := updateEvents(tr)
 	last := evs[len(evs)-1]
 	if !last.Timeout {
 		t.Fatalf("deadline-aborted update not flagged: %+v", last)

@@ -9,8 +9,8 @@ import (
 	"paracosm/internal/stream"
 )
 
-// This file is the one per-update pipeline of the package. Every update,
-// in either driver, runs two phases around its single graph mutation:
+// This file is the one per-update pipeline of the package. Every update
+// runs two phases around its single graph mutation:
 //
 //	prepare (pre-apply, read-only): classify the update against the
 //	  current graph/ADS state (InterUpdate on; classDirect otherwise);
@@ -21,15 +21,14 @@ import (
 //	  untouched), enumerate new matches for an AddEdge on the full path,
 //	  then account, trace and report the delta.
 //
-// The two drivers differ only around the mutation. Engine.ProcessUpdate
-// runs prepare, Apply, commit on the engine's own graph, and Engine.Run is
-// that call in a loop. MultiEngine's lockstep loop fans prepare out over
-// the visited queries, applies the update to the one shared graph, then
-// fans commit out (DESIGN.md §13); neither phase mutates the graph, so any
-// number of engines run a phase concurrently under its concurrent-readers
-// contract. A query therefore observes exactly the deltas it would have
-// produced running alone over a private clone; TestMultiEngineSharedOracle
-// asserts that equivalence.
+// There is one driver: MultiEngine's lockstep step fans prepare out over
+// the visited queries, applies the update to the shared graph, then fans
+// commit out (DESIGN.md §13), and a standalone Engine is that driver over
+// a query set of one. Neither phase mutates the graph, so any number of
+// engines run a phase concurrently under its concurrent-readers contract.
+// A query therefore observes exactly the deltas it would have produced
+// running alone over a private clone; TestMultiEngineSharedOracle asserts
+// that equivalence.
 //
 // The paper's Figure 6 executor classifies a batch up front, so a
 // degree/ADS verdict can go stale behind an earlier update of the batch
@@ -45,17 +44,27 @@ type pending struct {
 	d       csm.Delta
 	r       innerResult
 	seqBusy time.Duration
-	// t0 is when the update's clock last started and prior the time it had
-	// run before that: the lockstep driver stops the clock across its
-	// barriers and the shared apply, so TTotal never includes another
-	// query's work or a barrier wait.
-	t0    time.Time
+	// t0 is when the update's clock last started (a clockNow reading) and
+	// prior the time it had run before that: the driver stops the clock
+	// across its barriers and the shared apply, so TTotal never includes
+	// the mutation, another query's work or a barrier wait.
+	t0    time.Duration
 	prior time.Duration
 	// simClassify is, under Simulate, the classification time ÷ Threads:
 	// a full-path update's share of the parallel classification the
 	// simulated schedule charges (safe updates divide their whole latency).
 	simClassify time.Duration
 }
+
+// clockBase anchors the per-update clocks: clockNow, an offset from it,
+// costs one monotonic clock read where time.Now costs two. A cheap update
+// reads the clock about ten times (its own clock, the ADS and find
+// phases); on the 2-vCPU reference VM those reads were close to half of
+// a cheap update's profile.
+var clockBase = time.Now()
+
+//paracosm:noalloc
+func clockNow() time.Duration { return time.Since(clockBase) }
 
 // simulating reports whether find phases and latencies are simulated for
 // Threads virtual workers (see sim.go).
@@ -68,11 +77,11 @@ func (e *Engine) simulating() bool { return e.cfg.Simulate && e.cfg.Threads > 1 
 //paracosm:noalloc
 func (e *Engine) prepare(ctx context.Context, upd stream.Update) {
 	p := &e.pend
-	*p = pending{verdict: classDirect, t0: time.Now()}
+	*p = pending{verdict: classDirect, t0: clockNow()}
 	if e.cfg.InterUpdate {
 		p.verdict = e.classify(upd)
 		if p.verdict == classUnsafe && e.simulating() {
-			p.simClassify = time.Since(p.t0) / time.Duration(e.cfg.Threads)
+			p.simClassify = (clockNow() - p.t0) / time.Duration(e.cfg.Threads)
 		}
 	}
 	if upd.Op == stream.DeleteEdge && !p.verdict.safe() {
@@ -86,8 +95,10 @@ func (e *Engine) prepare(ctx context.Context, upd stream.Update) {
 // maintenance and, for an AddEdge on the full path, the find phase; then
 // the one accounting, trace and OnDelta site of every update. It returns
 // csm.ErrDeadline under ProcessUpdate's timeout contract: mutation and ADS
-// maintenance applied, the reported Delta a partial lower-bound ΔM.
-// OnDelta fires only here, so a mutation error never reaches it.
+// maintenance applied, the reported Delta a partial lower-bound ΔM. Under
+// Simulate it also returns csm.ErrDeadline, after the update completed,
+// once the Run's simulated time has passed its budget (simBudget). OnDelta
+// fires only here, so a mutation error never reaches it.
 //
 //paracosm:noalloc
 func (e *Engine) commit(ctx context.Context, upd stream.Update) error {
@@ -97,9 +108,9 @@ func (e *Engine) commit(ctx context.Context, upd stream.Update) error {
 	if p.verdict.safe() {
 		total = e.commitSafe(upd, p)
 	} else {
-		tA := time.Now()
+		tA := clockNow()
 		e.algo.UpdateADS(upd)
-		p.d.TADS = time.Since(tA)
+		p.d.TADS = clockNow() - tA
 		if upd.Op == stream.AddEdge {
 			deadline, hasDeadline := ctx.Deadline()
 			p.r, p.seqBusy = e.findPhase(deadline, hasDeadline, upd, true, &p.d)
@@ -117,6 +128,11 @@ func (e *Engine) commit(ctx context.Context, upd stream.Update) error {
 	}
 	if e.cfg.OnDelta != nil {
 		e.cfg.OnDelta(upd, p.d, err != nil)
+	}
+	if err == nil && e.simBudget > 0 && e.totalElapsed() > e.simBudget {
+		// The update is complete, but it took the Run's simulated time
+		// past its budget: the driver stops here.
+		err = csm.ErrDeadline
 	}
 	return err
 }
@@ -139,11 +155,11 @@ func (e *Engine) commit(ctx context.Context, upd stream.Update) error {
 //paracosm:noalloc
 func (e *Engine) commitSafe(upd stream.Update, p *pending) time.Duration {
 	if p.verdict != classSafeADS {
-		tA := time.Now()
+		tA := clockNow()
 		e.algo.UpdateADS(upd)
-		p.d.TADS = time.Since(tA)
+		p.d.TADS = clockNow() - tA
 	}
-	total := p.prior + time.Since(p.t0)
+	total := p.prior + clockNow() - p.t0
 	if e.simulating() {
 		p.d.TADS /= time.Duration(e.cfg.Threads)
 		total /= time.Duration(e.cfg.Threads)
@@ -162,7 +178,7 @@ func (e *Engine) account(p *pending) time.Duration {
 		// would count the sequential execution the simulation replaces.
 		total = p.d.TADS + p.d.TFind + p.simClassify
 	} else {
-		total = p.prior + time.Since(p.t0)
+		total = p.prior + clockNow() - p.t0
 	}
 	e.statsMu.Lock()
 	e.stats.Updates++
@@ -235,9 +251,9 @@ func (e *Engine) findPhase(deadline time.Time, hasDeadline bool, upd stream.Upda
 		d.TFind = simFind
 		return r, 0
 	}
-	tF := time.Now()
+	tF := clockNow()
 	r := e.findMatchesParallel(deadline, hasDeadline, upd, positive)
-	d.TFind = time.Since(tF)
+	d.TFind = clockNow() - tF
 	return r, r.seqBusy
 }
 

@@ -7,7 +7,7 @@ import (
 	"paracosm/internal/stream"
 )
 
-// This file is Window(n) (DESIGN.md §15), a pre-pass in front of each
+// This file is Window(n) (DESIGN.md §15), a pre-pass in front of the
 // driver's one per-update loop: cut the stream into windows of
 // Config.Window updates, coalesce each window (exact insert/delete pairs
 // annihilate, repeated touches of an edge fold to their net effect) and
@@ -18,11 +18,11 @@ import (
 // NET totals compare: matches that appear and expire inside one window
 // are never enumerated.
 
-// winScratch is a driver's reusable windowing state.
+// winScratch is the driver's reusable windowing state.
 type winScratch struct {
 	coal *stream.Coalescer
 	buf  stream.Stream // the survivors
-	pos  []int         // MultiEngine: each survivor's position in the call's stream
+	pos  []int         // each survivor's position in the call's stream
 }
 
 func newWinScratch() *winScratch { return &winScratch{coal: stream.NewCoalescer()} }
@@ -52,24 +52,11 @@ func (w *winScratch) coalesce(raw stream.Stream, wc *WindowCounters, tr *obs.Tra
 	return w.coal.Src()
 }
 
-// coalesce is Window(n) for the single engine: it books window raw into
-// the engine's Stats and returns its survivors, for Run's loop, with each
-// one's index in raw; both are valid until the next call.
-func (e *Engine) coalesce(raw stream.Stream) (stream.Stream, []int32) {
-	w := e.win
-	w.buf = w.buf[:0]
-	var wc WindowCounters
-	src := w.coalesce(raw, &wc, e.cfg.Tracer)
-	e.statsMu.Lock()
-	e.stats.Window.add(wc)
-	e.statsMu.Unlock()
-	return w.buf, src
-}
-
-// coalesceLocked is Window(n) for the shared driver: it coalesces the
-// call's stream s window by window into one survivor stream and returns
-// it with each survivor's position in s, for runSharedLocked's lockstep
-// loop to run as it runs any stream. Traced, a raw update coalesced away
+// coalesceLocked is Window(n): it coalesces the call's stream s window by
+// window into one survivor stream and returns it with each survivor's
+// position in s, for runSharedLocked's loop to run as it runs any stream.
+// The windows are booked into the call's tally, which endLocked hands to
+// the driver and to every engine. Traced, a raw update coalesced away
 // still observes the five per-update stages here — its real queue waits
 // from bt/idx (as in runSharedLocked), zero driver durations — so stage
 // counts keep matching the applied-update count the caller reports.
@@ -84,7 +71,7 @@ func (m *MultiEngine) coalesceLocked(s stream.Stream, bt *BatchTimes, idx []int)
 		if len(raw) > m.cfg.Window {
 			raw = raw[:m.cfg.Window]
 		}
-		src := w.coalesce(raw, &m.winStats, tr)
+		src := w.coalesce(raw, &m.callWin, tr)
 		for _, r := range src {
 			w.pos = append(w.pos, off+int(r))
 		}

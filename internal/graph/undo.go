@@ -34,12 +34,9 @@ type undoOp struct {
 	l    Label
 }
 
-// Reset empties the log, retaining its capacity for the next batch.
-func (u *UndoLog) Reset() { u.ops = u.ops[:0] }
-
 // Rollback undoes every recorded mutation in reverse order, restoring the
-// graph to its state before the first logged mutation, then resets the
-// log. Mutations interleaved with the logged ones (not going through the
+// graph to its state before the first logged mutation, then empties the
+// log, retaining its capacity for the next batch. Mutations interleaved with the logged ones (not going through the
 // *Logged methods) break the restore — the owner's single-writer
 // discipline must prevent that.
 func (u *UndoLog) Rollback(g *Graph) {
@@ -56,7 +53,7 @@ func (u *UndoLog) Rollback(g *Graph) {
 			g.reviveVertex(op.u)
 		}
 	}
-	u.Reset()
+	u.ops = u.ops[:0]
 }
 
 // AddEdgeLogged is AddEdge with the inverse recorded in log on success.

@@ -199,11 +199,13 @@ func TestStrictIgnores(t *testing.T) {
 
 // TestNoAllocPinsHotPath asserts the //paracosm:noalloc directive sits
 // directly on every function the runtime allocation guards measure
-// (TestProcessUpdateAllocations, TestKernelZeroAllocs), so the static
-// prover and the runtime guard pin the same set.
+// (TestProcessUpdateAllocations, TestSharedPathAllocations,
+// TestKernelZeroAllocs), so the static prover and the runtime guard pin
+// the same set.
 func TestNoAllocPinsHotPath(t *testing.T) {
 	pins := map[string][]string{
 		"../core/engine.go":   {"ProcessUpdate"},
+		"../core/multi.go":    {"stepLocked", "fanOutLocked", "prepareLocked", "commitLocked", "endLocked"},
 		"../core/pipeline.go": {"prepare", "commit", "commitSafe", "findPhase"},
 		"../graph/graph.go":   {"NeighborsWithLabel", "DegreeWithLabel"},
 		"../graph/intersect.go": {

@@ -12,8 +12,8 @@ import (
 
 // QueryRow is one live query's row on the /queries debug endpoint (and
 // the JSON shape `paracosm top` decodes). Latency quantiles come from the
-// per-query histogram (core.TrackQueries, always on in serving mode) and
-// are reported in integer microseconds to keep the rows jq/column
+// histogram every registered query carries (core.QuerySnapshot) and are
+// reported in integer microseconds to keep the rows jq/column
 // friendly. Visited is how many of Updates ran through the query's engine;
 // the rest are label-safe updates the engine's dispatch index accounted in
 // bulk (core.QuerySnapshot.Visited).

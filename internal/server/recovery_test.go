@@ -2,12 +2,15 @@ package server
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
+	"paracosm/internal/core"
+	"paracosm/internal/graph"
 	"paracosm/internal/obs"
 	"paracosm/internal/stream"
 	"paracosm/internal/wal"
@@ -386,4 +389,141 @@ func TestServerWALDeregisterWithoutOwnership(t *testing.T) {
 	if err := cl.Deregister("q"); err == nil {
 		t.Fatal("deregistering an unknown query succeeded")
 	}
+}
+
+// churnStream returns count updates over g's vertices that apply in order:
+// fresh edge inserts, each deleted again one to three updates later about
+// half of the time, so windows of the stream hold insert/delete pairs for
+// the coalescer to annihilate.
+func churnStream(rng *rand.Rand, g *graph.Graph, count int) stream.Stream {
+	sim := g.Clone()
+	n := sim.NumVertices()
+	var s stream.Stream
+	type due struct {
+		at   int
+		u, v graph.VertexID
+	}
+	var pending []due
+	for len(s) < count {
+		if len(pending) > 0 && pending[0].at <= len(s) {
+			d := pending[0]
+			pending = pending[1:]
+			sim.RemoveEdge(d.u, d.v)
+			s = append(s, stream.Update{Op: stream.DeleteEdge, U: d.u, V: d.v})
+			continue
+		}
+		u, v := graph.VertexID(rng.Intn(n)), graph.VertexID(rng.Intn(n))
+		if u == v || !sim.AddEdge(u, v, 0) {
+			continue
+		}
+		s = append(s, stream.Update{Op: stream.AddEdge, U: u, V: v})
+		if rng.Intn(2) == 0 {
+			pending = append(pending, due{len(s) + rng.Intn(3), u, v})
+		}
+	}
+	return s
+}
+
+// TestServerWindowedCrashReplay covers -window n with -wal-dir: the live
+// server coalesces within the batches its ingestion loop cut (one update
+// each here, through the ingestGate seam, so nothing coalesces live),
+// while recovery replays the log in BatchMax batches, which coalesce
+// their windows' insert/delete pairs away. The contract still holds after
+// a crash — the recovered graph and the query's net totals equal the
+// sequential oracle's — but the Seq watermark, which advances once per
+// nonzero delta, is exact only at -window ≤ 1: replay produces no delta
+// for an annihilated pair, so under Window(8) the recovered watermark
+// falls behind the one the crashed server handed out (DESIGN.md §16).
+func TestServerWindowedCrashReplay(t *testing.T) {
+	for _, window := range []int{1, 8} {
+		t.Run(fmt.Sprintf("window%d", window), func(t *testing.T) { windowedCrashReplay(t, window) })
+	}
+}
+
+func windowedCrashReplay(t *testing.T, window int) {
+	dir := t.TempDir()
+	rng := rand.New(rand.NewSource(23))
+	g := uniformGraph(40)
+	q := singleEdgeQuery(t)
+	full := churnStream(rng, g, 120)
+	wantPos, wantNeg := oracleTotals(t, g, q, full)
+	want := g.Clone()
+	for _, upd := range full {
+		if err := upd.Apply(want); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	engine := []core.Option{core.Window(window)}
+	gate := make(chan struct{})
+	srv := startTestServer(t, g, Config{WALDir: dir, Fsync: wal.SyncOff, SnapshotEvery: -1, BatchMax: 1,
+		Engine: engine, ingestGate: gate, noFinalSnapshot: true})
+	if err := srv.WaitReady(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	cl, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Register("q", "GraphFlow", q); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := cl.Send(full); err != nil || n != len(full) {
+		t.Fatalf("send: accepted %d of %d, %v", n, len(full), err)
+	}
+	for range full {
+		gate <- struct{}{} // one live batch of one update
+	}
+	if err := cl.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	cl.Close()
+	srv.mu.Lock()
+	liveSeq := srv.produced["q"]
+	srv.mu.Unlock()
+	if liveSeq != uint64(len(full)) {
+		t.Fatalf("live Seq %d, want one nonzero delta per update: %d", liveSeq, len(full))
+	}
+	if err := srv.Close(); err != nil { // crash: no final snapshot
+		t.Fatal(err)
+	}
+
+	srv2 := startWALServer(t, Config{WALDir: dir, Fsync: wal.SyncOff, SnapshotEvery: -1, Engine: engine})
+	if got, want := srv2.walReplayed.Load(), uint64(1+len(full)); got != want {
+		t.Fatalf("replayed %d records, want the registration and %d updates", got, len(full))
+	}
+	st := srv2.multi.Stats()["q"]
+	if int64(st.Positive)-int64(st.Negative) != int64(wantPos)-int64(wantNeg) {
+		t.Fatalf("recovered net total %d (+%d,-%d), oracle %d", int64(st.Positive)-int64(st.Negative), st.Positive, st.Negative, int64(wantPos)-int64(wantNeg))
+	}
+	err = srv2.multi.ExportState(func(got *graph.Graph, _ []core.QueryExport) error {
+		if got.NumEdges() != want.NumEdges() {
+			return fmt.Errorf("recovered graph has %d edges, oracle %d", got.NumEdges(), want.NumEdges())
+		}
+		for v := 0; v < want.NumVertices(); v++ {
+			for _, nb := range want.Neighbors(graph.VertexID(v)) {
+				if !got.HasEdge(graph.VertexID(v), nb.ID) {
+					return fmt.Errorf("recovered graph lacks edge (%d,%d)", v, nb.ID)
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv2.mu.Lock()
+	replaySeq := srv2.produced["q"]
+	srv2.mu.Unlock()
+	if window <= 1 {
+		if replaySeq != liveSeq {
+			t.Fatalf("window %d: recovered Seq %d, live %d", window, replaySeq, liveSeq)
+		}
+		return
+	}
+	if st.Window.Annihilated == 0 || replaySeq >= liveSeq {
+		t.Fatalf("window %d: replay annihilated %d pairs, recovered Seq %d, live %d: the reproduction lost its point",
+			window, st.Window.Annihilated, replaySeq, liveSeq)
+	}
+	t.Logf("window %d: replay annihilated %d pairs; recovered Seq %d, live %d", window, st.Window.Annihilated, replaySeq, liveSeq)
 }

@@ -300,10 +300,7 @@ func (cn *conn) offerDelta(f *Frame) bool {
 // gate) to observe recovery completing or failing.
 func Start(g *graph.Graph, cfg Config) (*Server, error) {
 	cfg.normalize()
-	// Per-query latency histograms are always on in serving mode: they
-	// back /queries and the labeled paracosm_query series, and a few KB
-	// per live query is noise next to a connection's buffers.
-	engOpts := append(append([]core.Option(nil), cfg.Engine...), core.TrackQueries(true))
+	engOpts := append([]core.Option(nil), cfg.Engine...)
 	if cfg.Tracer != nil {
 		engOpts = append(engOpts, core.WithTracer(cfg.Tracer))
 	}

@@ -170,7 +170,7 @@ func SJTree() Algorithm { return sjtree.New() }
 type MultiEngine = core.MultiEngine
 
 // NewMulti creates an empty multi-query engine. Call Close when done to
-// release the per-query engines' worker pools.
+// release its fan-out workers and the per-query engines' worker pools.
 func NewMulti(opts ...Option) *MultiEngine { return core.NewMulti(opts...) }
 
 // Dataset synthesis (stand-ins for the paper's evaluation datasets).
