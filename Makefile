@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build lint lint-each lint-json test test-sched race bench bench-lastlevel debug-smoke serve-smoke metrics-lint recover-smoke fuzz experiments examples clean
+.PHONY: all build lint lint-each lint-json test test-sched test-synctest race bench bench-lastlevel debug-smoke serve-smoke metrics-lint recover-smoke fuzz experiments examples clean
 
 all: lint test
 
@@ -42,6 +42,13 @@ test:
 # shows up here rather than as a flake of `make test`.
 test-sched:
 	$(GO) test -count=3 -cpu 1,2,4 ./internal/wal ./internal/concurrent ./internal/core ./internal/server
+
+# The verdicts that depend on how the scheduler interleaves the pool's
+# goroutines (that workers park, that an idle searcher draws a donation),
+# held in a testing/synctest bubble, where time moves only once every
+# goroutine is blocked. Needs Go 1.24 (GOEXPERIMENT=synctest).
+test-synctest:
+	GOEXPERIMENT=synctest $(GO) test -count=50 -cpu 1,2,4 -run 'Bubbled$$' ./internal/concurrent ./internal/core
 
 race:
 	$(GO) test -race ./...

@@ -47,8 +47,8 @@ type Base struct {
 }
 
 // SetSearchers sizes the counter stripes for states carrying slots
-// 0..n-1. core.Engine calls it with its searcher count when it adds its
-// pool workers, before their first parallel phase; an engine that never
+// 0..n-1. core.Engine calls it with its searcher count when it adds the
+// searchers of its parallel phase, before the first; an engine that never
 // escalates keeps the single stripe Init provides. Stripes never shrink, so
 // counts survive a re-Init.
 func (b *Base) SetSearchers(n int) {

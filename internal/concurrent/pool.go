@@ -5,235 +5,252 @@ import (
 	"sync/atomic"
 )
 
-// Pool is a persistent pool of parked worker goroutines: the execution
-// substrate of the inner-update executor (Algorithm 2). Workers are
-// spawned once, at construction, and reused for every escalated update;
-// between epochs (and whenever the task queue drains mid-epoch) they park
-// on a sync.Cond instead of spinning, so an idle pool costs nothing and
-// never steals cycles from the workers that still hold tasks.
+// Pool is a persistent set of parked worker goroutines running jobs: one
+// driver's fan-out over its queries and every escalated search under it
+// (Algorithm 2) share it. A pool of size n has n-1 workers, spawned at
+// construction and parked on a sync.Cond while no job has work for them:
+// a job's submitter is its n-th goroutine.
 //
-// One epoch = one Submit or SubmitSpans call: the caller hands over a
-// frontier of tasks plus the function that executes them, and the call
-// blocks until the epoch drains. Submit runs the function once per task;
-// SubmitSpans hands each worker a contiguous span of the queue per trip
-// through the pool mutex, for frontiers of many cheap tasks. Task
-// functions may grow the epoch by calling PushAll (adaptive re-splitting);
-// Starved is the lock-free signal that re-splitting would pay. Epoch
-// termination is the classic two-phase check, evaluated under the pool
-// mutex so no wakeup can be lost: the epoch is complete exactly when the
-// queue is empty AND no worker is executing a task (a running task may
-// still push, so an empty queue alone proves nothing).
-//
-// Submit, SubmitSpans and Close serialize against each other; task
-// functions run concurrently and must synchronize any shared state
-// themselves. Close joins all workers; a closed pool panics on Submit.
-type Pool[T any] struct {
+// A Job is drained help first: its submitter works through it alongside
+// the workers it admits, and returns when the job's join count (tasks
+// queued or running) reaches zero. A job offers each free seat of its
+// width to the workers as one queue entry; a worker taking one runs the
+// job's queued tasks and leaves when none is left. Nobody runs another
+// job's tasks while serving one, so a task may submit a job of its own and
+// drain it, and no job's progress depends on a free worker.
+type Pool[T any] struct{ crew }
+
+// crew is the part of a Pool that is independent of its task type.
+type crew struct {
 	size int
 
 	mu   sync.Mutex
-	work sync.Cond // workers park here; signaled by PushAll/Submit/Close
-	done sync.Cond // the submitter parks here; signaled at epoch completion
+	work sync.Cond // idle workers park here
 
-	tasks  []T  // guarded by mu
-	head   int  // guarded by mu
-	active int  // guarded by mu
-	closed bool // guarded by mu
-	// Exactly one of run/runSpan is set during an epoch.
-	run     func(worker int, task T)   // guarded by mu
-	runSpan func(worker int, span []T) // guarded by mu
+	queue  []entry // guarded by mu: offered seats, oldest first
+	head   int     // guarded by mu
+	closed bool    // guarded by mu
 
-	// Lock-free mirrors for the hot-path Starved check. Both are only
-	// mutated inside mu's critical sections; concurrent readers may
-	// observe values a step stale, never torn — the same contract as
-	// Queue.n, and exactly what an advisory re-split heuristic needs.
-	qlen atomic.Int64
-	idle atomic.Int32
+	idle           atomic.Int32 // parked workers, for Job.Starved
+	parks, wakeups atomic.Uint64
 
-	parks   atomic.Uint64
-	wakeups atomic.Uint64
-
-	// epochMu serializes Submit/Close so only one epoch (or shutdown) is
-	// in flight; mu alone cannot, because Submit releases it while parked.
-	epochMu sync.Mutex
-	wg      sync.WaitGroup // joins workers; Add serialized by construction (all Adds happen in NewPool, before the pool escapes)
+	wg sync.WaitGroup // joins workers; Add serialized by construction (all Adds happen in NewPool, before the pool escapes)
 }
 
-// maxSpan bounds the spans SubmitSpans hands out. At 64 cheap tasks a trip
-// through the mutex is already amortized a hundredfold; a longer span only
-// grows what its taker holds privately, out of reach of idle workers until
-// the taker donates it back.
-const maxSpan = 64
+// entry is one seat a job offers, stamped with the job's run: a seat still
+// queued when its run ends is stale in every later run of the job.
+type entry struct {
+	j   interface{ helpLocked(gen uint64) }
+	gen uint64
+}
 
-// NewPool starts size persistent workers (size < 1 is clamped to 1). The
-// workers park immediately; call Close to join them.
+// Workers is a Pool of any task type, as a Job sees it.
+type Workers interface{ shared() *crew }
+
+func (p *Pool[T]) shared() *crew { return &p.crew }
+
+// NewPool starts a pool of size goroutines, size-1 of them workers (size <
+// 1 is clamped to 1); Close joins them.
 func NewPool[T any](size int) *Pool[T] {
-	if size < 1 {
-		size = 1
-	}
-	p := &Pool[T]{size: size}
+	p := &Pool[T]{}
+	p.size = max(size, 1)
 	p.work.L = &p.mu
-	p.done.L = &p.mu
-	for w := 0; w < size; w++ {
+	for w := 1; w < p.size; w++ {
 		p.wg.Add(1)
-		go p.worker(w)
+		go p.worker()
 	}
 	return p
 }
 
-// Size returns the number of workers.
-func (p *Pool[T]) Size() int { return p.size }
-
-// worker is the persistent loop of one pool goroutine. Joined via Close
-// (p.wg.Wait after the closed broadcast).
-func (p *Pool[T]) worker(w int) {
-	defer p.wg.Done()
-	p.mu.Lock()
+// worker is the loop of one pool goroutine: take the oldest offered seat,
+// help its job, repeat; park while none is offered. Joined via Close.
+func (c *crew) worker() {
+	defer c.wg.Done()
+	c.mu.Lock()
 	for {
-		for p.head >= len(p.tasks) && !p.closed {
-			p.idle.Add(1)
-			p.parks.Add(1)
-			p.work.Wait()
-			p.idle.Add(-1)
-			p.wakeups.Add(1)
+		for c.head >= len(c.queue) && !c.closed {
+			c.idle.Add(1)
+			c.parks.Add(1)
+			c.work.Wait()
+			c.idle.Add(-1)
+			c.wakeups.Add(1)
 		}
-		if p.head >= len(p.tasks) { // closed, queue drained
-			p.mu.Unlock()
+		if c.head >= len(c.queue) { // closed, queue drained
+			c.mu.Unlock()
 			return
 		}
-		p.active++
-		if run := p.run; run != nil {
-			var zero T
-			task := p.tasks[p.head]
-			p.tasks[p.head] = zero // release for GC
-			p.head++
-			p.qlen.Add(-1)
-			p.mu.Unlock()
-			run(w, task)
-		} else {
-			// Guided self-scheduling: a 1/(2·size) share of what is queued,
-			// so a long frontier costs few trips through mu and the tail is
-			// still handed out finely enough to balance — but never more
-			// than maxSpan, so that the taker's private copy stays small
-			// and the rest stays where idle workers can reach it.
-			n := (len(p.tasks) - p.head + 2*p.size - 1) / (2 * p.size)
-			if n > maxSpan {
-				n = maxSpan
-			}
-			span := p.tasks[p.head : p.head+n : p.head+n]
-			p.head += n
-			p.qlen.Add(-int64(n))
-			run := p.runSpan
-			p.mu.Unlock()
-			run(w, span)
-		}
-		p.mu.Lock()
-		p.active--
-		if p.active == 0 && p.head >= len(p.tasks) {
-			p.done.Signal()
-		}
+		e := c.queue[c.head]
+		c.queue[c.head] = entry{}
+		c.head++
+		e.j.helpLocked(e.gen)
 	}
 }
 
-// Submit runs one epoch: frontier is queued, parked workers are woken, and
-// the call blocks until the queue is empty and every task function has
-// returned. run is invoked once per task with the executing worker's index
-// (0..Size-1); it may call PushAll to add tasks to the same epoch. Submit
-// must not be called concurrently with itself and panics on a closed pool.
-func (p *Pool[T]) Submit(frontier []T, run func(worker int, task T)) {
-	p.epoch(frontier, run, nil)
+// Submit runs a job over frontier at the pool's full width, one task per
+// call of run. A task may call it; it panics on a closed pool.
+func (p *Pool[T]) Submit(frontier []T, run func(seat int, task T)) {
+	new(Job[T]).Run(p, p.size, 1, frontier, func(seat int, span []T) { run(seat, span[0]) })
 }
 
-// SubmitSpans is Submit for frontiers of many cheap tasks: run receives a
-// contiguous span of queued tasks, in queue order, instead of one. The
-// span aliases the queue and is valid only until run returns — copy what
-// must outlive the call. (The queue is not scrubbed behind spans, so a T
-// holding pointers keeps them reachable until a later epoch overwrites
-// the slot.)
-func (p *Pool[T]) SubmitSpans(frontier []T, run func(worker int, span []T)) {
-	p.epoch(frontier, nil, run)
+// Close marks the pool unusable, wakes all parked workers and waits for
+// them to exit. Idempotent. Must not be called while a job runs.
+func (c *crew) Close() {
+	c.mu.Lock()
+	c.closed = true
+	c.work.Broadcast()
+	c.mu.Unlock()
+	c.wg.Wait()
 }
 
-func (p *Pool[T]) epoch(frontier []T, run func(int, T), runSpan func(int, []T)) {
-	p.epochMu.Lock()
-	defer p.epochMu.Unlock()
+// Job is one run at a time of a frontier on a Pool, reusable across runs
+// on that pool, or on another once it is closed; the zero value is ready.
+// Its fields are under the pool's mutex, except the atomics Starved reads.
+type Job[T any] struct {
+	c   *crew
+	gen uint64 // bumped when a run starts and when it ends
 
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		panic("concurrent: Submit on closed Pool")
-	}
-	p.run, p.runSpan = run, runSpan
-	p.tasks = append(p.tasks, frontier...)
-	p.qlen.Add(int64(len(frontier)))
-	p.work.Broadcast()
-	for p.head < len(p.tasks) || p.active > 0 {
-		p.done.Wait()
-	}
-	p.run, p.runSpan = nil, nil
-	// Reuse the ring across epochs, but let an explosion's backlog go
-	// back to the allocator instead of pinning its high-water mark.
-	if cap(p.tasks) > 4096 {
-		p.tasks = nil
-	} else {
-		p.tasks = p.tasks[:0]
-	}
-	p.head = 0
-	p.mu.Unlock()
+	width, grain     int
+	members, offered int   // goroutines serving the run, its caller included; its seats still queued
+	seats            []int // free helper seats
+	tasks            []T
+	head, pending    int // pending is the join count: tasks queued or running
+	run              func(int, []T)
+	parks, wakeups   uint64
+	done             sync.Cond // the caller waits here for its helpers
+
+	waiting atomic.Bool  // the caller is in done.Wait
+	qlen    atomic.Int64 // tasks queued
 }
 
-// PushAll appends a batch of tasks to the current epoch under one lock
-// acquisition and wakes parked workers once: one for a single task, all
-// of them otherwise. Only task functions of the in-flight epoch may call
-// it; batch is copied, the caller keeps ownership.
+// Run runs the job over frontier on ws with at most width goroutines at
+// once, the caller included. run gets its goroutine's seat (0 for the
+// caller) and a span of queued tasks — a 1/(2·width) share, at most grain,
+// valid until run returns — and may call PushAll. Run returns when every
+// task has run, with the run's parks — one of its goroutines finding
+// nothing queued while tasks ran: the caller waiting, a helper leaving —
+// and the wakeups that pair them. It panics on a closed pool.
+func (j *Job[T]) Run(ws Workers, width, grain int, frontier []T, run func(seat int, span []T)) (parks, wakeups uint64) {
+	// No run is in flight, and a worker holding a stale seat reads only
+	// gen, under the mutex: j.c may be set before it is taken.
+	j.c = ws.shared()
+	j.c.mu.Lock()
+	defer j.c.mu.Unlock()
+	if j.c.closed {
+		panic("concurrent: Run on closed Pool")
+	}
+	j.done.L = &j.c.mu
+	j.gen++
+	j.width, j.grain, j.run = max(1, min(width, j.c.size)), grain, run
+	j.members, j.offered, j.parks, j.wakeups = 1, 0, 0, 0
+	j.seats = j.seats[:0]
+	for s := j.width - 1; s > 0; s-- {
+		j.seats = append(j.seats, s)
+	}
+	j.tasks, j.head, j.pending = append(j.tasks[:0], frontier...), 0, len(frontier)
+	j.qlen.Store(int64(len(frontier)))
+	j.offerLocked(len(frontier) - 1) // the caller takes the first share
+	for j.serveLocked(0); j.pending > 0; j.serveLocked(0) {
+		j.waiting.Store(true)
+		j.parks++
+		j.done.Wait()
+		j.waiting.Store(false)
+		j.wakeups++
+	}
+	// A helper leaves in the critical section that finds the queue empty,
+	// so none is inside; the new gen disowns the seats still queued.
+	j.gen++
+	j.run = nil
+	if cap(j.tasks) > 4096 { // let an explosion's backlog go
+		j.tasks = nil
+	}
+	return j.parks, j.wakeups
+}
+
+// helpLocked is a worker taking a seat of the job: stale once the run that
+// offered it is over, idle if the run has nothing queued any more.
 //
 //paracosm:noalloc
-func (p *Pool[T]) PushAll(batch []T) {
+func (j *Job[T]) helpLocked(gen uint64) {
+	if gen != j.gen {
+		return
+	}
+	j.offered--
+	if j.head < len(j.tasks) {
+		seat := j.seats[len(j.seats)-1]
+		j.seats = j.seats[:len(j.seats)-1]
+		j.members++
+		j.wakeups++
+		j.serveLocked(seat)
+		j.members--
+		j.seats = append(j.seats, seat)
+		j.parks++
+	}
+}
+
+// serveLocked runs the job's queued tasks on seat until none is queued,
+// releasing the pool's mutex while a span runs; the span that brings the
+// join count to zero wakes the waiting caller.
+//
+//paracosm:noalloc
+func (j *Job[T]) serveLocked(seat int) {
+	c := j.c
+	for j.head < len(j.tasks) {
+		n := min(j.grain, (len(j.tasks)-j.head+2*j.width-1)/(2*j.width))
+		span := j.tasks[j.head : j.head+n : j.head+n]
+		j.head += n
+		j.qlen.Add(-int64(n))
+		run := j.run
+		c.mu.Unlock()
+		run(seat, span)
+		c.mu.Lock()
+		if j.pending -= n; j.pending == 0 && j.waiting.Load() {
+			j.done.Signal()
+		}
+	}
+}
+
+// offerLocked queues up to n of the job's free seats in the pool, waking a
+// parked worker for each; a full queue drops its taken head before growing.
+//
+//paracosm:noalloc
+func (j *Job[T]) offerLocked(n int) {
+	for n = min(n, j.width-j.members-j.offered); n > 0; n-- {
+		if len(j.c.queue) == cap(j.c.queue) && j.c.head > 0 {
+			j.c.queue, j.c.head = j.c.queue[:copy(j.c.queue, j.c.queue[j.c.head:])], 0
+		}
+		j.c.queue = append(j.c.queue, entry{j, j.gen})
+		j.offered++
+		j.c.work.Signal()
+	}
+}
+
+// PushAll appends a copy of batch to the run in flight, wakes its caller
+// if it waits, and offers the rest to free seats. Only the run's own
+// tasks may call it.
+//
+//paracosm:noalloc
+func (j *Job[T]) PushAll(batch []T) {
 	if len(batch) == 0 {
 		return
 	}
-	p.mu.Lock()
-	p.tasks = append(p.tasks, batch...)
-	p.qlen.Add(int64(len(batch)))
-	if len(batch) == 1 {
-		p.work.Signal()
-	} else {
-		p.work.Broadcast()
+	j.c.mu.Lock()
+	j.tasks = append(j.tasks, batch...)
+	j.pending += len(batch)
+	j.qlen.Add(int64(len(batch)))
+	n := len(batch)
+	if j.waiting.Load() {
+		j.done.Signal()
+		n--
 	}
-	p.mu.Unlock()
+	j.offerLocked(n)
+	j.c.mu.Unlock()
 }
 
-// Starved reports whether at least one worker is parked while the queue is
-// empty — the adaptive re-splitting trigger of Algorithm 2 (idle > 0 &&
-// queue empty). Lock-free and advisory: a stale answer only delays or
-// wastes one split, never breaks correctness.
+// Starved reports whether the run's queue is empty while its caller waits
+// or a worker is parked: Algorithm 2's re-splitting trigger. Lock-free and
+// advisory: a stale answer only mis-times a split.
 //
 //paracosm:noalloc
-func (p *Pool[T]) Starved() bool {
-	return p.idle.Load() > 0 && p.qlen.Load() == 0
-}
-
-// Counters returns the cumulative park and wakeup event counts. A park is
-// one transition into the idle wait (including the initial park after
-// spawn and re-parks after spurious wakeups); wakeups count the matching
-// transitions out.
-func (p *Pool[T]) Counters() (parks, wakeups uint64) {
-	return p.parks.Load(), p.wakeups.Load()
-}
-
-// Close wakes all parked workers, waits for them to exit, and marks the
-// pool unusable. Idempotent: further Close calls return immediately. Must
-// not be called from a task function or concurrently with Submit (it
-// serializes behind any in-flight epoch).
-func (p *Pool[T]) Close() {
-	p.epochMu.Lock()
-	defer p.epochMu.Unlock()
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return
-	}
-	p.closed = true
-	p.work.Broadcast()
-	p.mu.Unlock()
-	p.wg.Wait()
+func (j *Job[T]) Starved() bool {
+	return j.qlen.Load() == 0 && (j.waiting.Load() || j.c.idle.Load() > 0)
 }

@@ -7,6 +7,15 @@ import (
 	"time"
 )
 
+// each adapts a per-task function to Job.Run's spans.
+func each(run func(seat, task int)) func(int, []int) {
+	return func(seat int, span []int) {
+		for _, v := range span {
+			run(seat, v)
+		}
+	}
+}
+
 func TestPoolRunsEveryTask(t *testing.T) {
 	p := NewPool[int](4)
 	defer p.Close()
@@ -37,29 +46,32 @@ func TestPoolEpochsAreIndependent(t *testing.T) {
 	}
 }
 
-// TestPoolRecursivePush: tasks growing the epoch via PushAll must all run
-// before Submit returns (the two-phase termination check: an empty queue
-// with a task in flight is not completion).
+// TestPoolRecursivePush: tasks growing the job via PushAll must all run
+// before Run returns (the join count: an empty queue with a task in flight
+// is not completion).
 func TestPoolRecursivePush(t *testing.T) {
 	p := NewPool[int](4)
 	defer p.Close()
 
 	var n atomic.Int64
+	var j Job[int]
 	// Each task at depth d > 0 pushes two tasks at depth d-1:
 	// 2^5-1 = 31 tasks from one seed.
-	p.Submit([]int{4}, func(w, depth int) {
+	j.Run(p, p.Size(), 1, []int{4}, each(func(w, depth int) {
 		n.Add(1)
 		if depth > 0 {
-			p.PushAll([]int{depth - 1, depth - 1})
+			j.PushAll([]int{depth - 1, depth - 1})
 		}
-	})
+	}))
 	if got := n.Load(); got != 31 {
 		t.Fatalf("ran %d tasks, want 31", got)
 	}
 }
 
 // TestPoolWorkersParkBetweenEpochs: the pool must not grow goroutines
-// across many epochs, and idle workers must actually park (counters move).
+// across many epochs. (That idle workers park, with exact counts, is
+// TestPoolParkCountsBubbled's verdict: how often they do here is up to the
+// scheduler.)
 func TestPoolWorkersParkBetweenEpochs(t *testing.T) {
 	p := NewPool[int](4)
 	defer p.Close()
@@ -72,45 +84,30 @@ func TestPoolWorkersParkBetweenEpochs(t *testing.T) {
 	if now := runtime.NumGoroutine(); now > base+2 {
 		t.Fatalf("goroutines grew across epochs: %d -> %d", base, now)
 	}
-	parks, wakeups := p.Counters()
-	if parks == 0 || wakeups == 0 {
-		t.Fatalf("no park/wakeup traffic recorded (parks=%d wakeups=%d)", parks, wakeups)
-	}
 }
 
+// TestPoolStarved: during a job where one task blocks and the other
+// goroutine drains the queue, Starved must eventually flip true — the
+// sibling idles (the submitter waiting, or the worker parked) and the
+// queue is empty — whichever goroutine holds the blocking task.
 func TestPoolStarved(t *testing.T) {
 	p := NewPool[int](2)
 	defer p.Close()
 
-	// Quiescent pool: both workers parked, queue empty.
-	deadline := time.Now().Add(2 * time.Second)
-	for !p.Starved() {
-		if time.Now().After(deadline) {
-			t.Fatal("pool never reported starved while quiescent")
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	// During an epoch where one worker blocks and the other drains the
-	// queue, Starved must eventually flip true (idle sibling, empty queue).
-	release := make(chan struct{})
-	sawStarved := make(chan bool, 1)
-	go func() {
-		p.Submit([]int{0, 1}, func(w, v int) {
-			if v == 0 {
-				d := time.Now().Add(2 * time.Second)
-				for !p.Starved() && time.Now().Before(d) {
-					time.Sleep(100 * time.Microsecond)
-				}
-				sawStarved <- p.Starved()
+	var j Job[int]
+	sawStarved := false
+	j.Run(p, 2, 1, []int{0, 1}, each(func(w, v int) {
+		if v == 0 {
+			d := time.Now().Add(2 * time.Second)
+			for !j.Starved() && time.Now().Before(d) {
+				time.Sleep(100 * time.Microsecond)
 			}
-		})
-		close(release)
-	}()
-	if !<-sawStarved {
+			sawStarved = j.Starved()
+		}
+	}))
+	if !sawStarved {
 		t.Fatal("running task never observed a starved sibling")
 	}
-	<-release
 }
 
 func TestPoolCloseIdempotent(t *testing.T) {
@@ -149,19 +146,20 @@ func TestPoolStress(t *testing.T) {
 	p := NewPool[int](8)
 	defer p.Close()
 	var n atomic.Int64
+	var j Job[int]
 	for round := 0; round < 20; round++ {
 		n.Store(0)
 		seeds := make([]int, 16)
 		for i := range seeds {
 			seeds[i] = 6
 		}
-		p.Submit(seeds, func(w, depth int) {
+		j.Run(p, p.Size(), 1, seeds, each(func(w, depth int) {
 			n.Add(1)
 			if depth > 0 {
-				p.PushAll([]int{depth - 1})
-				p.PushAll([]int{depth - 1})
+				j.PushAll([]int{depth - 1})
+				j.PushAll([]int{depth - 1})
 			}
-		})
+		}))
 		// 16 seeds, each a full binary tree of depth 6: 16*(2^7-1).
 		if got := n.Load(); got != 16*127 {
 			t.Fatalf("round %d: ran %d tasks, want %d", round, got, 16*127)
@@ -169,8 +167,8 @@ func TestPoolStress(t *testing.T) {
 	}
 }
 
-// TestPoolSpansCoverFrontier: SubmitSpans hands out every task exactly
-// once, in contiguous queue-order spans, whatever the pool size.
+// TestPoolSpansCoverFrontier: Run hands out every task exactly once,
+// in contiguous queue-order spans, whatever the pool size.
 func TestPoolSpansCoverFrontier(t *testing.T) {
 	for _, size := range []int{1, 2, 3, 8} {
 		p := NewPool[int](size)
@@ -180,7 +178,8 @@ func TestPoolSpansCoverFrontier(t *testing.T) {
 		}
 		seen := make([]atomic.Int32, len(frontier))
 		var spans atomic.Int64
-		p.SubmitSpans(frontier, func(w int, span []int) {
+		var j Job[int]
+		j.Run(p, size, 64, frontier, func(w int, span []int) {
 			spans.Add(1)
 			for i, v := range span {
 				if v != span[0]+i {
@@ -201,21 +200,22 @@ func TestPoolSpansCoverFrontier(t *testing.T) {
 	}
 }
 
-// TestPoolPushAllByLastActiveWorker: the epoch must not end while a batch
-// pushed by the only running task is still queued — the pusher has gone
-// idle with the queue non-empty, its siblings are parked, and the two-phase
-// check (queue empty AND nobody active) is all that keeps Submit waiting.
+// TestPoolPushAllByLastActiveWorker: the job must not end while a batch
+// pushed by the only running task is still queued — the pusher's span is
+// over with the queue non-empty, its siblings are idle, and the join count
+// (tasks queued or running) is all that keeps Run going.
 func TestPoolPushAllByLastActiveWorker(t *testing.T) {
 	for _, size := range []int{1, 2, 4} {
 		p := NewPool[int](size)
+		var j Job[int]
 		for round := 0; round < 200; round++ {
 			var ran atomic.Int64
-			p.SubmitSpans([]int{3}, func(w int, span []int) {
+			j.Run(p, size, 64, []int{3}, func(w int, span []int) {
 				for _, depth := range span {
 					ran.Add(1)
 					if depth > 0 {
 						// Every level is pushed by whichever task runs last.
-						p.PushAll([]int{depth - 1, depth - 1, depth - 1})
+						j.PushAll([]int{depth - 1, depth - 1, depth - 1})
 					}
 				}
 			})
@@ -234,14 +234,82 @@ func TestPoolPushAllEmptyAndSingle(t *testing.T) {
 	p := NewPool[int](2)
 	defer p.Close()
 	var ran atomic.Int64
-	p.Submit([]int{1}, func(w, v int) {
+	var j Job[int]
+	j.Run(p, 2, 1, []int{1}, each(func(w, v int) {
 		ran.Add(1)
-		p.PushAll(nil)
+		j.PushAll(nil)
 		if v == 1 {
-			p.PushAll([]int{0})
+			j.PushAll([]int{0})
 		}
-	})
+	}))
 	if got := ran.Load(); got != 2 {
 		t.Fatalf("ran %d tasks, want 2", got)
+	}
+}
+
+// TestPoolSubmitFromTask: a task may submit a job of its own, and many
+// tasks may do so at once: each nested job is drained by the task that
+// submitted it, with or without help, so none waits for a free worker.
+func TestPoolSubmitFromTask(t *testing.T) {
+	for _, size := range []int{1, 2, 4} {
+		p := NewPool[int](size)
+		var n atomic.Int64
+		outer := make([]int, 16)
+		p.Submit(outer, func(int, int) {
+			p.Submit([]int{1, 2, 3, 4, 5}, func(_, v int) { n.Add(int64(v)) })
+		})
+		p.Close()
+		if got := n.Load(); got != 16*15 {
+			t.Fatalf("size %d: nested jobs summed %d, want %d", size, got, 16*15)
+		}
+	}
+}
+
+// TestJobStaleSeatsStayOut: a seat a job offered but nobody took before
+// its run ended stays queued; when a worker reaches it, the job is
+// already in a later run and must not be joined through it — or the later
+// run would hold more goroutines than its width, on seats it never
+// offered. Every worker is held busy while a job runs back to back, so
+// each run's seat goes stale; then the workers are freed into the queue of
+// stale seats during a last, long run.
+func TestJobStaleSeatsStayOut(t *testing.T) {
+	const size, width = 4, 2
+	p := NewPool[int](size)
+	defer p.Close()
+
+	held, release := make(chan struct{}, size), make(chan struct{})
+	busy := make(chan struct{})
+	go func() {
+		defer close(busy)
+		p.Submit(make([]int, size), func(int, int) {
+			held <- struct{}{}
+			<-release
+		})
+	}()
+	for i := 0; i < size; i++ {
+		<-held // each of the size goroutines holds one task
+	}
+
+	var j Job[int]
+	var in, most atomic.Int32
+	var bad atomic.Int64
+	check := func(seat, _ int) {
+		if seat < 0 || seat >= width {
+			bad.Add(1)
+		}
+		k := in.Add(1)
+		for m := most.Load(); k > m && !most.CompareAndSwap(m, k); m = most.Load() {
+		}
+		time.Sleep(20 * time.Microsecond)
+		in.Add(-1)
+	}
+	for r := 0; r < 20; r++ {
+		j.Run(p, width, 1, []int{0, 1}, each(check))
+	}
+	close(release)
+	j.Run(p, width, 1, make([]int, 400), each(check))
+	<-busy
+	if bad.Load() != 0 || most.Load() > width {
+		t.Fatalf("a job of width %d ran on %d goroutines at once, %d tasks on a seat outside it", width, most.Load(), bad.Load())
 	}
 }

@@ -29,7 +29,8 @@ import (
 
 // Config controls ParaCOSM's parallel execution.
 type Config struct {
-	// Threads is the worker pool size (N and M of the speedup model,
+	// Threads caps the goroutines searching one update, the caller and
+	// workers of the driver's one pool (N and M of the speedup model,
 	// §4.3). Defaults to runtime.GOMAXPROCS(0). Threads == 1 degenerates
 	// to faithful sequential execution.
 	Threads int
@@ -107,7 +108,7 @@ type DeltaFunc func(upd stream.Update, d csm.Delta, timeout bool)
 // Option mutates a Config.
 type Option func(*Config)
 
-// Threads sets the worker pool size.
+// Threads caps the goroutines searching one update, the caller included.
 func Threads(n int) Option { return func(c *Config) { c.Threads = n } }
 
 // SplitDepth sets SPLIT_DEPTH for adaptive task splitting.
@@ -132,8 +133,8 @@ func WithTracer(t *obs.Tracer) Option { return func(c *Config) { c.Tracer = t } 
 // Window sets the coalescing window size (0 or 1 disables windowing).
 func Window(n int) Option { return func(c *Config) { c.Window = n } }
 
-// maxThreads bounds the real worker pool: a searcher's slot (caller 0,
-// worker 1+w) must fit csm.State.Slot. Simulated workers have no slot.
+// maxThreads bounds the real searchers: a slot (caller 0, worker seat
+// k < Threads) must fit csm.State.Slot. Simulated workers have no slot.
 const maxThreads = 255
 
 func defaultConfig() Config {
@@ -222,17 +223,17 @@ type Stats struct {
 	Escalations int    // updates that escalated to the parallel phase
 	Timeouts    int    // updates whose find phase the context deadline cut off
 	Resplits    uint64 // subtrees re-split into pool tasks (adaptive sharing)
-	Parks       uint64 // pool worker park events during escalated epochs
-	Wakeups     uint64 // pool worker wakeups from park during epochs
+	Parks       uint64 // escalated-job searchers out of spans while others ran: caller waits, helpers leave
+	Wakeups     uint64 // escalated-job searchers taking spans up: helpers join, the caller resumes
 
 	// Window(n) counters (Config.Window > 1).
 	Window WindowCounters
 
 	// ThreadBusy holds cumulative per-thread busy times during
-	// find-matches phases. Slot 0 is the caller thread: root collection
-	// and the sequential (pre-escalation) phase of every update. Slot 1+w
-	// is pool worker w during escalated parallel phases. Figure 10's CDF
-	// is computed over all slots, so sequential search time is counted.
+	// find-matches phases. Slot 0 is the caller thread: root collection,
+	// every update's sequential phase and its spans of escalated ones.
+	// Slot k is the pool worker on seat k of an escalated job. Figure 10's
+	// CDF is computed over all slots, so sequential search time counts.
 	ThreadBusy []time.Duration
 }
 

@@ -32,17 +32,17 @@ type Engine struct {
 	matchMu sync.Mutex
 
 	// searchers is the private scratch of every goroutine that searches
-	// for this engine (see inner.go): slot 0 is the caller — root
-	// collection and the sequential phase of every update — and slot 1+w
-	// is pool worker w. The worker slots are added by the first parallel
-	// phase (ensureWorkers), so an engine that never runs one — most of a
-	// MultiEngine's thousands — carries the caller's only.
+	// for this engine (see inner.go): slot 0 is the caller, slot k the
+	// pool worker on seat k of an escalation's job. The worker slots are
+	// added by the first parallel phase (ensureWorkers), so an engine that
+	// never runs one — most of a MultiEngine's thousands — has one.
 	searchers []*searcher
 	// phase is the find phase in flight, shared by its searchers.
 	phase searchPhase
 	// spanTask is runSpan bound once, so handing it to the pool on every
 	// escalation allocates no method value.
 	spanTask func(int, []csm.State)
+	job      concurrent.Job[csm.State] // the parallel phase, reused by every escalation
 
 	// splitDepth is the effective SPLIT_DEPTH (auto-tuned from the query
 	// size when Config.SplitDepth is 0).
@@ -58,11 +58,6 @@ type Engine struct {
 	simTasks    []uint64
 	simFrontier []csm.State
 
-	// pool is the persistent worker pool of the inner-update executor,
-	// started lazily on the first escalated update (see ensurePool) and
-	// released by Close. nil while no workers exist.
-	pool *concurrent.Pool[csm.State]
-
 	// pend is the update in flight between prepare and commit (see
 	// pipeline.go). A driver runs one update per engine at a time, so it
 	// needs no lock.
@@ -72,6 +67,7 @@ type Engine struct {
 	// MultiEngine holding this engine as its one query, over the graph
 	// Init was given, not a clone. nil in the engines a MultiEngine drives.
 	solo *MultiEngine
+	drv  *MultiEngine // the driver stepping the engine (solo, or its MultiEngine): its pool runs escalations
 
 	// lat, if non-nil, observes every processed update's latency — the
 	// exact value accumulated into Stats.TTotal, at the same sites that
@@ -126,14 +122,13 @@ func (e *Engine) totalElapsed() time.Duration {
 	return e.stats.TTotal
 }
 
-// Close releases the persistent worker pool, joining its goroutines. It is
-// idempotent and safe on engines that never escalated (no pool exists).
-// Close must not overlap an in-flight ProcessUpdate/Run; the engine stays
-// usable afterwards — the next escalated update lazily restarts the pool.
+// Close joins a standalone engine's driver pool (MultiEngine.Close); the
+// engines a MultiEngine drives own no goroutine, so it does nothing there.
+// Idempotent. Close must not overlap an in-flight ProcessUpdate/Run; the
+// engine stays usable afterwards — the next escalation restarts the pool.
 func (e *Engine) Close() {
-	if e.pool != nil {
-		e.pool.Close()
-		e.pool = nil
+	if e.solo != nil {
+		e.solo.Close()
 	}
 }
 
@@ -157,6 +152,20 @@ func (e *Engine) addWindow(wc WindowCounters) {
 // Init runs the offline stage of the wrapped algorithm on (g, q) and gives
 // the engine its driver, which applies every update to g itself.
 func (e *Engine) Init(g *graph.Graph, q *query.Graph) error {
+	if err := e.build(g, q); err != nil {
+		return err
+	}
+	m, mq := newDriver(e.cfg, g, e.cfg.Threads), &multiQuery{algo: e.algo, q: q, eng: e}
+	m.mu.Lock()
+	m.queries = append(m.queries, mq)
+	m.dispatch.add(mq)
+	m.mu.Unlock()
+	e.solo, e.drv = m, m
+	return nil
+}
+
+// build runs the offline stage of the wrapped algorithm on (g, q).
+func (e *Engine) build(g *graph.Graph, q *query.Graph) error {
 	if g == nil || q == nil {
 		return fmt.Errorf("core: nil graph or query")
 	}
@@ -167,16 +176,7 @@ func (e *Engine) Init(g *graph.Graph, q *query.Graph) error {
 	if e.splitDepth < 2 {
 		e.splitDepth = 2
 	}
-	if err := e.algo.Build(g, q); err != nil {
-		return err
-	}
-	m, mq := newDriver(e.cfg, g), &multiQuery{algo: e.algo, q: q, eng: e}
-	m.mu.Lock()
-	m.queries = append(m.queries, mq)
-	m.dispatch.add(mq)
-	m.mu.Unlock()
-	e.solo = m
-	return nil
+	return e.algo.Build(g, q)
 }
 
 // ProcessUpdate runs one update through the engine's driver, the lockstep

@@ -5,7 +5,6 @@ import (
 	"time"
 	"unsafe"
 
-	"paracosm/internal/concurrent"
 	"paracosm/internal/csm"
 	"paracosm/internal/stream"
 )
@@ -17,8 +16,8 @@ type innerResult struct {
 	timeout bool
 	// seqBusy is the caller-thread time spent in the sequential phase
 	// (root collection + pre-escalation DFS); account() attributes it to
-	// ThreadBusy[0] so Figure 10's CDF covers the whole search, not just
-	// the post-escalation part.
+	// ThreadBusy[0] so Figure 10's CDF covers the whole search. It stays 0
+	// in simulate mode, which attributes every slot itself.
 	seqBusy time.Duration
 	// escalated and resplits describe this update's trip through the
 	// parallel phase, for the per-update trace event (simulate mode
@@ -68,8 +67,8 @@ func (p *searchPhase) stop() bool {
 // and the push callback handed to Roots/Expand is built once (in New) and
 // captures only this block — so interface calls into the algorithm force
 // no per-node escape and a search allocates nothing once the stack has
-// grown. The driving goroutine reads the counters after the search, with
-// the pool's mutex (or a WaitGroup) ordering the accesses.
+// grown. The escalating goroutine reads the counters after the search, with
+// the pool's mutex ordering the accesses.
 type searcherState struct {
 	e     *Engine
 	push  func(csm.State)
@@ -77,8 +76,8 @@ type searcherState struct {
 	cur   csm.State
 	slot  uint8  // stamped on every popped node, see csm.State.Slot
 	poll  uint32 // nodes left until the next searchPhase.stop
-	// Totals since reset: a whole sequential phase, or all the spans one
-	// pool worker ran in one epoch.
+	// Totals since reset: a whole sequential phase, or all the spans run on
+	// this slot in one epoch.
 	nodes    uint64
 	matches  uint64
 	resplits uint64
@@ -100,8 +99,8 @@ func newSearcher(e *Engine, slot int) *searcher {
 	return sr
 }
 
-// reset readies the searcher for a new phase (or, for a pool worker, a new
-// epoch), keeping the stack's capacity.
+// reset readies the searcher for a new phase or epoch, keeping the stack's
+// capacity.
 //
 //paracosm:noalloc
 func (sr *searcher) reset() {
@@ -121,11 +120,11 @@ const (
 
 // drain is the one depth-first loop of the engine: it explores the
 // searcher's stack until it is empty, the searcher has counted budget
-// nodes, or the phase is aborted. The caller's sequential phase, the
-// window members and every pool worker run it — they differ only in what
-// they put on the stack first and in the two arguments. With share set (a
-// pool worker under LoadBalance) a searcher that sees starved siblings
-// donates the shallow end of its stack to the pool.
+// nodes, or the phase is aborted. The caller's sequential phase and every
+// span of a parallel phase run it — they differ only in what they put on
+// the stack first and in the two arguments. With share set (a span under
+// LoadBalance) a searcher that sees starved siblings donates the shallow
+// end of its stack to the job.
 //
 // With no OnMatch consumer and an algorithm that declares csm.LeafCounter,
 // the last level of the tree is counted, not visited: a node one vertex
@@ -180,7 +179,7 @@ func (sr *searcher) drain(budget uint64, share bool) drainStop {
 		// A DFS stack is sorted by depth, shallowest at the bottom, so the
 		// bottom entry alone says whether anything is shallow enough to
 		// give away.
-		if share && len(sr.stack) > 1 && int(sr.stack[0].Depth) <= e.splitDepth && e.pool.Starved() {
+		if share && len(sr.stack) > 1 && int(sr.stack[0].Depth) <= e.splitDepth && e.job.Starved() {
 			sr.donate()
 		}
 	}
@@ -189,7 +188,8 @@ func (sr *searcher) drain(budget uint64, share bool) drainStop {
 
 // donate moves the shallow end of the stack — up to half of it, and only
 // nodes no deeper than SPLIT_DEPTH, whose subtrees are worth a hand-over —
-// into the epoch's queue with one locked append and one wakeup.
+// into the job's queue with one locked append and a wakeup per seat it
+// fills.
 //
 //paracosm:noalloc
 func (sr *searcher) donate() {
@@ -197,7 +197,7 @@ func (sr *searcher) donate() {
 	for int(sr.stack[k-1].Depth) > sr.e.splitDepth {
 		k--
 	}
-	sr.e.pool.PushAll(sr.stack[:k])
+	sr.e.job.PushAll(sr.stack[:k])
 	sr.stack = append(sr.stack[:0], sr.stack[k:]...)
 	sr.resplits++
 }
@@ -219,14 +219,15 @@ func (e *Engine) beginPhase(deadline time.Time, hasDeadline, positive bool) {
 // update explodes into millions of nodes. The executor therefore starts
 // every update sequentially on the caller's searcher under a node budget
 // and escalates to the parallel phase — the rest of the caller's stack
-// handed to the persistent worker pool, drained with adaptive re-splitting
-// — only once the budget is exceeded, i.e. exactly for the updates where
-// parallelism pays.
+// run as a job of the driver's pool, drained with adaptive re-splitting —
+// only once the budget is exceeded, i.e. exactly for the updates where
+// parallelism pays. It returns the result and the find phase's time, which
+// is seqBusy unless the update escalated.
 //
 //paracosm:noalloc
-func (e *Engine) findMatchesParallel(deadline time.Time, hasDeadline bool, upd stream.Update, positive bool) innerResult {
+func (e *Engine) findMatchesParallel(deadline time.Time, hasDeadline bool, upd stream.Update, positive bool) (innerResult, time.Duration) {
 	var res innerResult
-	tSeq := clockNow()
+	t0 := clockNow()
 	e.beginPhase(deadline, hasDeadline, positive)
 	sr := e.searchers[0]
 	sr.reset()
@@ -239,95 +240,74 @@ func (e *Engine) findMatchesParallel(deadline time.Time, hasDeadline bool, upd s
 	stop := sr.drain(budget, false)
 	res.matches, res.nodes = sr.matches, sr.nodes
 	res.timeout = stop == stopAborted
-	res.seqBusy = clockNow() - tSeq
+	res.seqBusy = clockNow() - t0
 	if stop == stopBudget {
-		par := e.runEpoch(sr.stack)
-		res.matches += par.matches
-		res.nodes += par.nodes
-		res.timeout = par.timeout
-		res.escalated = true
-		res.resplits = par.resplits
+		e.runEpoch(&res, sr.stack)
+		return res, clockNow() - t0
 	}
-	return res
+	return res, res.seqBusy
 }
 
-// runEpoch is the parallel execution phase of Algorithm 2: one pool epoch
-// over frontier, the unexplored stack of a searcher that ran out of budget
-// in the phase beginPhase opened. The engine's persistent workers (started
-// lazily here, released by Engine.Close) take it over in contiguous spans;
-// SubmitSpans copies it and blocks until the epoch drains, so the caller
-// may reuse the stack afterwards. Workers count into their own searchers;
-// the totals are folded here, once, after the epoch.
-//
-// In steady state an epoch allocates nothing: the task function is bound
-// once, the workers' stacks and the pool's queue keep their capacity.
+// runEpoch is the parallel phase of Algorithm 2, adding to res: a job of
+// the driver's pool over frontier, the caller's stack that ran out of
+// budget. At most Threads goroutines take it over in spans: the caller on
+// slot 0, free once Run has copied the frontier, and the workers the job
+// admits, each on its seat's slot. The searchers' totals are folded here,
+// once. An epoch allocates nothing once stacks and queue have grown.
 //
 //paracosm:noalloc
-func (e *Engine) runEpoch(frontier []csm.State) innerResult {
-	pool := e.ensurePool()
-	workers := e.searchers[1:]
-	for _, sr := range workers {
+func (e *Engine) runEpoch(res *innerResult, frontier []csm.State) {
+	e.ensureWorkers()
+	for _, sr := range e.searchers {
 		sr.reset()
 	}
-
-	parks0, wakeups0 := pool.Counters()
-	pool.SubmitSpans(frontier, e.spanTask)
-	parks1, wakeups1 := pool.Counters()
-
-	par := innerResult{timeout: e.phase.aborted.Load(), escalated: true}
+	parks, wakeups := e.job.Run(e.drv.workers(), e.cfg.Threads, maxSpan, frontier, e.spanTask)
+	res.timeout, res.escalated = e.phase.aborted.Load(), true
 	e.statsMu.Lock()
 	for len(e.stats.ThreadBusy) < len(e.searchers) {
 		e.stats.ThreadBusy = append(e.stats.ThreadBusy, 0)
 	}
-	for w, sr := range workers {
-		par.matches += sr.matches
-		par.nodes += sr.nodes
-		par.resplits += sr.resplits
-		e.stats.ThreadBusy[w+1] += sr.busy
+	for k, sr := range e.searchers {
+		res.matches += sr.matches
+		res.nodes += sr.nodes
+		res.resplits += sr.resplits
+		e.stats.ThreadBusy[k] += sr.busy
 	}
 	e.stats.Escalations++
-	e.stats.Resplits += par.resplits
-	e.stats.Parks += parks1 - parks0
-	e.stats.Wakeups += wakeups1 - wakeups0
+	e.stats.Resplits += res.resplits
+	e.stats.Parks += parks
+	e.stats.Wakeups += wakeups
 	e.statsMu.Unlock()
-	return par
 }
 
-// runSpan is the pool's task function: worker w copies a span of the
-// epoch's queue onto its own stack and drains it.
+// maxSpan bounds a searcher's span of a frontier: at 64 cheap states a
+// trip through the pool's mutex is amortized a hundredfold, and a longer
+// span only grows what idle searchers cannot reach until it is donated.
+const maxSpan = 64
+
+// runSpan is the job's task function: the goroutine on seat k copies a
+// span of the job's queue onto slot k's stack and drains it.
 //
 //paracosm:noalloc
-func (e *Engine) runSpan(w int, span []csm.State) {
+func (e *Engine) runSpan(k int, span []csm.State) {
 	if e.phase.aborted.Load() {
 		return
 	}
-	sr := e.searchers[1+w]
+	sr := e.searchers[k]
 	t0 := time.Now()
 	sr.stack = append(sr.stack[:0], span...)
 	sr.drain(^uint64(0), e.cfg.LoadBalance)
 	sr.busy += time.Since(t0)
 }
 
-// ensurePool lazily starts the persistent worker pool: engines that never
-// escalate (Threads==1, or streams of only light updates) never spawn a
-// goroutine. Engine.Close releases it; a later escalation restarts it.
-//
-//paracosm:allocs one-time pool spin-up on first escalation
-func (e *Engine) ensurePool() *concurrent.Pool[csm.State] {
-	if e.pool == nil {
-		e.ensureWorkers()
-		e.pool = concurrent.NewPool[csm.State](e.cfg.Threads)
-	}
-	return e.pool
-}
-
-// ensureWorkers adds the searchers of slots 1..Threads, and has the
+// ensureWorkers adds the searchers of slots 1..Threads-1, and has the
 // algorithm size whatever it keeps per slot (the kernel counter stripes of
-// algobase.Base). Only the driving goroutine calls it, between searches.
+// algobase.Base). Only the goroutine escalating the engine's update calls
+// it, before the job starts.
 //
 //paracosm:allocs one-time growth on the first parallel phase
 func (e *Engine) ensureWorkers() {
-	n := 1 + e.cfg.Threads
+	n := e.cfg.Threads
 	if len(e.searchers) >= n {
 		return
 	}

@@ -291,7 +291,7 @@ func TestCountedLastLevelAllocations(t *testing.T) {
 		t.Fatal(err)
 	}
 	find := func() {
-		r := sy.findMatchesParallel(time.Time{}, false, del, false)
+		r, _ := sy.findMatchesParallel(time.Time{}, false, del, false)
 		if r.nodes != nodes || r.matches != m*m {
 			t.Fatalf("Symbi: find phase saw %d nodes, %d matches; want %d, %d", r.nodes, r.matches, nodes, m*m)
 		}

@@ -102,13 +102,14 @@ type MultiEngine struct {
 	// keeps the bulk accounting of the rest (see dispatch.go).
 	dispatch dispatchIndex // guarded by mu
 
-	// fan is the parked pool that runs a phase over a visit list of two or
-	// more queries: started by the first call with two queries to drive,
-	// joined by Close. fanPrepare and fanCommit are the phase bodies, bound
-	// once so that handing them to the pool allocates nothing.
-	fan        *concurrent.Pool[*multiQuery] // guarded by mu
-	fanPrepare func(int, *multiQuery)
-	fanCommit  func(int, *multiQuery)
+	// pool (see workers) runs the fan-out job fan and every escalated
+	// search under it. fanPrepare and fanCommit are the phase bodies,
+	// bound once: handing them to the pool allocates nothing.
+	pool       *concurrent.Pool[*multiQuery]
+	poolSize   int
+	fan        concurrent.Job[*multiQuery]
+	fanPrepare func(int, []*multiQuery)
+	fanCommit  func(int, []*multiQuery)
 
 	// Window(n) state (see window.go): the coalescing scratch, nil unless
 	// Config.Window > 1, and the driver-level window counter tally that
@@ -155,17 +156,18 @@ func NewMulti(opts ...Option) *MultiEngine {
 	}
 	cfg.Simulate = false
 	cfg.normalize()
-	return newDriver(cfg, nil)
+	return newDriver(cfg, nil, max(runtime.GOMAXPROCS(0), cfg.Threads))
 }
 
 // newDriver builds the lockstep driver for a normalized configuration: a
-// MultiEngine's, whose Init supplies g, or a standalone Engine's over g.
-func newDriver(cfg Config, g *graph.Graph) *MultiEngine {
+// MultiEngine's, whose Init supplies g, or a standalone Engine's over g,
+// with a pool of poolSize goroutines, the submitter included.
+func newDriver(cfg Config, g *graph.Graph, poolSize int) *MultiEngine {
 	var win *winScratch
 	if cfg.Window > 1 {
 		win = newWinScratch()
 	}
-	m := &MultiEngine{cfg: cfg, g: g, dispatch: newDispatchIndex(), win: win}
+	m := &MultiEngine{cfg: cfg, g: g, dispatch: newDispatchIndex(), win: win, poolSize: poolSize}
 	m.fanPrepare, m.fanCommit = m.prepareLocked, m.commitLocked
 	return m
 }
@@ -216,7 +218,8 @@ func (m *MultiEngine) initQueryLocked(mq *multiQuery) error {
 	}
 	mq.eng = newEngine(mq.algo, cfg)
 	mq.eng.lat = obs.NewHistogram()
-	if err := mq.eng.Init(m.g, mq.q); err != nil {
+	mq.eng.drv = m
+	if err := mq.eng.build(m.g, mq.q); err != nil {
 		return fmt.Errorf("query %q: %w", mq.name, err)
 	}
 	m.dispatch.add(mq)
@@ -237,8 +240,8 @@ func (m *MultiEngine) RegisterLive(name string, algo csm.Algorithm, q *query.Gra
 // before the lock is released, so the log append and the registration
 // are one atomic step with respect to batches and snapshots — the log
 // order of records equals their apply order by construction. A persist
-// error unwinds the registration (the engine is closed and discarded)
-// and is returned: a query is either durable and live, or neither.
+// error unwinds the registration (the engine is discarded) and is
+// returned: a query is either durable and live, or neither.
 func (m *MultiEngine) RegisterLiveLogged(name string, algo csm.Algorithm, q *query.Graph, persist func() error) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -255,7 +258,6 @@ func (m *MultiEngine) RegisterLiveLogged(name string, algo csm.Algorithm, q *que
 	if persist != nil {
 		if err := persist(); err != nil {
 			m.dispatch.remove(mq)
-			mq.eng.Close()
 			return fmt.Errorf("core: persist registration: %w", err)
 		}
 	}
@@ -263,10 +265,10 @@ func (m *MultiEngine) RegisterLiveLogged(name string, algo csm.Algorithm, q *que
 	return nil
 }
 
-// Deregister removes a query and closes its engine (joining its worker
-// pool), so the serving layer can drop a query when its owning connection
-// goes away without tearing down the engine. The dropped query's
-// cumulative Stats are folded into the retained closed tally (see
+// Deregister removes a query and discards its engine, so the serving
+// layer can drop a query when its owning connection goes away without
+// tearing down the engine. The dropped query's cumulative Stats are
+// folded into the retained closed tally (see
 // ClosedStats), so aggregate totals stay monotonic across disconnects.
 // Idempotent: deregistering an unknown name reports false and does
 // nothing. The remaining queries are untouched and processing continues
@@ -283,7 +285,6 @@ func (m *MultiEngine) deregisterLocked(name string) bool {
 				m.dispatch.remove(mq)
 				m.closed.Add(mq.eng.Stats())
 				m.closedN++
-				mq.eng.Close()
 			}
 			m.queries = append(m.queries[:i], m.queries[i+1:]...)
 			return true
@@ -460,9 +461,6 @@ func (m *MultiEngine) ProcessBatchLogged(ctx context.Context, batch stream.Strea
 // ingest wait and assembly dwell come from bt at idx's mapping of s's
 // positions to batch indices (bt nil: zero waits; idx nil: identity).
 func (m *MultiEngine) runSharedLocked(ctx context.Context, s stream.Stream, bt *BatchTimes, idx []int) (failed bool) {
-	if len(m.queries) > 1 && m.fan == nil {
-		m.fan = concurrent.NewPool[*multiQuery](runtime.GOMAXPROCS(0))
-	}
 	var pos []int // windowed: each survivor's position in the call's stream
 	if m.win != nil {
 		s, pos = m.coalesceLocked(s, bt, idx)
@@ -620,35 +618,50 @@ func (m *MultiEngine) endLocked() (failed bool) {
 }
 
 // fanOutLocked runs one phase over the visit list — inline for one query,
-// on the parked fan-out pool, one query per trip (per-query cost is
-// heavy-tailed), for more — and returns when all have run it: the barrier
-// that keeps every query on one side of each graph mutation.
+// as a job of the driver's pool, which the driver works too, one query per
+// trip (per-query cost is heavy-tailed), for more — and returns when all
+// have run it: the barrier that keeps every query on one side of each
+// graph mutation.
 //
 //paracosm:noalloc
-func (m *MultiEngine) fanOutLocked(visit []*multiQuery, phase func(int, *multiQuery)) {
+func (m *MultiEngine) fanOutLocked(visit []*multiQuery, phase func(int, []*multiQuery)) {
 	switch {
 	case len(visit) == 1:
-		phase(0, visit[0])
+		phase(0, visit)
 	case len(visit) > 1:
-		m.fan.Submit(visit, phase)
+		m.fan.Run(m.workers(), len(visit), 1, visit, phase)
 	}
 }
 
-// prepareLocked is the pre-apply phase body, run while the driver holds
-// mu. The update's clock stops at the barrier: the wait and the shared
-// apply are not this query's time.
+// workers returns the driver's pool, starting it on first use. Only the
+// driver goroutine starts it — an escalation on a pool worker runs inside
+// a fan-out, which started it first — so the start needs no lock.
+//
+//paracosm:allocs one-time pool start on the driver's first parallel phase
+func (m *MultiEngine) workers() *concurrent.Pool[*multiQuery] {
+	if m.pool == nil {
+		m.pool = concurrent.NewPool[*multiQuery](m.poolSize)
+	}
+	return m.pool
+}
+
+// prepareLocked is the pre-apply phase body of one query, run while the
+// driver holds mu. The update's clock stops at the barrier: the wait and
+// the shared apply are not this query's time.
 //
 //paracosm:noalloc
-func (m *MultiEngine) prepareLocked(_ int, mq *multiQuery) {
+func (m *MultiEngine) prepareLocked(_ int, span []*multiQuery) {
+	mq := span[0]
 	mq.eng.prepare(m.cur.ctx, m.cur.upd)
 	mq.eng.pend.prior = clockNow() - mq.eng.pend.t0
 }
 
-// commitLocked is the post-apply phase body, run while the driver holds
-// mu.
+// commitLocked is the post-apply phase body of one query, run while the
+// driver holds mu.
 //
 //paracosm:noalloc
-func (m *MultiEngine) commitLocked(_ int, mq *multiQuery) {
+func (m *MultiEngine) commitLocked(_ int, span []*multiQuery) {
+	mq := span[0]
 	mq.eng.pend.t0 = clockNow()
 	if err := mq.eng.commit(m.cur.ctx, m.cur.upd); err != nil {
 		mq.fail = failure{err: err, i: m.cur.i, upd: m.cur.upd}
@@ -695,21 +708,15 @@ func (m *MultiEngine) collectErrsLocked() error {
 	return errors.Join(errs...)
 }
 
-// Close joins the fan-out pool and releases every per-query engine's
-// worker pool (see Engine.Close). Idempotent; the engines stay usable
-// afterwards, and the next call with two queries to drive restarts the
-// fan-out pool.
+// Close joins the driver's pool, the only goroutines the driver and its
+// engines own. Idempotent; the engines stay usable afterwards, and the
+// next fan-out or escalation restarts the pool.
 func (m *MultiEngine) Close() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.fan != nil {
-		m.fan.Close()
-		m.fan = nil
-	}
-	for _, mq := range m.queries {
-		if mq.eng != nil {
-			mq.eng.Close()
-		}
+	if m.pool != nil {
+		m.pool.Close()
+		m.pool = nil
 	}
 }
 

@@ -332,8 +332,8 @@ func sharedAllocsPerUpdate(t *testing.T, nq int, batch stream.Stream, bt *BatchT
 			t.Fatalf("%s was not visited: %+v", name, countsOf(st))
 		}
 	}
-	if (m.fan != nil) != (nq > 1) {
-		t.Fatalf("%d queries: fan-out pool started = %v", nq, m.fan != nil)
+	if (m.pool != nil) != (nq > 1) {
+		t.Fatalf("%d queries: driver pool started = %v", nq, m.pool != nil)
 	}
 	return allocs
 }

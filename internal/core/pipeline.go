@@ -43,7 +43,6 @@ type pending struct {
 	verdict classification
 	d       csm.Delta
 	r       innerResult
-	seqBusy time.Duration
 	// t0 is when the update's clock last started (a clockNow reading) and
 	// prior the time it had run before that: the driver stops the clock
 	// across its barriers and the shared apply, so TTotal never includes
@@ -86,7 +85,7 @@ func (e *Engine) prepare(ctx context.Context, upd stream.Update) {
 	}
 	if upd.Op == stream.DeleteEdge && !p.verdict.safe() {
 		deadline, hasDeadline := ctx.Deadline()
-		p.r, p.seqBusy = e.findPhase(deadline, hasDeadline, upd, false, &p.d)
+		p.r = e.findPhase(deadline, hasDeadline, upd, false, &p.d)
 		p.d.Negative, p.d.Nodes = p.r.matches, p.r.nodes
 	}
 }
@@ -113,7 +112,7 @@ func (e *Engine) commit(ctx context.Context, upd stream.Update) error {
 		p.d.TADS = clockNow() - tA
 		if upd.Op == stream.AddEdge {
 			deadline, hasDeadline := ctx.Deadline()
-			p.r, p.seqBusy = e.findPhase(deadline, hasDeadline, upd, true, &p.d)
+			p.r = e.findPhase(deadline, hasDeadline, upd, true, &p.d)
 			p.d.Positive, p.d.Nodes = p.r.matches, p.r.nodes
 		}
 		if p.r.timeout {
@@ -188,13 +187,13 @@ func (e *Engine) account(p *pending) time.Duration {
 	e.stats.TADS += p.d.TADS
 	e.stats.TFind += p.d.TFind
 	e.stats.TTotal += total
-	if p.seqBusy > 0 {
+	if p.r.seqBusy > 0 {
 		// Attribute the sequential find phase to the caller slot so the
 		// per-thread busy CDF (Figure 10) covers the whole search.
 		if len(e.stats.ThreadBusy) == 0 {
 			e.stats.ThreadBusy = append(e.stats.ThreadBusy, 0)
 		}
-		e.stats.ThreadBusy[0] += p.seqBusy
+		e.stats.ThreadBusy[0] += p.r.seqBusy
 	}
 	if p.r.timeout {
 		e.stats.Timeouts++
@@ -240,21 +239,16 @@ func (e *Engine) accountSafe(v classification, n int, tads, total time.Duration)
 }
 
 // findPhase runs the find-matches phase — real or simulated — filling
-// d.TFind and returning the inner result plus the caller-thread busy
-// time (0 in simulate mode: findMatchesSimulated attributes per-worker
-// loads, including the caller slot, itself).
+// d.TFind and returning the inner result.
 //
 //paracosm:noalloc
-func (e *Engine) findPhase(deadline time.Time, hasDeadline bool, upd stream.Update, positive bool, d *csm.Delta) (innerResult, time.Duration) {
+func (e *Engine) findPhase(deadline time.Time, hasDeadline bool, upd stream.Update, positive bool, d *csm.Delta) (r innerResult) {
 	if e.simulating() {
-		r, simFind := e.findMatchesSimulated(deadline, hasDeadline, upd, positive)
-		d.TFind = simFind
-		return r, 0
+		r, d.TFind = e.findMatchesSimulated(deadline, hasDeadline, upd, positive)
+	} else {
+		r, d.TFind = e.findMatchesParallel(deadline, hasDeadline, upd, positive)
 	}
-	tF := clockNow()
-	r := e.findMatchesParallel(deadline, hasDeadline, upd, positive)
-	d.TFind = clockNow() - tF
-	return r, r.seqBusy
+	return r
 }
 
 // traceUpdate builds and emits the per-update trace event. Callers check

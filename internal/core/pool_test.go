@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -51,9 +53,9 @@ func (a *treeAlgo) Terminal(s *csm.State) (uint64, bool) {
 	return 0, false
 }
 
-// treeEngine builds an engine around a synthetic algorithm (treeAlgo,
-// allocProbeAlgo) over a trivial 4-vertex graph/query pair.
-func treeEngine(t *testing.T, a csm.Algorithm, opts ...Option) (*Engine, *graph.Graph) {
+// treeGraph is the trivial 4-vertex graph and 3-vertex path query the
+// synthetic algorithms (treeAlgo, allocProbeAlgo) run over.
+func treeGraph(t *testing.T) (*graph.Graph, *query.Graph) {
 	t.Helper()
 	g := graph.New(4)
 	for i := 0; i < 4; i++ {
@@ -65,6 +67,14 @@ func treeEngine(t *testing.T, a csm.Algorithm, opts ...Option) (*Engine, *graph.
 	if err := q.Finalize(); err != nil {
 		t.Fatal(err)
 	}
+	return g, q
+}
+
+// treeEngine builds an engine around a synthetic algorithm over
+// treeGraph's pair.
+func treeEngine(t *testing.T, a csm.Algorithm, opts ...Option) (*Engine, *graph.Graph) {
+	t.Helper()
+	g, q := treeGraph(t)
 	eng := New(a, opts...)
 	if err := eng.Init(g, q); err != nil {
 		t.Fatal(err)
@@ -74,7 +84,10 @@ func treeEngine(t *testing.T, a csm.Algorithm, opts ...Option) (*Engine, *graph.
 
 // TestPoolGoroutinesStableAcrossStream: escalated updates must reuse the
 // persistent pool — the goroutine count may grow once (pool start) and
-// must then stay flat across a 1000-update stream.
+// must then stay flat across a 1000-update stream. (Whether a worker ever
+// parks in an escalation is up to the scheduler here, since the caller
+// may drain a small tree before one joins; TestStarvationResplitBubbled
+// holds the park counts.)
 func TestPoolGoroutinesStableAcrossStream(t *testing.T) {
 	a := &treeAlgo{width: 4, depth: 8}
 	eng, _ := treeEngine(t, a, Threads(4), InterUpdate(false), EscalateNodes(4), SplitDepth(100))
@@ -103,9 +116,6 @@ func TestPoolGoroutinesStableAcrossStream(t *testing.T) {
 	if st.Escalations < 1000 {
 		t.Fatalf("only %d/1001 updates escalated; workload misconfigured", st.Escalations)
 	}
-	if st.Parks == 0 {
-		t.Fatal("pool recorded no parks across 1000 escalated updates")
-	}
 
 	// Close joins the workers; goroutines the test runtime itself started
 	// meanwhile may take a moment to wind down, so allow the count a
@@ -120,33 +130,38 @@ func TestPoolGoroutinesStableAcrossStream(t *testing.T) {
 	}
 }
 
-// TestStarvationResplit: with 2 workers, a deep skewed chain and instant
-// sibling leaves, the idle worker must trigger adaptive re-splitting, and
-// match/node counts must equal the sequential run exactly.
-func TestStarvationResplit(t *testing.T) {
-	run := func(threads int) (Stats, uint64) {
-		a := &treeAlgo{width: 3, depth: 100, slow: 200 * time.Microsecond}
-		eng, _ := treeEngine(t, a, Threads(threads), InterUpdate(false),
-			EscalateNodes(4), SplitDepth(200))
-		defer eng.Close()
-		d, err := eng.ProcessUpdate(context.Background(), stream.Update{Op: stream.AddEdge, U: 0, V: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return eng.Stats(), d.Positive
+// starvationRun processes one update of a deep skewed chain with instant
+// sibling leaves at the given thread count and returns the engine's Stats
+// and the update's matches.
+func starvationRun(t *testing.T, threads int) (Stats, uint64) {
+	a := &treeAlgo{width: 3, depth: 100, slow: 200 * time.Microsecond}
+	eng, _ := treeEngine(t, a, Threads(threads), InterUpdate(false),
+		EscalateNodes(4), SplitDepth(200))
+	defer eng.Close()
+	d, err := eng.ProcessUpdate(context.Background(), stream.Update{Op: stream.AddEdge, U: 0, V: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
+	return eng.Stats(), d.Positive
+}
 
-	seqStats, seqMatches := run(1)
-	parStats, parMatches := run(2)
+// TestStarvationResplit: on a deep skewed chain, the pooled run's
+// match/node counts equal the sequential run's exactly, and its counters
+// reconcile: every donation and every park belongs to the one escalation.
+// Whether the idle searcher triggers a re-split is up to the scheduler
+// here; TestStarvationResplitBubbled holds that verdict.
+func TestStarvationResplit(t *testing.T) {
+	seqStats, seqMatches := starvationRun(t, 1)
+	parStats, parMatches := starvationRun(t, 2)
 	if parMatches != seqMatches || parStats.Nodes != seqStats.Nodes {
 		t.Fatalf("pooled run (+%d, %d nodes) != sequential (+%d, %d nodes)",
 			parMatches, parStats.Nodes, seqMatches, seqStats.Nodes)
 	}
-	if parStats.Resplits == 0 {
-		t.Fatal("skewed 2-worker run triggered no adaptive re-split")
+	if parStats.Escalations != 1 || len(parStats.ThreadBusy) != 2 {
+		t.Fatalf("escalations = %d, %d busy slots; want 1 escalation on 2 slots", parStats.Escalations, len(parStats.ThreadBusy))
 	}
-	if parStats.Parks == 0 || parStats.Wakeups == 0 {
-		t.Fatalf("no park/wakeup traffic (parks=%d wakeups=%d)", parStats.Parks, parStats.Wakeups)
+	if parStats.Parks != parStats.Wakeups {
+		t.Fatalf("parks %d and wakeups %d do not pair up", parStats.Parks, parStats.Wakeups)
 	}
 }
 
@@ -312,7 +327,10 @@ func TestEscalatedUpdateAllocations(t *testing.T) {
 }
 
 // TestSequentialPhaseAttributedToSlotZero: every update's sequential find
-// phase must land in ThreadBusy[0]; escalated epochs fill slots 1+.
+// phase must land in ThreadBusy[0], and an escalated epoch has one slot per
+// searcher it may run: Threads, the caller's included. (Whether the worker
+// slot fills is up to the scheduler here; TestStarvationResplitBubbled
+// holds it.)
 func TestSequentialPhaseAttributedToSlotZero(t *testing.T) {
 	a := &treeAlgo{width: 4, depth: 30}
 	eng, _ := treeEngine(t, a, Threads(2), InterUpdate(false), EscalateNodes(8), SplitDepth(100))
@@ -321,13 +339,129 @@ func TestSequentialPhaseAttributedToSlotZero(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := eng.Stats()
-	if len(st.ThreadBusy) != 3 {
-		t.Fatalf("ThreadBusy has %d slots, want 3 (caller + 2 workers)", len(st.ThreadBusy))
+	if len(st.ThreadBusy) != 2 {
+		t.Fatalf("ThreadBusy has %d slots, want 2 (caller + 1 worker)", len(st.ThreadBusy))
 	}
 	if st.ThreadBusy[0] <= 0 {
 		t.Fatal("sequential phase not attributed to ThreadBusy[0]")
 	}
-	if st.ThreadBusy[1]+st.ThreadBusy[2] <= 0 {
-		t.Fatal("escalated epoch recorded no worker busy time")
+}
+
+// TestMultiEngineOnePool: 128 standing queries at Threads(2), every one
+// escalating, run on the driver's one pool — max(GOMAXPROCS, Threads)-1
+// workers — not on a fan-out pool plus two workers per query.
+func TestMultiEngineOnePool(t *testing.T) {
+	g, q := treeGraph(t)
+	base := runtime.NumGoroutine()
+	m := NewMulti(Threads(2), InterUpdate(false), EscalateNodes(4), SplitDepth(100))
+	defer m.Close()
+	if err := m.Init(g); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 128; i++ {
+		if err := m.RegisterLive(fmt.Sprintf("q%d", i), &treeAlgo{width: 4, depth: 8}, q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := stream.Stream{{Op: stream.AddEdge, U: 0, V: 1}, {Op: stream.DeleteEdge, U: 0, V: 1}}
+	if err := m.Run(context.Background(), s); err != nil {
+		t.Fatal(err)
+	}
+	grown := runtime.NumGoroutine() - base
+	for name, st := range m.Stats() {
+		if st.Escalations != 2 {
+			t.Fatalf("%s escalated %d of 2 updates", name, st.Escalations)
+		}
+	}
+	if limit := runtime.GOMAXPROCS(0) + 2; grown > limit {
+		t.Fatalf("128 escalating queries grew %d goroutines, want at most %d", grown, limit)
+	}
+}
+
+// slotAlgo is treeAlgo recording, per update, the searcher slots its nodes
+// are expanded on and the most expansions under way at once.
+type slotAlgo struct {
+	treeAlgo
+	seen     [256]atomic.Bool
+	in, most atomic.Int32
+}
+
+func (a *slotAlgo) Expand(s *csm.State, emit func(csm.State)) {
+	a.seen[s.Slot].Store(true)
+	k := a.in.Add(1)
+	for m := a.most.Load(); k > m && !a.most.CompareAndSwap(m, k); m = a.most.Load() {
+	}
+	a.treeAlgo.Expand(s, emit)
+	a.in.Add(-1)
+}
+
+// slots reports the slots seen and the peak concurrency since the last
+// call, and starts the next count.
+func (a *slotAlgo) slots() (seen []int, most int32) {
+	for k := range a.seen {
+		if a.seen[k].Swap(false) {
+			seen = append(seen, k)
+		}
+	}
+	return seen, a.most.Swap(0)
+}
+
+// slotEngine registers a slotAlgo as the one query of a MultiEngine at
+// Threads(2) whose pool is larger: 8 goroutines, at GOMAXPROCS 8.
+func slotEngine(t *testing.T, a *slotAlgo) *MultiEngine {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(8)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	g, q := treeGraph(t)
+	m := NewMulti(Threads(2), InterUpdate(false), EscalateNodes(4), SplitDepth(200))
+	t.Cleanup(m.Close)
+	if err := m.Init(g); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.RegisterLive("slots", a, q); err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// TestThreadsCapsEscalationSlots: Threads(n) caps one update's searchers
+// at n goroutines, the caller included, however many workers the driver's
+// pool has idle — a skewed chain keeps donating work they could take.
+func TestThreadsCapsEscalationSlots(t *testing.T) {
+	a := &slotAlgo{treeAlgo: treeAlgo{width: 3, depth: 100, slow: 50 * time.Microsecond}}
+	m := slotEngine(t, a)
+	if err := m.Run(context.Background(), stream.Stream{{Op: stream.AddEdge, U: 0, V: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if st := m.Stats()["slots"]; st.Escalations != 1 {
+		t.Fatalf("escalations = %d, want 1", st.Escalations)
+	}
+	if seen, most := a.slots(); len(seen) > 2 || seen[len(seen)-1] > 1 || most > 2 {
+		t.Fatalf("Threads(2) update searched on slots %v, %d at once; want at most slots 0 and 1", seen, most)
+	}
+}
+
+// TestBackToBackEscalationsStaleSeats: an escalation's job is reused by the
+// engine's next one, and a seat the last run offered may still be queued
+// when the next begins. A worker reaching it must not join the later run,
+// which would then search on more goroutines and slots than Threads.
+func TestBackToBackEscalationsStaleSeats(t *testing.T) {
+	a := &slotAlgo{treeAlgo: treeAlgo{width: 4, depth: 8}}
+	m := slotEngine(t, a)
+	ctx := context.Background()
+	for i := 0; i < 500; i++ {
+		op := stream.AddEdge
+		if i%2 == 1 {
+			op = stream.DeleteEdge
+		}
+		if err := m.Run(ctx, stream.Stream{{Op: op, U: 0, V: 1}}); err != nil {
+			t.Fatal(err)
+		}
+		if seen, most := a.slots(); seen[len(seen)-1] > 1 || most > 2 {
+			t.Fatalf("update %d searched on slots %v, %d at once; want at most slots 0 and 1", i, seen, most)
+		}
+	}
+	if st := m.Stats()["slots"]; st.Escalations != 500 {
+		t.Fatalf("escalations = %d, want 500", st.Escalations)
 	}
 }

@@ -31,7 +31,8 @@ import (
 //     round-robin in queue order: the paper's "unbalanced" configuration
 //     (Figure 10);
 //   - the simulated find time is the prefix plus the makespan plus the
-//     pool's coordination cost (simTrip).
+//     pool's coordination cost (simTrip): the caller searches alongside
+//     the Threads-1 workers it wakes, as the real pool's submitter does.
 //
 // Per-worker simulated loads feed Stats.ThreadBusy, so Figure 10's CDFs
 // come out of the same machinery. On a real multicore, disable Simulate
@@ -42,8 +43,9 @@ const (
 	// or handed one task. It is the benchmark's measured
 	// concurrent.pool_epoch_ns — one empty epoch, hand-over, wakeup and
 	// join — divided by its worker count: 464 ns over 2 workers on the
-	// 2-core reference box (EXPERIMENTS.md). An escalation costs Threads
-	// trips; each task one more, spread over the workers.
+	// 2-core reference box (EXPERIMENTS.md). An escalation wakes the
+	// Threads-1 workers that help its submitter, one trip each; each task
+	// costs one more, spread over the Threads searchers.
 	simTrip = 232 * time.Nanosecond
 	// simSlice is the node budget of one balanced-schedule slice. The real
 	// pool can hand over a single node, so slices must be short next to a
@@ -132,15 +134,14 @@ func (e *Engine) findMatchesSimulated(deadline time.Time, hasDeadline bool, upd 
 	} else {
 		makespan, loads = staticMakespan(tasks, threads)
 	}
-	overhead := time.Duration(threads)*simTrip + time.Duration(len(tasks))*simTrip/time.Duration(threads)
+	overhead := time.Duration(threads-1)*simTrip + time.Duration(len(tasks))*simTrip/time.Duration(threads)
 	e.addThreadBusy(pre, loads)
 	return res, pre + time.Duration(makespan) + overhead
 }
 
 // addThreadBusy books a simulated update into ThreadBusy: pre on the caller
-// slot, and loads[w] (nanoseconds) on worker w's slot 1+w — the convention
-// the real executor uses (see Stats.ThreadBusy). Loads mean the update
-// escalated.
+// slot, and loads[w] (nanoseconds) on virtual worker w's slot 1+w. Loads
+// mean the update escalated.
 func (e *Engine) addThreadBusy(pre time.Duration, loads []uint64) {
 	e.statsMu.Lock()
 	for len(e.stats.ThreadBusy) < 1+len(loads) {

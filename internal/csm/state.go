@@ -31,7 +31,8 @@ type State struct {
 	// Depth is the number of query vertices matched so far.
 	Depth uint8
 	// Slot names the searcher — the goroutine — exploring this node: 0 is
-	// the engine's caller, 1+w pool worker w. The executor stamps it on
+	// the engine's caller, k the pool worker on seat k of an escalated
+	// update's job (k < the engine's Threads). The executor stamps it on
 	// every node it pops and children inherit it by copy, so an algorithm
 	// can keep per-searcher single-writer scratch (the intersection-kernel
 	// counter stripes of algobase.Base) indexed by it. It occupies the

@@ -10,7 +10,7 @@ import (
 // type that (transitively, through struct fields, arrays, and instantiated
 // type arguments) contains a sync.Mutex, sync.RWMutex, or other no-copy
 // sync primitive. Because the check runs on go/types object types rather
-// than syntax, instantiations like concurrent.Pool[csm.State] are seen
+// than syntax, instantiations like concurrent.Job[csm.State] are seen
 // with their concrete field types — the paths go vet's copylocks misses in
 // some instantiation chains. Flagged sites: value receivers, by-value
 // parameters and results, assignments, returns, call arguments, and range

@@ -114,13 +114,14 @@ var ErrDeadline = csm.ErrDeadline
 
 // New creates a ParaCOSM engine around any Algorithm. Call Close when
 // the engine is no longer needed to release its persistent worker pool
-// (the pool starts lazily on the first parallel escalation, so engines
-// that never escalate hold no goroutines).
+// (Threads-1 workers, started lazily on the first parallel escalation, so
+// engines that never escalate hold no goroutines).
 func New(a Algorithm, opts ...Option) *Engine { return core.New(a, opts...) }
 
 // Engine options (see core.Config for semantics).
 var (
-	// Threads sets the worker pool size.
+	// Threads caps the goroutines that search one update, the caller
+	// included.
 	Threads = core.Threads
 	// SplitDepth sets SPLIT_DEPTH for adaptive task splitting.
 	SplitDepth = core.SplitDepth
@@ -170,7 +171,8 @@ func SJTree() Algorithm { return sjtree.New() }
 type MultiEngine = core.MultiEngine
 
 // NewMulti creates an empty multi-query engine. Call Close when done to
-// release its fan-out workers and the per-query engines' worker pools.
+// release its one worker pool, which runs the query fan-out and every
+// query's escalated searches.
 func NewMulti(opts ...Option) *MultiEngine { return core.NewMulti(opts...) }
 
 // Dataset synthesis (stand-ins for the paper's evaluation datasets).
